@@ -24,8 +24,8 @@ machinery being certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,77 +61,10 @@ def delta_grid(delta0: float = 0.5, levels: int = 7) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Elementary bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChainBound:
-    """A telescoped bound rho(x_{n+q}, x_n) <= sum of weighted step distances.
-
-    ``terms[j - 1]`` is s**min(j, q - 1) * rho(x_{n+j-1}, x_{n+j}); the last
-    two steps share the coefficient s**(q - 1) because the final triangle
-    application splits one leg into two.
-    """
-
-    n: int
-    q: int
-    terms: tuple[float, ...]
-    total: float
-    direct: float
-
-
-def chain_bound(seq: SequencePrefix, n: int, q: int) -> ChainBound:
-    """Telescoped relaxed-triangle bound for the offset-q distance at n.
-
-    Requires q >= 2 (offsets 0 and 1 have dedicated bounds) and n + q <= N.
-    The bound is verified against the directly evaluated distance; a violation
-    means the declared s is too small for this data and raises MetricError.
-    """
-    if q < 2:
-        raise ValueError(f"chain bound needs q >= 2, got {q}")
-    if not (1 <= n and n + q <= len(seq)):
-        raise IndexError(f"chain {n}..{n + q} outside prefix of length {len(seq)}")
-    s = seq.metric.s
-    terms = tuple(
-        s ** min(j, q - 1) * seq.distance(n + j - 1, n + j) for j in range(1, q + 1)
-    )
-    total = float(sum(terms))
-    direct = seq.distance(n, n + q)
-    if direct > total + ETA:
-        raise MetricError(
-            f"chain bound violated at n={n}, q={q}: direct {direct} > telescoped {total}; "
-            f"the declared s={s} does not hold on this data"
-        )
-    return ChainBound(n=n, q=q, terms=terms, total=total, direct=direct)
-
-
-def self_distance_bound(seq: SequencePrefix, n: int) -> float:
-    """The doubled step bound rho(x_n, x_n) <= 2 s rho(x_{n+1}, x_n).
-
-    Follows from symmetry plus one relaxed triangle through x_{n+1}, so it
-    holds in every dislocated b-metric; it is verified directly and a
-    violation raises MetricError.
-    """
-    if not (1 <= n < len(seq)):
-        raise IndexError(f"need n + 1 <= N, got n={n}, N={len(seq)}")
-    s = seq.metric.s
-    bound = 2.0 * s * seq.distance(n + 1, n)
-    direct = seq.distance(n, n)
-    if direct > bound + ETA:
-        raise MetricError(
-            f"self-distance bound violated at n={n}: rho(x_n, x_n) = {direct} > {bound}; "
-            f"the declared s={s} does not hold on this data"
-        )
-    return bound
-
-
-# ---------------------------------------------------------------------------
 # Stage 1: settling index
 # ---------------------------------------------------------------------------
 
-def find_settling_index(
-    seq: SequencePrefix, w: ShiftWitness, matrix: Optional[np.ndarray] = None
-) -> Optional[int]:
+def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> Optional[int]:
     """Smallest m0 >= n0 beyond which all short-offset distances are small.
 
     Specifically: every n with m0 < n <= N - p and every offset q in {0..p}
@@ -145,7 +78,7 @@ def find_settling_index(
         raise PrefixTooShort(
             f"need N >= n0 + p + 1 = {w.n0 + w.p + 1} for a nonempty settling scan, got N = {n}"
         )
-    dm = seq.distance_matrix() if matrix is None else matrix
+    dm = seq.distance_matrix()
     threshold = w.delta * (1.0 - w.lam) / seq.metric.s - ETA
 
     rows = np.arange(w.n0, hi)  # 0-based rows for n in (n0, hi]
@@ -169,29 +102,17 @@ def find_settling_index(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InductionStep:
-    n: int
-    k: int
-    value: float
-    branch: str  # "zero" or "band"
-    step_bound: float
-
-
-@dataclass(frozen=True)
 class InductionTrace:
     """Summary of the verified block induction.
 
     ``depth`` is the largest verified block count k; branch counters say how
     often a step was justified by a numerically zero previous block ("zero")
-    versus a triggered shift-contraction pair ("band").  Full per-step entries
-    are collected only on request.
+    versus a triggered shift-contraction pair ("band").
     """
 
     depth: int
     zero_branch_steps: int
     band_branch_steps: int
-    max_k_per_n: tuple[tuple[int, int], ...]
-    steps: tuple[InductionStep, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
         return {
@@ -201,13 +122,7 @@ class InductionTrace:
         }
 
 
-def run_block_induction(
-    seq: SequencePrefix,
-    w: ShiftWitness,
-    settling: int,
-    matrix: Optional[np.ndarray] = None,
-    detail: bool = False,
-) -> InductionTrace:
+def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
     """Verify rho(x_{n + k p}, x_n) < delta - eta for all blocks in range.
 
     Scans n in (max(settling, n0), N] and k >= 1 with n + k p <= N.  The
@@ -220,7 +135,7 @@ def run_block_induction(
     but whose justification does not raises :class:`DivergenceError`.
     """
     n_len = len(seq)
-    dm = seq.distance_matrix() if matrix is None else matrix
+    dm = seq.distance_matrix()
     s = seq.metric.s
     n_low = max(settling, w.n0)
     delta, lam, p = w.delta, w.lam, w.p
@@ -232,14 +147,11 @@ def run_block_induction(
     depth = 0
     zero_steps = 0
     band_steps = 0
-    per_n: list[tuple[int, int]] = []
-    entries: list[InductionStep] = []
 
     for n in range(n_low + 1, n_len + 1):
         k_max = (n_len - n) // p
         if k_max < 1:
             continue
-        per_n.append((n, k_max))
 
         # All blocks at this n at once; rows are k = 1 .. k_max.
         ks = np.arange(1, k_max + 1)
@@ -280,26 +192,8 @@ def run_block_induction(
         n_zero = int(np.count_nonzero(zero_mask))
         zero_steps += n_zero
         band_steps += k_max - n_zero
-        if detail:
-            bounds = np.where(zero_mask, s * (step + prev), shifted_block + settled_offset)
-            for i, k in enumerate(ks):
-                entries.append(
-                    InductionStep(
-                        n=n,
-                        k=int(k),
-                        value=float(value[i]),
-                        branch="zero" if zero_mask[i] else "band",
-                        step_bound=float(bounds[i]),
-                    )
-                )
 
-    return InductionTrace(
-        depth=depth,
-        zero_branch_steps=zero_steps,
-        band_branch_steps=band_steps,
-        max_k_per_n=tuple(per_n),
-        steps=tuple(entries),
-    )
+    return InductionTrace(depth=depth, zero_branch_steps=zero_steps, band_branch_steps=band_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +214,6 @@ class CertifyConfig:
 
     tail: TailConfig = TailConfig()
     require_tail_decay: bool = False
-    detail: bool = False
 
 
 @dataclass(frozen=True)
@@ -391,16 +284,19 @@ STAGE_ORDER = (
 )
 
 
-def _chain_stage(
-    seq: SequencePrefix, w: ShiftWitness, n_low: int, dm: np.ndarray
-) -> tuple[tuple[int, float], ...]:
+def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tuple[int, float], ...]:
     """Worst telescoped bound per offset q over the verified range.
 
-    Replays the chain inequalities in vectorized form and cross-checks each
-    against the direct distance, mirroring :func:`chain_bound` and
-    :func:`self_distance_bound`.
+    For q >= 2 the bound on rho(x_n, x_{n+q}) is the sum over j = 1 .. q of
+    s**min(j, q - 1) * rho(x_{n+j-1}, x_{n+j}); the last two steps share the
+    top coefficient because the final triangle application splits one leg in
+    two.  Offset 1 is bounded by the step itself and offset 0 by the doubled
+    step 2 s rho(x_n, x_{n+1}), which holds in every dislocated b-metric.
+    Each bound is cross-checked against the direct distance; a violation
+    means the declared s does not hold on this data and raises MetricError.
     """
     n_len = len(seq)
+    dm = seq.distance_matrix()
     s = seq.metric.s
     steps = np.diagonal(dm, offset=1)  # steps[i] = rho(x_{i+1}, x_{i+2}), 0-based
     out: list[tuple[int, float]] = []
@@ -433,9 +329,7 @@ def _chain_stage(
     return tuple(out)
 
 
-def _pair_scan(
-    seq: SequencePrefix, w: ShiftWitness, n_low: int, dm: np.ndarray
-) -> None:
+def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     """Bound every tail pair via the m = n + k p + q decomposition.
 
     For each pair n_low < n <= m <= N, with k = (m - n) // p and
@@ -447,6 +341,7 @@ def _pair_scan(
     failures; an assembled-bound failure with passing components is a bug.
     """
     n_len = len(seq)
+    dm = seq.distance_matrix()
     s = seq.metric.s
     delta, lam, p = w.delta, w.lam, w.p
     theta = delta * (1.0 - lam) / s
@@ -501,7 +396,6 @@ def certify_cauchy(
     oracle value escapes its own bound is treated as an internal bug
     (DivergenceError), never returned.
     """
-    dm = seq.distance_matrix()
     decay = check_consecutive_decay(seq, cfg.tail)
     stages: list[tuple[str, bool]] = []
 
@@ -525,7 +419,7 @@ def certify_cauchy(
         )
     stages.append(("consecutive_decay", True))
 
-    shift = check_shift_contraction(seq, w, matrix=dm)
+    shift = check_shift_contraction(seq, w)
     if not shift.holds:
         return outcome_failure(
             "shift_contraction",
@@ -534,7 +428,7 @@ def certify_cauchy(
         )
     stages.append(("shift_contraction", True))
 
-    settling = find_settling_index(seq, w, matrix=dm)
+    settling = find_settling_index(seq, w)
     if settling is None:
         return outcome_failure(
             "settling_index",
@@ -546,25 +440,25 @@ def certify_cauchy(
     n_low = max(settling, w.n0)
 
     try:
-        chains = _chain_stage(seq, w, n_low, dm)
+        chains = _chain_stage(seq, w, n_low)
     except MetricError as exc:
         return outcome_failure("chain_bounds", str(exc), shift=shift)
     stages.append(("chain_bounds", True))
 
     try:
-        induction = run_block_induction(seq, w, settling, matrix=dm, detail=cfg.detail)
+        induction = run_block_induction(seq, w, settling)
     except CertificateFailure as exc:
         return outcome_failure(exc.stage, str(exc), shift=shift)
     stages.append(("block_induction", True))
 
     try:
-        _pair_scan(seq, w, n_low, dm)
+        _pair_scan(seq, w, n_low)
     except CertificateFailure as exc:
         return outcome_failure(exc.stage, str(exc), shift=shift, induction=induction)
     stages.append(("pair_scan", True))
 
     fb = diameter_bound(w, seq.metric.s)
-    oracle = tail_diameter(seq, n_low + 1, matrix=dm)
+    oracle = tail_diameter(seq, n_low + 1)
     if not (oracle < fb):
         raise DivergenceError(
             f"certificate issued but oracle tail diameter {oracle} >= bound {fb}"
@@ -595,21 +489,41 @@ def certify_cauchy(
     )
 
 
+class GridEntry(NamedTuple):
+    """One delta of :func:`certify_over_grid`.
+
+    ``outcome`` is None when there is no witness or the prefix is too short
+    for the witness search or the replay; ``note`` then says why, if known.
+    """
+
+    delta: float
+    witness: Optional[ShiftWitness]
+    outcome: Optional[CertifyOutcome]
+    note: Optional[str]
+
+
 def certify_over_grid(
     seq: SequencePrefix,
     deltas: list[float],
     witness_for: Callable[[float], Optional[ShiftWitness]],
     cfg: CertifyConfig = CertifyConfig(),
-) -> list[tuple[float, Optional[ShiftWitness], Optional[CertifyOutcome]]]:
-    """Certify one witness per grid delta; None witnesses are passed through.
+) -> list[GridEntry]:
+    """Certify the witness ``witness_for(delta)`` at every grid delta.
 
-    All grid deltas certifying is the empirical Cauchy verdict at this prefix
-    length: the certified diameters delta * (1 - lam + s) shrink to zero with
-    the grid.
+    A None witness is passed through.  A prefix too short for the witness
+    callback or for the replay is recorded in that delta's entry and does not
+    stop the grid.  All grid deltas certifying is the empirical Cauchy verdict
+    at this prefix length: the certified diameters delta * (1 - lam + s)
+    shrink to zero with the grid.
     """
-    results = []
+    entries = []
     for delta in deltas:
-        w = witness_for(delta)
-        outcome = None if w is None else certify_cauchy(seq, w, cfg)
-        results.append((delta, w, outcome))
-    return results
+        w = outcome = note = None
+        try:
+            w = witness_for(delta)
+            if w is not None:
+                outcome = certify_cauchy(seq, w, cfg)
+        except PrefixTooShort as exc:
+            note = str(exc)
+        entries.append(GridEntry(delta, w, outcome, note))
+    return entries

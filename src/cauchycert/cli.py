@@ -28,7 +28,7 @@ import sys
 import time
 from typing import Optional
 
-from .certificates import CertifyConfig, certify_cauchy
+from .certificates import CertifyConfig, certify_over_grid
 from .config import Experiment, load_config_text, make_experiment
 from .contractions import (
     SolverConfig,
@@ -140,45 +140,35 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
     metric = exp.metric()
     seq = exp.sequence(metric, csv_header=args.header)
     search_cfg = exp.search()
-    certify_cfg = CertifyConfig(tail=exp.tail())
 
+    if exp.raw["parameters"].get("witness") is not None:
+        source, witness_for = "explicit", exp.witness_for
+    else:
+        source = "search"
+
+        def witness_for(delta: float) -> Optional[ShiftWitness]:
+            return search_witness(seq, delta, search_cfg).witness
+
+    entries = certify_over_grid(seq, exp.deltas(), witness_for, CertifyConfig(tail=exp.tail()))
     per_delta = []
-    all_certified = True
-    for delta in exp.deltas():
-        witness = exp.witness_for(delta)
-        source = "explicit"
-        note = None
-        if witness is None:
-            source = "search"
-            try:
-                witness = search_witness(seq, delta, search_cfg).witness
-            except PrefixTooShort as exc:
-                witness, note = None, str(exc)
-        if witness is None:
-            all_certified = False
-            per_delta.append(
-                {
-                    "delta": delta,
-                    "witness": None,
-                    "witness_source": source,
-                    "outcome": None,
-                    "note": note or "no holding witness on the search grid",
-                }
-            )
-            continue
-        outcome = certify_cauchy(seq, witness, certify_cfg)
-        all_certified = all_certified and outcome.certified
+    for e in entries:
+        if e.outcome is not None:
+            log.info("delta=%g certified=%s", e.delta, e.outcome.certified)
         per_delta.append(
             {
-                "delta": delta,
-                "witness": witness.to_dict(),
+                "delta": e.delta,
+                "witness": None if e.witness is None else e.witness.to_dict(),
                 "witness_source": source,
-                "outcome": outcome.to_dict(),
-                "note": note,
+                "outcome": None if e.outcome is None else e.outcome.to_dict(),
+                "note": (
+                    (e.note or "no holding witness on the search grid")
+                    if e.witness is None
+                    else e.note
+                ),
             }
         )
-        log.info("delta=%g certified=%s", delta, outcome.certified)
 
+    all_certified = all(e.outcome is not None and e.outcome.certified for e in entries)
     results = {"length": len(seq), "all_certified": all_certified, "per_delta": per_delta}
     return exp.raw, results, 0
 

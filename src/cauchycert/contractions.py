@@ -247,9 +247,7 @@ def solve_fixed_point(
 
         # Mid-run hypothesis check: consecutive step ratios are image/base
         # ratios of the map, so they must also respect the declared c.
-        steps = np.asarray(
-            metric.rows(seq.coords_array()[1:], seq.coords_array()[:-1])
-        )
+        steps = metric.rows(seq.coords[1:], seq.coords[:-1])
         nz = steps[:-1] > ETA
         if np.any(nz):
             ratios = steps[1:][nz] / steps[:-1][nz]

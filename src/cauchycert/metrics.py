@@ -92,8 +92,10 @@ class DbMetric:
         convention).  Dislocated instances leave this False, and only
         declared instances are held to the converse check.
     rows_fn : callable, optional
-        Vectorized form: maps two aligned ``(k, d)`` stacks to ``k``
-        distances.  Purely an evaluation shortcut; must agree with ``fn``.
+        Vectorized form: maps two broadcastable ``(..., d)`` stacks to the
+        ``(...)`` array of their distances, so it serves both aligned rows
+        and the all-pairs matrix.  Purely an evaluation shortcut; must agree
+        with ``fn``.
     """
 
     name: str
@@ -116,25 +118,30 @@ class DbMetric:
     def distance(self, x: Point, y: Point) -> float:
         """Validated distance evaluation.
 
-        Rejects dimension mismatches and evaluations that produce NaN or a
-        negative value.  Negative round-off within the comparison tolerance is
-        clamped to zero.
+        Rejects dimension mismatches and evaluations that produce NaN, an
+        infinite or a negative value.  Negative round-off within the
+        comparison tolerance is clamped to zero.
         """
         self._check_point(x)
         self._check_point(y)
         if x.dim != y.dim:
             raise MetricError(f"dimension mismatch: {x.dim} vs {y.dim}")
         value = float(self.fn(x.coords, y.coords))
-        return self._validate(value)
-
-    def _validate(self, value: float) -> float:
-        if math.isnan(value):
-            raise MetricError(f"metric {self.name!r} produced NaN")
+        if not math.isfinite(value):
+            raise MetricError(f"metric {self.name!r} produced a non-finite distance {value}")
         if value < 0.0:
             if value < -ETA:
                 raise MetricError(f"metric {self.name!r} produced a negative distance {value}")
             return 0.0
         return value
+
+    def _validate(self, out: np.ndarray) -> np.ndarray:
+        """The array form of the checks in :meth:`distance`."""
+        if not np.all(np.isfinite(out)):
+            raise MetricError(f"metric {self.name!r} produced a non-finite distance")
+        if np.any(out < -ETA):
+            raise MetricError(f"metric {self.name!r} produced a negative distance")
+        return np.clip(out, 0.0, None)
 
     def rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances between aligned rows of two ``(k, d)`` stacks."""
@@ -144,19 +151,28 @@ class DbMetric:
             out = np.asarray(self.rows_fn(a, b), dtype=float)
         else:
             out = np.array([self.fn(a[i], b[i]) for i in range(a.shape[0])], dtype=float)
-        if np.any(np.isnan(out)):
-            raise MetricError(f"metric {self.name!r} produced NaN")
-        if np.any(out < -ETA):
-            raise MetricError(f"metric {self.name!r} produced a negative distance")
-        return np.clip(out, 0.0, None)
+        return self._validate(out)
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
-        """All-pairs distance matrix for an ``(N, d)`` coordinate stack."""
+        """Read-only all-pairs distance matrix for an ``(N, d)`` coordinate stack.
+
+        ``rows_fn`` is broadcast over ``coords[:, None]`` and
+        ``coords[None, :]``; a metric without one calls ``fn`` once per pair.
+        """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         n = coords.shape[0]
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        flat = self.rows(coords[ii.ravel()], coords[jj.ravel()])
-        return flat.reshape(n, n)
+        if self.rows_fn is not None:
+            out = np.asarray(self.rows_fn(coords[:, None], coords[None, :]), dtype=float)
+        else:
+            out = np.array([[self.fn(x, y) for y in coords] for x in coords], dtype=float)
+        if out.shape != (n, n):
+            raise MetricError(
+                f"metric {self.name!r}: rows_fn must broadcast over leading axes, "
+                f"got shape {out.shape} for {n} points"
+            )
+        out = self._validate(out)
+        out.setflags(write=False)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +187,7 @@ def euclid_1d() -> DbMetric:
         fn=lambda x, y: abs(float(x[0]) - float(y[0])),
         dim=1,
         zero_self_distance=True,
-        rows_fn=lambda a, b: np.abs(a[:, 0] - b[:, 0]),
+        rows_fn=lambda a, b: np.abs(a[..., 0] - b[..., 0]),
     )
 
 
@@ -183,7 +199,7 @@ def euclid_nd() -> DbMetric:
         fn=lambda x, y: float(np.linalg.norm(x - y)),
         dim=None,
         zero_self_distance=True,
-        rows_fn=lambda a, b: np.linalg.norm(a - b, axis=1),
+        rows_fn=lambda a, b: np.linalg.norm(a - b, axis=-1),
     )
 
 
@@ -195,7 +211,7 @@ def sq_abs() -> DbMetric:
         fn=lambda x, y: (float(x[0]) - float(y[0])) ** 2,
         dim=1,
         zero_self_distance=True,
-        rows_fn=lambda a, b: (a[:, 0] - b[:, 0]) ** 2,
+        rows_fn=lambda a, b: (a[..., 0] - b[..., 0]) ** 2,
     )
 
 
@@ -210,7 +226,7 @@ def max_dislocated() -> DbMetric:
         s=1.0,
         fn=lambda x, y: max(float(x[0]), float(y[0])),
         dim=1,
-        rows_fn=lambda a, b: np.maximum(a[:, 0], b[:, 0]),
+        rows_fn=lambda a, b: np.maximum(a[..., 0], b[..., 0]),
     )
 
 
@@ -224,7 +240,7 @@ def shifted_dislocated(offset: float = 1.0) -> DbMetric:
         s=1.0,
         fn=lambda x, y: abs(float(x[0]) - float(y[0])) + offset,
         dim=1,
-        rows_fn=lambda a, b: np.abs(a[:, 0] - b[:, 0]) + offset,
+        rows_fn=lambda a, b: np.abs(a[..., 0] - b[..., 0]) + offset,
     )
 
 
@@ -235,7 +251,7 @@ def broken_asym() -> DbMetric:
         s=1.0,
         fn=lambda x, y: max(float(x[0]) - float(y[0]), 0.0),
         dim=1,
-        rows_fn=lambda a, b: np.maximum(a[:, 0] - b[:, 0], 0.0),
+        rows_fn=lambda a, b: np.maximum(a[..., 0] - b[..., 0], 0.0),
     )
 
 
@@ -461,7 +477,10 @@ class AxiomReport:
             "symmetry_ok": self.symmetry_ok,
             "zero_identity_ok": self.zero_identity_ok,
             "triangle_ok": self.triangle_ok,
-            "estimated_min_s": self.estimated_min_s,
+            # A triple no s can satisfy makes the estimate infinite; JSON has no inf.
+            "estimated_min_s": (
+                self.estimated_min_s if math.isfinite(self.estimated_min_s) else None
+            ),
             "symmetry_counterexample": (
                 None
                 if self.symmetry_counterexample is None

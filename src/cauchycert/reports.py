@@ -67,8 +67,11 @@ def build_report(
 
 
 def dump_report(report: dict, out_path: Optional[str] = None) -> str:
-    """Serialize with sorted keys; write to ``out_path`` or return the text."""
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Serialize with sorted keys; write to ``out_path`` or return the text.
+
+    NaN and infinities are refused: they are not JSON.
+    """
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path is not None:
         with open(out_path, "w") as fh:
             fh.write(text)

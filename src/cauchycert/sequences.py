@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import PrefixTooShort
+from .errors import MetricError, PrefixTooShort
 from .metrics import ETA, DbMetric, Point
 
 
@@ -74,52 +74,63 @@ class ShiftWitness:
 class SequencePrefix:
     """A finite prefix x_1 .. x_N together with its metric.
 
-    Construction validates every point against the metric (dimension and
-    finiteness).  Distance evaluation is O(N^2) and recomputed per call: at
-    the prefix lengths this package targets, statelessness is cheaper than a
-    cache contract.
+    The points are stored once, as the read-only ``(N, d)`` float64 array
+    ``coords``, validated at construction (finiteness, one dimension, the
+    metric's dimension).  A prefix is immutable, so its distance matrix is
+    built on first use and kept for every later scan.
     """
 
-    def __init__(self, points: Sequence[Point], metric: DbMetric):
-        pts = list(points)
-        if len(pts) < 2:
-            raise PrefixTooShort(f"a prefix needs at least 2 points, got {len(pts)}")
-        dims = {p.dim for p in pts}
-        if len(dims) != 1:
-            raise ValueError(f"points have inconsistent dimensions: {sorted(dims)}")
-        for p in pts:
-            metric._check_point(p)
-        self.points = pts
+    def __init__(self, points: Sequence, metric: DbMetric):
+        """``points`` holds :class:`Point` objects or plain scalars / vectors."""
+        coords = np.array([p.coords if isinstance(p, Point) else p for p in points], dtype=float)
+        if coords.ndim == 1:
+            coords = coords.reshape(-1, 1)
+        if coords.shape[0] < 2:
+            raise PrefixTooShort(f"a prefix needs at least 2 points, got {coords.shape[0]}")
+        if coords.ndim != 2 or coords.shape[1] == 0:
+            raise MetricError(
+                f"points must be scalars or nonempty 1-d vectors, got a stack of shape {coords.shape}"
+            )
+        finite = np.all(np.isfinite(coords), axis=1)
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise MetricError(f"point x_{i + 1} has non-finite components: {coords[i].tolist()}")
+        if metric.dim is not None and coords.shape[1] != metric.dim:
+            raise MetricError(
+                f"metric {metric.name!r} expects dimension {metric.dim}, "
+                f"got points of dimension {coords.shape[1]}"
+            )
+        coords.setflags(write=False)
+        self.coords = coords
         self.metric = metric
+        self._matrix: Optional[np.ndarray] = None
 
     @classmethod
     def from_values(cls, values: Sequence, metric: DbMetric) -> "SequencePrefix":
-        return cls([Point(v) for v in values], metric)
+        return cls(values, metric)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.coords.shape[0]
 
     def point(self, n: int) -> Point:
         """1-based access to x_n."""
-        if not (1 <= n <= len(self.points)):
-            raise IndexError(f"index {n} outside 1..{len(self.points)}")
-        return self.points[n - 1]
-
-    def coords_array(self) -> np.ndarray:
-        return np.stack([p.coords for p in self.points])
+        if not (1 <= n <= len(self)):
+            raise IndexError(f"index {n} outside 1..{len(self)}")
+        return Point(self.coords[n - 1])
 
     def distance(self, n: int, m: int) -> float:
         return self.metric.distance(self.point(n), self.point(m))
 
     def distance_matrix(self) -> np.ndarray:
-        """Validated all-pairs matrix; entry [i, j] is rho(x_{i+1}, x_{j+1})."""
-        return self.metric.matrix(self.coords_array())
+        """Validated read-only all-pairs matrix; entry [i, j] is rho(x_{i+1}, x_{j+1})."""
+        if self._matrix is None:
+            self._matrix = self.metric.matrix(self.coords)
+        return self._matrix
 
 
 def consecutive_distances(seq: SequencePrefix) -> list[float]:
     """[rho(x_2, x_1), rho(x_3, x_2), ...]; length N - 1."""
-    coords = seq.coords_array()
-    return seq.metric.rows(coords[1:], coords[:-1]).tolist()
+    return seq.metric.rows(seq.coords[1:], seq.coords[:-1]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +206,7 @@ class ShiftContractionReport:
         }
 
 
-def check_shift_contraction(
-    seq: SequencePrefix, w: ShiftWitness, matrix: Optional[np.ndarray] = None
-) -> ShiftContractionReport:
+def check_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContractionReport:
     """Scan every pair n0 < n <= m <= N - p for the shift-contraction property.
 
     A pair is *triggered* when eta < rho(x_n, x_m) < delta - eta; a triggered
@@ -211,26 +220,26 @@ def check_shift_contraction(
         raise PrefixTooShort(
             f"need N >= n0 + p + 2 = {w.n0 + w.p + 2} for at least one checkable pair, got N = {n}"
         )
-    dm = seq.distance_matrix() if matrix is None else matrix
+    dm = seq.distance_matrix()
     s = seq.metric.s
 
-    # 0-based row/col indices for 1-based n in (n0, N - p].
-    rows = np.arange(w.n0, n - w.p)
-    sub = dm[np.ix_(rows, rows)]
-    shifted = dm[np.ix_(rows + w.p, rows + w.p)]
+    # Views, not copies: 0-based rows/cols n0 .. N - p - 1 hold 1-based n in
+    # (n0, N - p], and the same block shifted by p.
+    sub = dm[w.n0 : n - w.p, w.n0 : n - w.p]
+    shifted = dm[w.n0 + w.p :, w.n0 + w.p :]
     upper = np.triu(np.ones(sub.shape, dtype=bool))
 
     triggered = upper & (sub > ETA) & (sub < w.delta - ETA)
     bad = triggered & ~(shifted < w.delta * w.lam / s - ETA)
 
-    t = rows.size
+    t = sub.shape[0]
     pairs_checked = t * (t + 1) // 2
     pairs_triggered = int(np.count_nonzero(triggered))
 
     violating: Optional[tuple[int, int]] = None
     if np.any(bad):
         i, j = np.argwhere(bad)[0]  # row-major order = lexicographic in (n, m)
-        violating = (int(rows[i]) + 1, int(rows[j]) + 1)
+        violating = (w.n0 + int(i) + 1, w.n0 + int(j) + 1)
 
     return ShiftContractionReport(
         holds=violating is None,
@@ -240,7 +249,7 @@ def check_shift_contraction(
     )
 
 
-def tail_diameter(seq: SequencePrefix, n0: int, matrix: Optional[np.ndarray] = None) -> float:
+def tail_diameter(seq: SequencePrefix, n0: int) -> float:
     """Brute-force oracle: max rho(x_n, x_m) over n0 <= n <= m <= N.
 
     Self-distances are included, so a dislocated tail cannot hide.  This is
@@ -250,8 +259,7 @@ def tail_diameter(seq: SequencePrefix, n0: int, matrix: Optional[np.ndarray] = N
     n = len(seq)
     if not (1 <= n0 < n):
         raise PrefixTooShort(f"cutoff n0 = {n0} leaves no tail pairs in a prefix of length {n}")
-    dm = seq.distance_matrix() if matrix is None else matrix
-    tail = dm[n0 - 1 :, n0 - 1 :]
+    tail = seq.distance_matrix()[n0 - 1 :, n0 - 1 :]
     return float(np.max(np.triu(tail)))
 
 
@@ -312,7 +320,6 @@ def search_witness(
     """
     n = len(seq)
     n0s = cfg.n0_values if cfg.n0_values is not None else default_n0_grid(n)
-    dm = seq.distance_matrix()
 
     p_cap = n - min(n0s) - 2
     p_max_used = min(cfg.p_max, max(p_cap, 0))
@@ -327,7 +334,7 @@ def search_witness(
                     truncated = True
                     continue
                 w = ShiftWitness(delta=delta, p=p, lam=lam, n0=n0)
-                report = check_shift_contraction(seq, w, matrix=dm)
+                report = check_shift_contraction(seq, w)
                 if report.holds:
                     return WitnessSearch(w, report, p_max_used, truncated)
     return WitnessSearch(None, None, p_max_used, truncated)

@@ -12,20 +12,21 @@ from cauchycert import (
     DivergenceError,
     MetricError,
     PrefixTooShort,
+    SearchConfig,
     SequencePrefix,
     ShiftWitness,
     certify_cauchy,
     certify_over_grid,
-    chain_bound,
     delta_grid,
     diameter_bound,
     find_settling_index,
     make_metric,
     run_block_induction,
     search_witness,
-    self_distance_bound,
     tail_diameter,
 )
+from cauchycert.certificates import _chain_stage
+from oracles import chain_bound, self_distance_bound
 
 HALVING_WITNESS = ShiftWitness(0.1, 2, 0.5, 1)
 
@@ -135,6 +136,55 @@ class TestSelfDistanceBound:
             self_distance_bound(seq, 2)
 
 
+def scalar_chain_stage(seq: SequencePrefix, p: int, n_low: int):
+    """_chain_stage rebuilt from the scalar oracles, one (n, q) at a time.
+
+    Returns the per-offset maxima; the first violated bound in the stage's
+    order (q ascending, then n) raises MetricError naming its (n, q).
+    """
+    n_len = len(seq)
+    out = []
+    for q in range(p + 1):
+        ns = range(n_low + 1, (n_len - 1 if q == 0 else n_len - q) + 1)
+        if not ns:
+            continue
+        bounds = []
+        for n in ns:
+            try:
+                if q == 0:
+                    bounds.append(self_distance_bound(seq, n))
+                elif q == 1:
+                    bounds.append(seq.distance(n, n + 1))
+                else:
+                    bounds.append(chain_bound(seq, n, q).total)
+            except MetricError:
+                raise MetricError(f"chain bound violated at n={n}, q={q}:") from None
+        out.append((q, max(bounds)))
+    return tuple(out)
+
+
+class TestChainStage:
+    @given(
+        # Multiples of 1/8 keep every distance, weight and sum exact, so the
+        # vectorised stage and the scalar oracles must agree bit for bit.
+        values=st.lists(st.integers(0, 64).map(lambda k: k / 8.0), min_size=3, max_size=14),
+        name=st.sampled_from(["euclid_1d", "sq_abs", "max_dislocated", "shifted_dislocated"]),
+        s=st.sampled_from([1.0, 2.0, 4.0]),
+        p=st.integers(1, 5),
+        n_low=st.integers(0, 6),
+    )
+    def test_matches_scalar_oracles(self, values, name, s, p, n_low):
+        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        w = ShiftWitness(0.5, p, 0.5, 1)
+        try:
+            expected = scalar_chain_stage(seq, p, n_low)
+        except MetricError as exc:
+            with pytest.raises(MetricError, match=str(exc)):
+                _chain_stage(seq, w, n_low)
+            return
+        assert _chain_stage(seq, w, n_low) == expected
+
+
 class TestSettlingIndex:
     def test_halving(self, halving_orbit):
         assert find_settling_index(halving_orbit, HALVING_WITNESS) == 3
@@ -173,19 +223,10 @@ class TestBlockInduction:
         assert trace.depth == 28
         assert trace.zero_branch_steps == 251
         assert trace.band_branch_steps == 533
+        # Total step count equals the sum of per-n block counts (N - n) // p
+        # over the 55 indices n = 4 .. 58 that have a block.
         assert trace.zero_branch_steps + trace.band_branch_steps == 784
-        assert len(trace.max_k_per_n) == 55
-        # Total step count equals the sum of per-n block counts.
-        assert sum(k for _, k in trace.max_k_per_n) == 784
-
-    def test_detail_entries(self, halving_orbit):
-        trace = run_block_induction(halving_orbit, HALVING_WITNESS, settling=3, detail=True)
-        assert len(trace.steps) == 784
-        first = trace.steps[0]
-        assert (first.n, first.k, first.branch) == (4, 1, "zero")
-        assert first.value == halving_orbit.distance(4, 6)
-        assert all(step.branch in ("zero", "band") for step in trace.steps)
-        assert all(step.value < 0.1 for step in trace.steps)
+        assert sum((60 - n) // 2 for n in range(4, 61)) == 784
 
     def test_genuine_metric_constant_all_zero_branch(self, euclid):
         seq = SequencePrefix.from_values([1.0] * 10, euclid)
@@ -333,14 +374,19 @@ class TestCertifyOverGrid:
             lambda d: search_witness(halving_orbit, d).witness,
         )
         assert len(results) == 7
-        assert all(outcome.certified for _, _, outcome in results)
+        assert all(e.outcome.certified and e.note is None for e in results)
+        assert [e.delta for e in results] == delta_grid()
+        # Each entry replays the witness the search returns on its own.
+        for e in results:
+            assert e.witness == search_witness(halving_orbit, e.delta).witness
+            assert e.outcome == certify_cauchy(halving_orbit, e.witness)
         # Certified diameters shrink with the grid.
-        bounds = [outcome.certificate.diameter_bound for _, _, outcome in results]
+        bounds = [e.outcome.certificate.diameter_bound for e in results]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
     def test_none_witness_passes_through(self, halving_orbit):
         results = certify_over_grid(halving_orbit, [0.1], lambda d: None)
-        assert results == [(0.1, None, None)]
+        assert results == [(0.1, None, None, None)]
 
     def test_linear_fails_everywhere(self, linear_prefix):
         results = certify_over_grid(
@@ -348,5 +394,32 @@ class TestCertifyOverGrid:
             [0.5, 0.25],
             lambda d: ShiftWitness(d, 1, 0.5, 1),
         )
-        assert all(not outcome.certified for _, _, outcome in results)
-        assert {outcome.failure_stage for _, _, outcome in results} == {"settling_index"}
+        assert all(not e.outcome.certified for e in results)
+        assert {e.outcome.failure_stage for e in results} == {"settling_index"}
+
+    def test_short_prefix_is_a_note_on_both_paths(self, euclid):
+        seq = SequencePrefix.from_values([1.0, 0.5, 0.25, 0.125, 0.0625], euclid)
+        tight = SearchConfig(n0_values=(4,))  # no shift fits: the search itself raises
+
+        explicit = certify_over_grid(seq, [0.1, 0.05], lambda d: ShiftWitness(d, 8, 0.5, 1))
+        searched = certify_over_grid(seq, [0.1], lambda d: search_witness(seq, d, tight).witness)
+
+        assert [e.witness.p for e in explicit] == [8, 8]
+        assert all(e.outcome is None and "need N >=" in e.note for e in explicit)
+        assert searched[0].witness is None and searched[0].outcome is None
+        assert "too short" in searched[0].note
+
+    def test_search_without_witness_is_passed_through(self, linear_prefix):
+        results = certify_over_grid(
+            linear_prefix, [0.5], lambda d: search_witness(linear_prefix, d).witness
+        )
+        # x_n = n leaves the band empty, so the first grid witness holds vacuously.
+        assert results[0].witness == ShiftWitness(0.5, 1, 0.1, 1)
+        assert results[0].outcome.failure_stage == "settling_index"
+
+        # At delta just above the unit step, adjacent pairs trigger and a shift
+        # never contracts them: no grid witness holds.
+        results = certify_over_grid(
+            linear_prefix, [1.01], lambda d: search_witness(linear_prefix, d).witness
+        )
+        assert results == [(1.01, None, None, None)]

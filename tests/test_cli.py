@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import jsonschema
+import numpy as np
 import pytest
 
 from cauchycert.cli import main
@@ -155,6 +157,20 @@ class TestCheck:
         assert code == 0
         assert parse_report(out)["results"]["length"] == 5
 
+    def test_overflowing_distance_is_an_error_not_infinity(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "sq_abs"},
+                "source": {"inline": [1e200, -1e200, 1e200, -1e200, 1.0, 1.0]},
+            },
+        )
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(["check", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "non-finite distance" in err
+
     def test_csv_malformed_row_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "pts.csv"
         csv.write_text("x\n1\n2\n3\n4\n5\n")
@@ -225,9 +241,25 @@ class TestCertify:
                 "parameters": {"witness": {"p": 8}, "delta_grid": {"values": [0.1]}},
             },
         )
-        code, out, err = run_cli(["certify", "--config", cfg], capsys)
-        assert code == 2
-        assert "need N >=" in err
+        code, out, _ = run_cli(["certify", "--config", cfg], capsys)
+        # A too-short prefix is a per-delta result, as on the search path.
+        assert code == 0
+        results = parse_report(out)["results"]
+        assert results["all_certified"] is False
+        entry = results["per_delta"][0]
+        assert entry["witness_source"] == "explicit"
+        assert entry["witness"]["p"] == 8
+        assert entry["outcome"] is None
+        assert "need N >=" in entry["note"]
+
+
+    def test_report_validates_certificates(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, HALVING_ORBIT_CONFIG)
+        _, out, _ = run_cli(["certify", "--config", cfg, "--no-timestamp"], capsys)
+        report = parse_report(out)
+        del report["results"]["per_delta"][2]["outcome"]["certificate"]["oracle_tail_diameter"]
+        with pytest.raises(jsonschema.ValidationError, match="oracle_tail_diameter"):
+            validate_report(report)
 
 
 class TestSolve:

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cauchycert import (
     ETA,
@@ -23,11 +23,13 @@ from cauchycert import (
     run_axiom_report,
 )
 from cauchycert.metrics import (
+    METRIC_BUILDERS,
     available_metrics,
     check_self_distance_zero,
     sample_pairs,
     sample_triples,
 )
+from oracles import meshgrid_matrix
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -95,9 +97,16 @@ class TestDbMetricValidation:
             m.distance(Point(0.0), Point(1.0))
 
     def test_nan_rejected(self):
-        m = DbMetric(name="nan", s=1.0, fn=lambda x, y: float("nan"))
-        with pytest.raises(MetricError):
-            m.distance(Point(0.0), Point(1.0))
+        for bad in (float("nan"), float("inf")):
+            m = DbMetric(name="bad", s=1.0, fn=lambda x, y, v=bad: v)
+            vec = DbMetric(name="bad", s=1.0, fn=m.fn, rows_fn=lambda a, b, v=bad: a[..., 0] * v)
+            with pytest.raises(MetricError):
+                m.distance(Point(0.0), Point(1.0))
+            for metric in (m, vec):
+                with pytest.raises(MetricError):
+                    metric.rows([[1.0]], [[2.0]])
+                with pytest.raises(MetricError):
+                    metric.matrix([[1.0], [2.0]])
 
 
 class TestBuiltins:
@@ -167,6 +176,12 @@ class TestBuiltins:
         fast = m.rows(a, b)
         slow = [m.fn(a[i], b[i]) for i in range(30)]
         assert np.allclose(fast, slow, atol=0.0)
+
+    def test_matrix_rejects_non_broadcasting_rows_fn(self):
+        m = DbMetric(name="rows_only", s=1.0, fn=lambda x, y: 0.0,
+                     rows_fn=lambda a, b: np.abs(a[:, 0] - b[:, 0]))
+        with pytest.raises(MetricError, match="broadcast"):
+            m.matrix(np.array([[0.0], [1.0], [2.0]]))
 
     def test_matrix_agrees_with_pairwise_loop(self):
         m = make_metric("sq_abs")
@@ -313,6 +328,7 @@ class TestAxiomReport:
         assert not report.triangle_ok
         assert math.isinf(report.estimated_min_s)
         assert report.violating_triple is not None
+        assert report.to_dict()["estimated_min_s"] is None  # JSON has no infinity
 
     def test_broken_asym_counterexamples(self):
         report = run_axiom_report(make_metric("broken_asym"))
@@ -349,3 +365,34 @@ def test_sq_abs_relaxed_triangle_property(x, y, z):
     px, py, pz = Point(x), Point(y), Point(z)
     legs = m.distance(px, py) + m.distance(py, pz)
     assert m.distance(px, pz) <= 2.0 * legs + ETA * max(1.0, legs)
+
+
+#: A metric with no vectorized form: the matrix build falls back to ``fn``.
+TAXICAB = DbMetric(name="taxicab", s=1.0, fn=lambda x, y: float(np.sum(np.abs(x - y))))
+
+
+@st.composite
+def metric_and_coords(draw):
+    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab"]))
+    metric = TAXICAB if name == "taxicab" else make_metric(name)
+    dim = metric.dim or draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    flat = draw(st.lists(unit, min_size=n * dim, max_size=n * dim))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    return metric, np.array(flat).reshape(n, dim) * scale
+
+
+@settings(max_examples=300)
+@given(case=metric_and_coords())
+def test_broadcast_matrix_is_bit_identical_to_meshgrid_build(case):
+    metric, coords = case
+    try:
+        expected = meshgrid_matrix(metric, coords)
+    except MetricError:  # max(x, y) on negative reals is a negative distance
+        with pytest.raises(MetricError):
+            metric.matrix(coords)
+        return
+    got = metric.matrix(coords)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

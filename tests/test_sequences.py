@@ -8,12 +8,14 @@ from hypothesis import given, strategies as st
 
 from cauchycert import (
     ETA,
+    DbMetric,
     PrefixTooShort,
     SearchConfig,
     SequencePrefix,
     ShiftWitness,
     TailConfig,
     check_consecutive_decay,
+    certify_cauchy,
     check_shift_contraction,
     consecutive_distances,
     make_metric,
@@ -56,6 +58,32 @@ class TestSequencePrefix:
             for m in range(1, 4):
                 assert dm[n - 1, m - 1] == seq.distance(n, m)
         assert np.array_equal(dm, dm.T)
+
+    def test_matrix_built_once_per_prefix(self, monkeypatch):
+        calls = []
+        build = DbMetric.matrix
+
+        def counted(metric, coords):
+            calls.append(len(coords))
+            return build(metric, coords)
+
+        monkeypatch.setattr(DbMetric, "matrix", counted)
+        seq = SequencePrefix.from_values([2.0**-k for k in range(1, 61)], make_metric("euclid_1d"))
+        found = search_witness(seq, 0.1)
+        outcome = certify_cauchy(seq, found.witness)
+        assert outcome.certified
+        assert tail_diameter(seq, 1) == 0.5 - 2.0**-60
+        assert calls == [60]
+
+    def test_matrix_is_read_only(self, euclid):
+        seq = SequencePrefix.from_values([1.0, 4.0, 9.0], euclid)
+        dm = seq.distance_matrix()
+        with pytest.raises(ValueError):
+            dm[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            seq.coords[0, 0] = 0.0
+        assert seq.distance_matrix() is dm
+        assert dm[0, 1] == 3.0
 
     def test_consecutive_distances(self, linear_prefix):
         steps = consecutive_distances(linear_prefix)
@@ -169,13 +197,6 @@ class TestShiftContraction:
         seq = SequencePrefix.from_values([1.0, 0.5, 0.25], euclid)
         with pytest.raises(PrefixTooShort):
             check_shift_contraction(seq, ShiftWitness(0.1, 1, 0.5, 1))
-
-    def test_precomputed_matrix_agrees(self, halving_orbit):
-        w = ShiftWitness(0.1, 2, 0.5, 1)
-        dm = halving_orbit.distance_matrix()
-        assert check_shift_contraction(halving_orbit, w, matrix=dm) == check_shift_contraction(
-            halving_orbit, w
-        )
 
     def test_matches_independent_loop(self, halving_orbit):
         # Plain double loop over the same index range as ground truth.
