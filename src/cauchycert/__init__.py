@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .certificates import (
     CauchyCertificate,
-    CertifyConfig,
     CertifyOutcome,
     InductionTrace,
     certify_cauchy,
@@ -24,7 +23,6 @@ from .certificates import (
 from .contractions import (
     Contraction,
     ContractionEstimate,
-    Orbit,
     SolveResult,
     SolverConfig,
     derive_shift,
@@ -77,7 +75,6 @@ __all__ = [
     "CauchyCertError",
     "CauchyCertificate",
     "CertificateFailure",
-    "CertifyConfig",
     "CertifyOutcome",
     "ConfigError",
     "ConsecutiveDecayReport",
@@ -88,7 +85,6 @@ __all__ = [
     "DivergenceError",
     "InductionTrace",
     "MetricError",
-    "Orbit",
     "Point",
     "PrefixTooShort",
     "SamplerConfig",

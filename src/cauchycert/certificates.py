@@ -114,13 +114,6 @@ class InductionTrace:
     zero_branch_steps: int
     band_branch_steps: int
 
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "zero_branch_steps": self.zero_branch_steps,
-            "band_branch_steps": self.band_branch_steps,
-        }
-
 
 def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
     """Verify rho(x_{n + k p}, x_n) < delta - eta for all blocks in range.
@@ -199,22 +192,6 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
 # ---------------------------------------------------------------------------
 # Certification driver
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CertifyConfig:
-    """Knobs for :func:`certify_cauchy`.
-
-    The fixed-threshold consecutive-decay report is always computed and
-    recorded, but by default it does not gate certification: the quantitative
-    form of step decay that the argument actually consumes is the settling
-    scan at scale delta, and that stage fails on its own when steps do not
-    decay.  Set ``require_tail_decay`` to also hard-gate on the fixed
-    threshold.
-    """
-
-    tail: TailConfig = TailConfig()
-    require_tail_decay: bool = False
-
 
 @dataclass(frozen=True)
 class CauchyCertificate:
@@ -385,9 +362,14 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
 
 
 def certify_cauchy(
-    seq: SequencePrefix, w: ShiftWitness, cfg: CertifyConfig = CertifyConfig()
+    seq: SequencePrefix, w: ShiftWitness, tail: TailConfig = TailConfig()
 ) -> CertifyOutcome:
     """Replay the full argument for one witness and issue a certificate.
+
+    The consecutive-decay report at ``tail`` is recorded but does not gate
+    certification: the quantitative form of step decay that the argument
+    consumes is the settling scan at scale delta, and that stage fails on its
+    own when steps do not decay.
 
     A certificate is issued only when every stage passes; the outcome of a
     failed stage carries the stage name and the first offending location.
@@ -396,8 +378,8 @@ def certify_cauchy(
     oracle value escapes its own bound is treated as an internal bug
     (DivergenceError), never returned.
     """
-    decay = check_consecutive_decay(seq, cfg.tail)
-    stages: list[tuple[str, bool]] = []
+    decay = check_consecutive_decay(seq, tail)
+    stages: list[tuple[str, bool]] = [("consecutive_decay", True)]
 
     def outcome_failure(stage: str, detail: str, shift=None, induction=None) -> CertifyOutcome:
         stages.append((stage, False))
@@ -411,13 +393,6 @@ def certify_cauchy(
             shift=shift,
             induction=induction,
         )
-
-    if cfg.require_tail_decay and not decay.holds:
-        return outcome_failure(
-            "consecutive_decay",
-            f"trailing-window step maximum {decay.tail_max} above eps {decay.eps}",
-        )
-    stages.append(("consecutive_decay", True))
 
     shift = check_shift_contraction(seq, w)
     if not shift.holds:
@@ -506,7 +481,7 @@ def certify_over_grid(
     seq: SequencePrefix,
     deltas: list[float],
     witness_for: Callable[[float], Optional[ShiftWitness]],
-    cfg: CertifyConfig = CertifyConfig(),
+    tail: TailConfig = TailConfig(),
 ) -> list[GridEntry]:
     """Certify the witness ``witness_for(delta)`` at every grid delta.
 
@@ -522,7 +497,7 @@ def certify_over_grid(
         try:
             w = witness_for(delta)
             if w is not None:
-                outcome = certify_cauchy(seq, w, cfg)
+                outcome = certify_cauchy(seq, w, tail)
         except PrefixTooShort as exc:
             note = str(exc)
         entries.append(GridEntry(delta, w, outcome, note))

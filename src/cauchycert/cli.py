@@ -28,13 +28,9 @@ import sys
 import time
 from typing import Optional
 
-from .certificates import CertifyConfig, certify_over_grid
+from .certificates import certify_over_grid
 from .config import Experiment, load_config_text, make_experiment
-from .contractions import (
-    SolverConfig,
-    available_contractions,
-    solve_fixed_point,
-)
+from .contractions import available_contractions, solve_fixed_point
 from .errors import (
     CauchyCertError,
     ConfigError,
@@ -43,7 +39,7 @@ from .errors import (
     PrefixTooShort,
     SolverError,
 )
-from .metrics import Point, available_metrics, make_metric, run_axiom_report
+from .metrics import available_metrics, make_metric, run_axiom_report
 from .reports import build_report, dump_report
 from .sequences import (
     SequencePrefix,
@@ -149,7 +145,7 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
         def witness_for(delta: float) -> Optional[ShiftWitness]:
             return search_witness(seq, delta, search_cfg).witness
 
-    entries = certify_over_grid(seq, exp.deltas(), witness_for, CertifyConfig(tail=exp.tail()))
+    entries = certify_over_grid(seq, exp.deltas(), witness_for, exp.tail())
     per_delta = []
     for e in entries:
         if e.outcome is not None:
@@ -177,24 +173,9 @@ def cmd_solve(args) -> tuple[dict, dict, int]:
     exp = _load_experiment(args)
     metric = exp.metric()
     f = exp.contraction()
-    spec = exp.solver_settings()
-    if "target_delta" not in spec:
-        raise ConfigError('"parameters.solver.target_delta" is required for solve')
+    cfg, x0, target_delta = exp.solver()
     try:
-        cfg = SolverConfig(
-            lam=spec.get("lambda", 0.5),
-            n0=spec.get("n0", 1),
-            block=spec.get("block", 32),
-            max_iterations=spec.get("max_iterations", 10_000),
-            tail=exp.tail(),
-            seed=exp.seed,
-        )
-        x0 = Point(spec.get("x0", 0.0))
-    except (ValueError, CauchyCertError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        result = solve_fixed_point(f, metric, x0, spec["target_delta"], cfg)
+        result = solve_fixed_point(f, metric, x0, target_delta, cfg)
     except (SolverError, ContractionError) as exc:
         log.warning("solve failed: %s", exc)
         return exp.raw, {"solved": False, "error": str(exc)}, 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import delta_grid
-from .contractions import Contraction, iterate, make_contraction
+from .contractions import Contraction, SolverConfig, iterate, make_contraction
 from .errors import CauchyCertError, ConfigError
 from .metrics import DbMetric, Point, SamplerConfig, make_metric
 from .sequences import (
@@ -123,7 +123,7 @@ class Experiment:
                 if not isinstance(n, int) or n < 2:
                     raise ConfigError('"source.orbit.n" must be an integer >= 2')
                 x0 = Point(spec.get("x0", 0.0))
-                return iterate(f, x0, n, metric).sequence
+                return iterate(f, x0, n, metric)
         except ConfigError:
             raise
         except (CauchyCertError, ValueError, TypeError) as exc:
@@ -219,11 +219,26 @@ class Experiment:
     def contraction(self) -> Contraction:
         return self._contraction_from(self._params().get("contraction"))
 
-    def solver_settings(self) -> dict:
+    def solver(self) -> tuple[SolverConfig, Point, float]:
+        """Solver settings, the seed point x0 and the target delta."""
         spec = self._params().get("solver", {})
         if not isinstance(spec, dict):
             raise ConfigError('"parameters.solver" must be an object')
-        return spec
+        if "target_delta" not in spec:
+            raise ConfigError('"parameters.solver.target_delta" is required for solve')
+        try:
+            cfg = SolverConfig(
+                lam=spec.get("lambda", 0.5),
+                n0=spec.get("n0", 1),
+                block=spec.get("block", 32),
+                max_iterations=spec.get("max_iterations", 10_000),
+                tail=self.tail(),
+                seed=self.seed,
+            )
+            x0 = Point(spec.get("x0", 0.0))
+        except (ValueError, CauchyCertError) as exc:
+            raise ConfigError(str(exc)) from exc
+        return cfg, x0, spec["target_delta"]
 
 
 def make_experiment(raw: dict, seed_override: Optional[int] = None) -> Experiment:

@@ -14,17 +14,21 @@ part of the sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .certificates import CauchyCertificate, CertifyConfig, certify_cauchy
+from .certificates import CauchyCertificate, certify_cauchy
 from .errors import ContractionError, SolverError
 from .metrics import ETA, DbMetric, Point
 from .sequences import SequencePrefix, ShiftWitness, TailConfig
 
 #: Hard cap for the derived shift; beyond this the witness is unsatisfiable.
 SHIFT_CAP = 1000
+
+#: Sampled pairs on which the solver verifies the declared contraction constant.
+VERIFY_PAIRS = 32
 
 
 @dataclass(frozen=True)
@@ -57,29 +61,19 @@ class Contraction:
         return Point(out)
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """The prefix x_1 .. x_N of iterates of a contraction from a seed."""
-
-    seed: Point
-    contraction: Contraction
-    sequence: SequencePrefix
-
-    @property
-    def length(self) -> int:
-        return len(self.sequence)
+def _iterates(f: Contraction, x0: Point) -> Iterator[Point]:
+    """The endless orbit f(x0), f^2(x0), ..."""
+    cur = x0
+    while True:
+        cur = f.apply(cur)
+        yield cur
 
 
-def iterate(f: Contraction, x0: Point, n: int, metric: DbMetric) -> Orbit:
-    """Generate the orbit prefix x_1 = f(x0), ..., x_n = f^n(x0)."""
+def iterate(f: Contraction, x0: Point, n: int, metric: DbMetric) -> SequencePrefix:
+    """The orbit prefix x_1 = f(x0), ..., x_n = f^n(x0)."""
     if n < 2:
         raise ValueError("an orbit prefix needs at least 2 iterates")
-    pts: list[Point] = []
-    cur = x0
-    for _ in range(n):
-        cur = f.apply(cur)
-        pts.append(cur)
-    return Orbit(seed=x0, contraction=f, sequence=SequencePrefix(pts, metric))
+    return SequencePrefix(list(islice(_iterates(f, x0), n)), metric)
 
 
 class ContractionEstimate(NamedTuple):
@@ -114,7 +108,7 @@ def estimate_contraction_constant(
     return ContractionEstimate(best, best > f.c + ETA, worst)
 
 
-def derive_shift(c: float, lam: float, s: float, cap: int = SHIFT_CAP) -> int:
+def derive_shift(c: float, lam: float, s: float) -> int:
     """Smallest shift p >= 1 with c**p < lam / s - eta.
 
     For a c-contraction, distances contract by exactly c**p under a shift by
@@ -138,9 +132,9 @@ def derive_shift(c: float, lam: float, s: float, cap: int = SHIFT_CAP) -> int:
     while not (power < target):
         p += 1
         power *= c
-        if p > cap:
+        if p > SHIFT_CAP:
             raise ContractionError(
-                f"required shift exceeds cap {cap} for c={c}, lam={lam}, s={s}: unsatisfiable"
+                f"required shift exceeds cap {SHIFT_CAP} for c={c}, lam={lam}, s={s}: unsatisfiable"
             )
     return p
 
@@ -156,8 +150,6 @@ class SolverConfig:
     block: int = 32
     max_iterations: int = 10_000
     tail: TailConfig = TailConfig()
-    certify: CertifyConfig = CertifyConfig()
-    verify_pairs: int = 32
     seed: int = 0
 
     def __post_init__(self):
@@ -180,7 +172,6 @@ class SolveResult:
     residual: float
     residual_bound: float
     contraction_ratio: float
-    orbit: Orbit
 
     def to_dict(self) -> dict:
         return {
@@ -194,12 +185,12 @@ class SolveResult:
 
 
 def _verification_pairs(
-    f: Contraction, metric: DbMetric, rng: np.random.Generator, count: int
+    f: Contraction, metric: DbMetric, rng: np.random.Generator
 ) -> list[tuple[Point, Point]]:
     dim = metric.dim if metric.dim is not None else (f.dim or 1)
-    a = rng.uniform(f.sample_low, f.sample_high, size=(count, dim))
-    b = rng.uniform(f.sample_low, f.sample_high, size=(count, dim))
-    return [(Point(a[i]), Point(b[i])) for i in range(count)]
+    a = rng.uniform(f.sample_low, f.sample_high, size=(VERIFY_PAIRS, dim))
+    b = rng.uniform(f.sample_low, f.sample_high, size=(VERIFY_PAIRS, dim))
+    return [(Point(a[i]), Point(b[i])) for i in range(VERIFY_PAIRS)]
 
 
 def solve_fixed_point(
@@ -215,14 +206,14 @@ def solve_fixed_point(
     re-checked along the orbit itself (consecutive step ratios); a violation
     aborts with ContractionError.  The orbit grows in blocks; after each block
     the certificate for the derived witness (target_delta, derived p, lam, n0)
-    is attempted.  The method returns as soon as a certificate is issued and
-    the last step distance is at most the tail threshold; exhausting the
+    is attempted with the consecutive-decay report at ``cfg.tail``.  The
+    method returns as soon as a certificate is issued and the last step
+    distance rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``; exhausting the
     iteration budget first raises SolverError.
     """
     if target_delta <= 0.0:
         raise ValueError(f"target delta must be positive, got {target_delta}")
-    rng = np.random.default_rng(cfg.seed)
-    sample = _verification_pairs(f, metric, rng, cfg.verify_pairs)
+    sample = _verification_pairs(f, metric, np.random.default_rng(cfg.seed))
     estimate = estimate_contraction_constant(f, metric, sample)
     if estimate.violation:
         raise ContractionError(
@@ -234,13 +225,11 @@ def solve_fixed_point(
     witness = ShiftWitness(delta=target_delta, p=p, lam=cfg.lam, n0=cfg.n0)
     min_len = max(cfg.n0 + p + 2, 4)
 
+    orbit = _iterates(f, x0)
     pts: list[Point] = []
-    cur = x0
     ratio_seen = estimate.ratio
     while len(pts) < cfg.max_iterations:
-        for _ in range(min(cfg.block, cfg.max_iterations - len(pts))):
-            cur = f.apply(cur)
-            pts.append(cur)
+        pts += islice(orbit, min(cfg.block, cfg.max_iterations - len(pts)))
         if len(pts) < min_len:
             continue
         seq = SequencePrefix(pts, metric)
@@ -258,9 +247,8 @@ def solve_fixed_point(
                     f"exceeds declared c = {f.c}"
                 )
 
-        outcome = certify_cauchy(seq, witness, cfg.certify)
-        last_step = seq.distance(len(pts) - 1, len(pts))
-        if outcome.certified and last_step <= cfg.tail.eps:
+        outcome = certify_cauchy(seq, witness, cfg.tail)
+        if outcome.certified and steps[-1] <= cfg.tail.eps:
             x_star = pts[-1]
             fx = f.apply(x_star)
             residual = metric.distance(x_star, fx)
@@ -272,7 +260,6 @@ def solve_fixed_point(
                 residual=residual,
                 residual_bound=metric.s * (residual + self_dist),
                 contraction_ratio=ratio_seen,
-                orbit=Orbit(seed=x0, contraction=f, sequence=seq),
             )
     raise SolverError(
         f"no certificate at delta = {target_delta} within {cfg.max_iterations} iterations"

@@ -227,9 +227,8 @@ def check_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContra
     # (n0, N - p], and the same block shifted by p.
     sub = dm[w.n0 : n - w.p, w.n0 : n - w.p]
     shifted = dm[w.n0 + w.p :, w.n0 + w.p :]
-    upper = np.triu(np.ones(sub.shape, dtype=bool))
 
-    triggered = upper & (sub > ETA) & (sub < w.delta - ETA)
+    triggered = np.triu((sub > ETA) & (sub < w.delta - ETA))
     bad = triggered & ~(shifted < w.delta * w.lam / s - ETA)
 
     t = sub.shape[0]
@@ -237,9 +236,10 @@ def check_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContra
     pairs_triggered = int(np.count_nonzero(triggered))
 
     violating: Optional[tuple[int, int]] = None
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]  # row-major order = lexicographic in (n, m)
-        violating = (w.n0 + int(i) + 1, w.n0 + int(j) + 1)
+    first = int(np.argmax(bad))  # row-major order = lexicographic in (n, m)
+    if bad.flat[first]:
+        i, j = divmod(first, t)
+        violating = (w.n0 + i + 1, w.n0 + j + 1)
 
     return ShiftContractionReport(
         holds=violating is None,

@@ -41,7 +41,7 @@ def euclid():
 @pytest.fixture(scope="session")
 def halving_orbit(euclid):
     """x_n = 2**-n for n = 1..60 (iterates of x/2 from seed 1.0)."""
-    return iterate(make_contraction("halving"), Point(1.0), 60, euclid).sequence
+    return iterate(make_contraction("halving"), Point(1.0), 60, euclid)
 
 
 @pytest.fixture(scope="session")

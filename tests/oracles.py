@@ -1,19 +1,40 @@
-"""Scalar reference versions of vectorised library code, kept as test oracles.
+"""Reference versions of library code, kept as test oracles.
 
 ``chain_bound`` and ``self_distance_bound`` evaluate one telescoped bound at
 a time through ``SequencePrefix.distance``; ``_chain_stage`` must agree with
 them.  ``meshgrid_matrix`` is the all-pairs build that ``DbMetric.matrix``
 replaced: every pair gathered into two flat ``(N*N, d)`` stacks and passed
-through ``DbMetric.rows``.
+through ``DbMetric.rows``.  ``argwhere_shift_contraction`` lists every
+violating pair with ``np.argwhere`` and keeps the first, and
+``blockwise_solve_fixed_point`` grows the orbit point by point and reads the
+last step through the scalar ``SequencePrefix.distance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from cauchycert import ETA, DbMetric, MetricError, SequencePrefix
+from cauchycert import (
+    ETA,
+    ContractionError,
+    DbMetric,
+    MetricError,
+    Point,
+    PrefixTooShort,
+    SequencePrefix,
+    ShiftContractionReport,
+    ShiftWitness,
+    SolverConfig,
+    SolverError,
+    SolveResult,
+    certify_cauchy,
+    derive_shift,
+    estimate_contraction_constant,
+)
+from cauchycert.contractions import Contraction
 
 
 @dataclass(frozen=True)
@@ -84,3 +105,102 @@ def meshgrid_matrix(metric: DbMetric, coords: np.ndarray) -> np.ndarray:
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     flat = metric.rows(coords[ii.ravel()], coords[jj.ravel()])
     return flat.reshape(n, n)
+
+
+def argwhere_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContractionReport:
+    """``check_shift_contraction`` with an explicit upper mask and ``np.argwhere``."""
+    n = len(seq)
+    if n < w.n0 + w.p + 2:
+        raise PrefixTooShort(
+            f"need N >= n0 + p + 2 = {w.n0 + w.p + 2} for at least one checkable pair, got N = {n}"
+        )
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    sub = dm[w.n0 : n - w.p, w.n0 : n - w.p]
+    shifted = dm[w.n0 + w.p :, w.n0 + w.p :]
+    upper = np.triu(np.ones(sub.shape, dtype=bool))
+
+    triggered = upper & (sub > ETA) & (sub < w.delta - ETA)
+    bad = triggered & ~(shifted < w.delta * w.lam / s - ETA)
+
+    t = sub.shape[0]
+    violating: Optional[tuple[int, int]] = None
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        violating = (w.n0 + int(i) + 1, w.n0 + int(j) + 1)
+    return ShiftContractionReport(
+        holds=violating is None,
+        pairs_checked=t * (t + 1) // 2,
+        pairs_triggered=int(np.count_nonzero(triggered)),
+        violating_pair=violating,
+    )
+
+
+def blockwise_solve_fixed_point(
+    f: Contraction,
+    metric: DbMetric,
+    x0: Point,
+    target_delta: float,
+    cfg: SolverConfig = SolverConfig(),
+) -> SolveResult:
+    """``solve_fixed_point`` with its own orbit loop, 32 verification pairs,
+    certification at the default tail, and the stopping step evaluated once
+    more through the scalar ``SequencePrefix.distance``."""
+    if target_delta <= 0.0:
+        raise ValueError(f"target delta must be positive, got {target_delta}")
+    rng = np.random.default_rng(cfg.seed)
+    dim = metric.dim if metric.dim is not None else (f.dim or 1)
+    a = rng.uniform(f.sample_low, f.sample_high, size=(32, dim))
+    b = rng.uniform(f.sample_low, f.sample_high, size=(32, dim))
+    sample = [(Point(a[i]), Point(b[i])) for i in range(32)]
+    estimate = estimate_contraction_constant(f, metric, sample)
+    if estimate.violation:
+        raise ContractionError(
+            f"sampled contraction ratio {estimate.ratio} exceeds declared c = {f.c} "
+            f"at pair {estimate.worst_pair}"
+        )
+
+    p = derive_shift(f.c, cfg.lam, metric.s)
+    witness = ShiftWitness(delta=target_delta, p=p, lam=cfg.lam, n0=cfg.n0)
+    min_len = max(cfg.n0 + p + 2, 4)
+
+    pts: list[Point] = []
+    cur = x0
+    ratio_seen = estimate.ratio
+    while len(pts) < cfg.max_iterations:
+        for _ in range(min(cfg.block, cfg.max_iterations - len(pts))):
+            cur = f.apply(cur)
+            pts.append(cur)
+        if len(pts) < min_len:
+            continue
+        seq = SequencePrefix(pts, metric)
+
+        steps = metric.rows(seq.coords[1:], seq.coords[:-1])
+        nz = steps[:-1] > ETA
+        if np.any(nz):
+            ratios = steps[1:][nz] / steps[:-1][nz]
+            ratio_seen = max(ratio_seen, float(np.max(ratios)))
+            if ratio_seen > f.c + ETA:
+                raise ContractionError(
+                    f"contraction hypothesis violated mid-run: step ratio {ratio_seen} "
+                    f"exceeds declared c = {f.c}"
+                )
+
+        outcome = certify_cauchy(seq, witness)
+        last_step = seq.distance(len(pts) - 1, len(pts))
+        if outcome.certified and last_step <= cfg.tail.eps:
+            x_star = pts[-1]
+            fx = f.apply(x_star)
+            residual = metric.distance(x_star, fx)
+            self_dist = metric.distance(fx, fx)
+            return SolveResult(
+                fixed_point=x_star,
+                iterations=len(pts),
+                certificate=outcome.certificate,
+                residual=residual,
+                residual_bound=metric.s * (residual + self_dist),
+                contraction_ratio=ratio_seen,
+            )
+    raise SolverError(
+        f"no certificate at delta = {target_delta} within {cfg.max_iterations} iterations"
+    )

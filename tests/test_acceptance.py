@@ -63,7 +63,7 @@ def contraction_orbits():
         fixed = float(rng.uniform(0.0, 10.0))
         b = (1.0 - a) * fixed
         x0 = float(rng.uniform(0.0, 10.0))
-        seq = iterate(affine_1d(a, b), Point(x0), ORBIT_LENGTH, line).sequence
+        seq = iterate(affine_1d(a, b), Point(x0), ORBIT_LENGTH, line)
         seq.distance_matrix()
         entries.append(
             {"seq": seq, "c": c, "s": line.s, "p": derive_shift(c, SOLVER_LAM, line.s)}
@@ -77,7 +77,7 @@ def contraction_orbits():
         fixed = rng.uniform(0.0, 10.0, size=3)
         b = (np.eye(3) - m) @ fixed
         x0 = rng.uniform(0.0, 10.0, size=3)
-        seq = iterate(affine_nd(m, b, c), Point(x0), ORBIT_LENGTH, space).sequence
+        seq = iterate(affine_nd(m, b, c), Point(x0), ORBIT_LENGTH, space)
         seq.distance_matrix()
         entries.append(
             {"seq": seq, "c": c, "s": space.s, "p": derive_shift(c, SOLVER_LAM, space.s)}

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from cauchycert import (
     ETA,
-    CertifyConfig,
     DivergenceError,
     MetricError,
     PrefixTooShort,
@@ -310,12 +309,6 @@ class TestCertifyPipeline:
         assert not outcome.certified
         assert outcome.failure_stage == "shift_contraction"
         assert outcome.shift.violating_pair == (3, 5)
-
-    def test_fixed_threshold_decay_gate_is_optional(self, linear_prefix):
-        outcome = certify_cauchy(
-            linear_prefix, ShiftWitness(0.5, 1, 0.5, 1), CertifyConfig(require_tail_decay=True)
-        )
-        assert outcome.failure_stage == "consecutive_decay"
 
     def test_decay_report_always_recorded(self, linear_prefix):
         outcome = certify_cauchy(linear_prefix, ShiftWitness(0.5, 1, 0.5, 1))

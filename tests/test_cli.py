@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 
 from cauchycert.cli import main
 from cauchycert.reports import validate_report
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(argv, capsys):
@@ -395,7 +398,9 @@ class TestSubprocess:
     """The installed entry point, exercised the way a shell user would."""
 
     def _run(self, args, env_extra=None, cwd=None):
+        # The child imports this checkout's package, installed or not.
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         if env_extra:
             env.update(env_extra)
         return subprocess.run(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cauchycert import (
     ETA,
@@ -14,6 +14,7 @@ from cauchycert import (
     ShiftWitness,
     SolverConfig,
     SolverError,
+    TailConfig,
     derive_shift,
     estimate_contraction_constant,
     iterate,
@@ -29,6 +30,7 @@ from cauchycert.contractions import (
     halving,
     logistic_damped,
 )
+from oracles import blockwise_solve_fixed_point
 
 
 class TestContraction:
@@ -51,20 +53,19 @@ class TestContraction:
 
 class TestIterate:
     def test_halving_orbit_values(self, euclid):
-        orbit = iterate(halving(), Point(1.0), 5, euclid)
-        assert orbit.length == 5
-        assert orbit.sequence.coords[:, 0].tolist() == [
+        seq = iterate(halving(), Point(1.0), 5, euclid)
+        assert len(seq) == 5
+        assert seq.coords[:, 0].tolist() == [
             0.5,
             0.25,
             0.125,
             0.0625,
             0.03125,
         ]
-        assert orbit.seed == Point(1.0)
 
     def test_seed_is_excluded_from_the_prefix(self, euclid):
-        orbit = iterate(constant_map(2.0), Point(7.0), 3, euclid)
-        assert orbit.sequence.coords.tolist() == [[2.0]] * 3
+        seq = iterate(constant_map(2.0), Point(7.0), 3, euclid)
+        assert seq.coords.tolist() == [[2.0]] * 3
 
     def test_needs_two_iterates(self, euclid):
         with pytest.raises(ValueError):
@@ -236,6 +237,67 @@ class TestSolveFixedPoint:
         data = json.loads(json.dumps(result.to_dict()))
         assert data["fixed_point"] == [2.0**-32]
         assert data["certificate"]["witness"]["p"] == 2
+
+
+_coord = st.floats(-5.0, 5.0)
+
+#: (contraction, metric name, seed point) over the registry's contractions;
+#: affine_nd declares a c independent of its matrix, so the sampled check can fail.
+_SOLVE_CASES = st.one_of(
+    st.tuples(
+        st.builds(affine_1d, st.floats(-0.95, 0.95), _coord),
+        st.sampled_from(["euclid_1d", "sq_abs"]),
+        _coord,
+    ),
+    st.tuples(st.just(halving()), st.sampled_from(["euclid_1d", "sq_abs"]), _coord),
+    st.tuples(
+        st.builds(logistic_damped, st.floats(0.05, 0.95)),
+        st.just("euclid_1d"),
+        st.floats(0.0, 1.0),
+    ),
+    st.tuples(st.builds(constant_map, _coord), st.just("euclid_1d"), _coord),
+    st.tuples(
+        st.builds(
+            affine_nd,
+            st.lists(st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2), min_size=2, max_size=2),
+            st.lists(_coord, min_size=2, max_size=2),
+            st.floats(0.05, 0.95),
+        ),
+        st.just("euclid_nd"),
+        st.lists(_coord, min_size=2, max_size=2),
+    ),
+)
+
+
+class TestSolverMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_SOLVE_CASES,
+        block=st.integers(1, 33),
+        max_iterations=st.integers(33, 160),
+        eps=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.5]),
+        target_delta=st.sampled_from([0.5, 0.01, 1e-4]),
+        lam=st.sampled_from([0.3, 0.5, 0.8]),
+        n0=st.integers(1, 4),
+        seed=st.integers(0, 3),
+    )
+    def test_same_result_or_error(
+        self, case, block, max_iterations, eps, target_delta, lam, n0, seed
+    ):
+        f, metric_name, x0 = case
+        metric = make_metric(metric_name)
+        cfg = SolverConfig(
+            lam=lam, n0=n0, block=block, max_iterations=max_iterations,
+            tail=TailConfig(eps=eps), seed=seed,
+        )
+
+        def run(solve):
+            try:
+                return solve(f, metric, Point(x0), target_delta, cfg)
+            except (SolverError, ContractionError) as exc:
+                return type(exc), str(exc)
+
+        assert run(solve_fixed_point) == run(blockwise_solve_fixed_point)
 
 
 class TestRegistry:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cauchycert import (
     ETA,
@@ -30,6 +30,7 @@ from cauchycert.sequences import (
     geometric_sequence,
     make_sequence,
 )
+from oracles import argwhere_shift_contraction
 
 
 class TestSequencePrefix:
@@ -216,6 +217,28 @@ class TestShiftContraction:
         assert report.pairs_triggered == triggered
         assert report.violating_pair == violating
         assert report.holds == (violating is None)
+
+    @settings(max_examples=400)
+    @given(
+        values=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=30),
+        name=st.sampled_from(["euclid_1d", "sq_abs", "max_dislocated", "shifted_dislocated"]),
+        s=st.sampled_from([1.0, 2.0]),
+        delta=st.floats(0.01, 3.0),
+        p=st.integers(1, 6),
+        lam=st.floats(0.05, 0.95),
+        n0=st.integers(1, 8),
+    )
+    def test_matches_argwhere_oracle(self, values, name, s, delta, p, lam, n0):
+        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        w = ShiftWitness(delta, p, lam, n0)
+        try:
+            expected = argwhere_shift_contraction(seq, w)
+        except PrefixTooShort as exc:
+            with pytest.raises(PrefixTooShort) as raised:
+                check_shift_contraction(seq, w)
+            assert str(raised.value) == str(exc)
+            return
+        assert check_shift_contraction(seq, w) == expected
 
 
 class TestTailDiameter:
