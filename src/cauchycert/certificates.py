@@ -39,6 +39,7 @@ from .sequences import (
     TailConfig,
     check_consecutive_decay,
     check_shift_contraction,
+    chunk_rows,
     tail_diameter,
 )
 
@@ -81,16 +82,16 @@ def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> Optional[int]:
     dm = seq.distance_matrix()
     threshold = w.delta * (1.0 - w.lam) / seq.metric.s - ETA
 
-    rows = np.arange(w.n0, hi)  # 0-based rows for n in (n0, hi]
-    worst = np.zeros(rows.size)
+    # Entry i of each diagonal is the 0-based row n0 + i, i.e. n = n0 + i + 1.
+    worst = np.zeros(hi - w.n0)
     for q in range(w.p + 1):
-        np.maximum(worst, dm[rows, rows + q], out=worst)
+        np.maximum(worst, np.diagonal(dm, q)[w.n0 : hi], out=worst)
     ok = worst < threshold
 
     if not ok[-1]:
         return None
     bad = np.flatnonzero(~ok)
-    last_bad = int(rows[bad[-1]]) + 1 if bad.size else 0
+    last_bad = w.n0 + int(bad[-1]) + 1 if bad.size else 0
     m0 = max(w.n0, last_bad)
     if m0 > hi - 1:
         return None
@@ -115,6 +116,12 @@ class InductionTrace:
     band_branch_steps: int
 
 
+def _first_true(mask: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, column) of the first true entry of a 2-d mask in row-major order."""
+    flat = int(np.argmax(mask))
+    return divmod(flat, mask.shape[1]) if mask.flat[flat] else None
+
+
 def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
     """Verify rho(x_{n + k p}, x_n) < delta - eta for all blocks in range.
 
@@ -126,8 +133,13 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     with the settled offset bound (the two contributions sum to exactly
     delta * lam + delta * (1 - lam) = delta).  A step whose direct bound holds
     but whose justification does not raises :class:`DivergenceError`.
+
+    The blocks of n stay in its residue class mod p: with the local index
+    u = n - n_low - 1 = r + i p and L = D[r::p, r::p] on D = dm[n_low:, n_low:],
+    the block k is L[i, j] for j = i + k, its previous block L[i, j - 1], its
+    step L[j - 1, j], its shifted block L[i + 1, j] and the settled offset
+    L[i, i + 1].  Each class is scanned in row chunks of bounded size.
     """
-    n_len = len(seq)
     dm = seq.distance_matrix()
     s = seq.metric.s
     n_low = max(settling, w.n0)
@@ -137,56 +149,69 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     if abs(split - delta) > ETA:
         raise DivergenceError(f"band split {split} deviates from delta {delta}")
 
-    depth = 0
+    d = dm[n_low:, n_low:]
+    t = d.shape[0]
+    first: Optional[tuple[int, int]] = None  # smallest offending (u, k)
     zero_steps = 0
-    band_steps = 0
+    all_steps = 0
+    for r in range(min(p, t)):
+        blocks = d[r::p, r::p]
+        m = blocks.shape[0]
+        all_steps += m * (m - 1) // 2
+        # Offset i is L[i, i + 1]: the settled offset of row i and the step of column i + 1.
+        offset = np.diagonal(blocks, 1)
+        offset_ok = s * offset < delta * (1.0 - lam)
+        rows = chunk_rows(m)
+        for i0 in range(0, m - 1, rows):
+            if first is not None and r + i0 * p > first[0]:
+                break
+            i1 = min(i0 + rows, m - 1)
+            value = blocks[i0:i1, i0 + 1 :]
+            zero = blocks[i0:i1, i0:-1] <= ETA
+            shifted_block = s * blocks[i0 + 1 : i1 + 1, i0 + 1 :]
+            bad_value = ~(value < delta - ETA)
+            bad_zero = zero & ~offset_ok[i0:]
+            bad_band = ~zero & ~((shifted_block < delta * lam) & offset_ok[i0:i1, None])
+            # Column c of the chunk is j = i0 + 1 + c, so j > i is the upper triangle.
+            hit = _first_true(np.triu(bad_value | bad_zero | bad_band))
+            if hit is not None:
+                block = (r + (i0 + hit[0]) * p, hit[1] + 1 - hit[0])
+                first = min(first or block, block)
+                break
+            zero_steps += int(np.count_nonzero(np.triu(zero)))
 
-    for n in range(n_low + 1, n_len + 1):
-        k_max = (n_len - n) // p
-        if k_max < 1:
-            continue
+    if first is not None:
+        raise _induction_failure(dm, s, w, n_low + 1 + first[0], first[1])
+    return InductionTrace(
+        depth=max((t - 1) // p, 0),
+        zero_branch_steps=zero_steps,
+        band_branch_steps=all_steps - zero_steps,
+    )
 
-        # All blocks at this n at once; rows are k = 1 .. k_max.
-        ks = np.arange(1, k_max + 1)
-        value = dm[n - 1, n + ks * p - 1]
-        prev = dm[n - 1, n + (ks - 1) * p - 1]
-        step = dm[n + (ks - 1) * p - 1, n + ks * p - 1]
-        zero_mask = prev <= ETA
-        shifted_block = s * dm[n + p - 1, n + ks * p - 1]
-        settled_offset = s * float(dm[n - 1, n + p - 1])
 
-        bad_value = ~(value < delta - ETA)
-        bad_zero = zero_mask & ~(s * step < delta * (1.0 - lam))
-        bad_band = ~zero_mask & ~(
-            (shifted_block < delta * lam) & (settled_offset < delta * (1.0 - lam))
+def _induction_failure(dm: np.ndarray, s: float, w: ShiftWitness, n: int, k: int) -> Exception:
+    """The failure of block k at n, re-evaluated as the scan evaluates it."""
+    delta, lam, p = w.delta, w.lam, w.p
+    value = float(dm[n - 1, n + k * p - 1])
+    if not (value < delta - ETA):
+        return CertificateFailure(
+            "block_induction",
+            f"rho(x_{n + k * p}, x_{n}) = {value} not below delta = {delta}",
+            where=(n, k),
         )
-        bad = bad_value | bad_zero | bad_band
-        if np.any(bad):
-            i = int(np.argmax(bad))  # smallest offending k
-            k = int(ks[i])
-            if bad_value[i]:
-                raise CertificateFailure(
-                    "block_induction",
-                    f"rho(x_{n + k * p}, x_{n}) = {float(value[i])} not below delta = {delta}",
-                    where=(n, k),
-                )
-            if bad_zero[i]:
-                raise DivergenceError(
-                    f"zero-branch justification failed at (n={n}, k={k}): "
-                    f"s * {float(step[i])} not below {delta * (1.0 - lam)}"
-                )
-            raise DivergenceError(
-                f"band-branch justification failed at (n={n}, k={k}): "
-                f"{float(shifted_block[i])} / {settled_offset} vs "
-                f"{delta * lam} / {delta * (1.0 - lam)}"
-            )
-
-        depth = max(depth, k_max)
-        n_zero = int(np.count_nonzero(zero_mask))
-        zero_steps += n_zero
-        band_steps += k_max - n_zero
-
-    return InductionTrace(depth=depth, zero_branch_steps=zero_steps, band_branch_steps=band_steps)
+    if dm[n - 1, n + (k - 1) * p - 1] <= ETA:
+        step = float(dm[n + (k - 1) * p - 1, n + k * p - 1])
+        return DivergenceError(
+            f"zero-branch justification failed at (n={n}, k={k}): "
+            f"s * {step} not below {delta * (1.0 - lam)}"
+        )
+    shifted_block = s * float(dm[n + p - 1, n + k * p - 1])
+    settled_offset = s * float(dm[n - 1, n + p - 1])
+    return DivergenceError(
+        f"band-branch justification failed at (n={n}, k={k}): "
+        f"{shifted_block} / {settled_offset} vs "
+        f"{delta * lam} / {delta * (1.0 - lam)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +276,6 @@ class CertifyOutcome:
         }
 
 
-STAGE_ORDER = (
-    "consecutive_decay",
-    "shift_contraction",
-    "settling_index",
-    "chain_bounds",
-    "block_induction",
-    "pair_scan",
-)
-
-
 def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tuple[int, float], ...]:
     """Worst telescoped bound per offset q over the verified range.
 
@@ -316,49 +331,74 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     and the assembled bound s A + s B must stay below the certified diameter
     delta (1 - lam) + s delta.  Component failures are certification
     failures; an assembled-bound failure with passing components is a bug.
+
+    On D = dm[n_low:, n_low:] with local indices u = n - n_low - 1 and
+    v = m - n_low - 1, the base point n + k p of a row u in residue class
+    r = u mod p is the last index of that class at or before v,
+    r + (v - r) // p * p, which depends on v alone.  So per class A is one
+    vector over v, B a column gather of the rows D[r::p], and the direct
+    distances the view D[r::p, r:]; the rows are scanned in chunks.
     """
-    n_len = len(seq)
     dm = seq.distance_matrix()
     s = seq.metric.s
     delta, lam, p = w.delta, w.lam, w.p
     theta = delta * (1.0 - lam) / s
     fb = delta * (1.0 - lam) + s * delta
 
-    idx = np.arange(n_low + 1, n_len + 1)
-    iu = np.triu_indices(idx.size)
-    n_arr = idx[iu[0]]
-    m_arr = idx[iu[1]]
-    diff = m_arr - n_arr
-    k_arr = diff // p
-    base = n_arr + k_arr * p
+    d = dm[n_low:, n_low:]
+    t = d.shape[0]
+    first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
+    first_assembled: Optional[tuple[int, int]] = None
+    for r in range(min(p, t)):
+        cols = np.arange(t - r)  # column c is v = r + c
+        base = r + cols // p * p
+        offset_part = d[base, r + cols]
+        rows = d[r::p]  # row i is u = r + i p
+        chunk = chunk_rows(t - r)
+        for i0 in range(0, rows.shape[0], chunk):
+            if first_comp is not None and r + i0 * p > first_comp[0]:
+                break
+            i1 = min(i0 + chunk, rows.shape[0])
+            c0 = i0 * p  # earlier columns pair with no row of the chunk
+            a = offset_part[c0:]
+            b = rows[i0:i1][:, base[c0:]]
+            direct = rows[i0:i1, r + c0 :]
+            in_tail = cols[c0:] >= (np.arange(i0, i1) * p)[:, None]  # v >= u
 
-    a = dm[base - 1, m_arr - 1]
-    b = dm[n_arr - 1, base - 1]
-    direct = dm[n_arr - 1, m_arr - 1]
+            comp_ok = (a < theta - ETA) & (b < delta - ETA)
+            triangle_ok = direct <= s * (a + b) + ETA
+            assembled = s * a + s * b
+            assembled_ok = (assembled < fb) & (direct < fb - ETA)
 
-    comp_ok = (a < theta - ETA) & (b < delta - ETA)
-    triangle_ok = direct <= s * (a + b) + ETA
-    assembled = s * a + s * b
-    assembled_ok = (assembled < fb) & (direct < fb - ETA)
+            hit = _first_true(in_tail & ~(comp_ok & triangle_ok))
+            if hit is not None:
+                pair = (r + (i0 + hit[0]) * p, r + c0 + hit[1])
+                first_comp = min(first_comp or pair, pair)
+                break
+            hit = _first_true(in_tail & ~assembled_ok)
+            if hit is not None:
+                pair = (r + (i0 + hit[0]) * p, r + c0 + hit[1])
+                first_assembled = min(first_assembled or pair, pair)
 
-    bad_comp = ~(comp_ok & triangle_ok)
-    if np.any(bad_comp):
-        i = int(np.argmax(bad_comp))  # pairs are in lexicographic (n, m) order
+    first = first_comp or first_assembled
+    if first is None:
+        return
+    n, m = n_low + 1 + first[0], n_low + 1 + first[1]
+    base = n + (m - n) // p * p
+    a, b, direct = float(dm[base - 1, m - 1]), float(dm[n - 1, base - 1]), float(dm[n - 1, m - 1])
+    if first_comp is not None:
         raise CertificateFailure(
             "pair_scan",
-            f"pair (n={int(n_arr[i])}, m={int(m_arr[i])}): offset part {float(a[i])}, "
-            f"block part {float(b[i])}, direct {float(direct[i])} "
+            f"pair (n={n}, m={m}): offset part {a}, "
+            f"block part {b}, direct {direct} "
             f"(need offset < {theta}, block < {delta}, triangle at s={s})",
-            where=(int(n_arr[i]), int(m_arr[i])),
+            where=(n, m),
         )
-    bad_assembled = ~assembled_ok
-    if np.any(bad_assembled):
-        i = int(np.argmax(bad_assembled))
-        raise DivergenceError(
-            f"pair (n={int(n_arr[i])}, m={int(m_arr[i])}) passed component checks but "
-            f"assembled bound {float(assembled[i])} / direct {float(direct[i])} "
-            f"escaped the certified diameter {fb}"
-        )
+    raise DivergenceError(
+        f"pair (n={n}, m={m}) passed component checks but "
+        f"assembled bound {s * a + s * b} / direct {direct} "
+        f"escaped the certified diameter {fb}"
+    )
 
 
 def certify_cauchy(

@@ -16,6 +16,7 @@ configuration exit code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +41,11 @@ def load_config_text(text: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     return data
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
@@ -226,6 +232,14 @@ class Experiment:
             raise ConfigError('"parameters.solver" must be an object')
         if "target_delta" not in spec:
             raise ConfigError('"parameters.solver.target_delta" is required for solve')
+        target_delta = spec["target_delta"]
+        if not (_is_number(target_delta) and math.isfinite(target_delta) and target_delta > 0):
+            raise ConfigError(
+                f'"parameters.solver.target_delta" must be a positive number, got {target_delta!r}'
+            )
+        for key in ("block", "max_iterations"):
+            if key in spec and not (_is_number(spec[key]) and isinstance(spec[key], int)):
+                raise ConfigError(f'"parameters.solver.{key}" must be an integer, got {spec[key]!r}')
         try:
             cfg = SolverConfig(
                 lam=spec.get("lambda", 0.5),
@@ -238,7 +252,7 @@ class Experiment:
             x0 = Point(spec.get("x0", 0.0))
         except (ValueError, CauchyCertError) as exc:
             raise ConfigError(str(exc)) from exc
-        return cfg, x0, spec["target_delta"]
+        return cfg, x0, target_delta
 
 
 def make_experiment(raw: dict, seed_override: Optional[int] = None) -> Experiment:

@@ -206,10 +206,11 @@ def solve_fixed_point(
     re-checked along the orbit itself (consecutive step ratios); a violation
     aborts with ContractionError.  The orbit grows in blocks; after each block
     the certificate for the derived witness (target_delta, derived p, lam, n0)
-    is attempted with the consecutive-decay report at ``cfg.tail``.  The
-    method returns as soon as a certificate is issued and the last step
-    distance rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``; exhausting the
-    iteration budget first raises SolverError.
+    is attempted with the consecutive-decay report at ``cfg.tail``.  Each
+    block extends the prefix, whose distance matrix then gains only the new
+    rows and columns.  The method returns as soon as a certificate is issued
+    and the last step distance rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``;
+    exhausting the iteration budget first raises SolverError.
     """
     if target_delta <= 0.0:
         raise ValueError(f"target delta must be positive, got {target_delta}")
@@ -225,15 +226,13 @@ def solve_fixed_point(
     witness = ShiftWitness(delta=target_delta, p=p, lam=cfg.lam, n0=cfg.n0)
     min_len = max(cfg.n0 + p + 2, 4)
 
+    # Certification starts at the first block boundary at or past min_len;
+    # after that the prefix grows one block at a time and extends its matrix.
     orbit = _iterates(f, x0)
-    pts: list[Point] = []
+    pts = list(islice(orbit, min(-(-min_len // cfg.block) * cfg.block, cfg.max_iterations)))
+    seq = SequencePrefix(pts, metric) if len(pts) >= min_len else None
     ratio_seen = estimate.ratio
-    while len(pts) < cfg.max_iterations:
-        pts += islice(orbit, min(cfg.block, cfg.max_iterations - len(pts)))
-        if len(pts) < min_len:
-            continue
-        seq = SequencePrefix(pts, metric)
-
+    while seq is not None:
         # Mid-run hypothesis check: consecutive step ratios are image/base
         # ratios of the map, so they must also respect the declared c.
         steps = metric.rows(seq.coords[1:], seq.coords[:-1])
@@ -249,18 +248,20 @@ def solve_fixed_point(
 
         outcome = certify_cauchy(seq, witness, cfg.tail)
         if outcome.certified and steps[-1] <= cfg.tail.eps:
-            x_star = pts[-1]
+            x_star = seq.point(len(seq))
             fx = f.apply(x_star)
             residual = metric.distance(x_star, fx)
             self_dist = metric.distance(fx, fx)
             return SolveResult(
                 fixed_point=x_star,
-                iterations=len(pts),
+                iterations=len(seq),
                 certificate=outcome.certificate,
                 residual=residual,
                 residual_bound=metric.s * (residual + self_dist),
                 contraction_ratio=ratio_seen,
             )
+        room = cfg.max_iterations - len(seq)
+        seq = seq.extend(islice(orbit, min(cfg.block, room))) if room else None
     raise SolverError(
         f"no certificate at delta = {target_delta} within {cfg.max_iterations} iterations"
     )

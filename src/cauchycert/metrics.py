@@ -153,24 +153,32 @@ class DbMetric:
             out = np.array([self.fn(a[i], b[i]) for i in range(a.shape[0])], dtype=float)
         return self._validate(out)
 
-    def matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Read-only all-pairs distance matrix for an ``(N, d)`` coordinate stack.
+    def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Validated ``(len(a), len(b))`` matrix; entry [i, j] is rho(a_i, b_j).
 
-        ``rows_fn`` is broadcast over ``coords[:, None]`` and
-        ``coords[None, :]``; a metric without one calls ``fn`` once per pair.
+        ``rows_fn`` is broadcast over ``a[:, None]`` and ``b[None, :]``; a
+        metric without one calls ``fn`` once per pair.  Every entry is
+        evaluated exactly as in the square :meth:`matrix`, so blocks of a
+        matrix built this way are bit-identical to the full build.
         """
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        n = coords.shape[0]
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_2d(np.asarray(b, dtype=float))
         if self.rows_fn is not None:
-            out = np.asarray(self.rows_fn(coords[:, None], coords[None, :]), dtype=float)
+            out = np.asarray(self.rows_fn(a[:, None], b[None, :]), dtype=float)
         else:
-            out = np.array([[self.fn(x, y) for y in coords] for x in coords], dtype=float)
-        if out.shape != (n, n):
+            out = np.array([[self.fn(x, y) for y in b] for x in a], dtype=float)
+        if out.shape != (a.shape[0], b.shape[0]):
+            points = a.shape[0] if a is b else f"{a.shape[0]} x {b.shape[0]}"
             raise MetricError(
                 f"metric {self.name!r}: rows_fn must broadcast over leading axes, "
-                f"got shape {out.shape} for {n} points"
+                f"got shape {out.shape} for {points} points"
             )
-        out = self._validate(out)
+        return self._validate(out)
+
+    def matrix(self, coords: np.ndarray) -> np.ndarray:
+        """Read-only all-pairs distance matrix for an ``(N, d)`` coordinate stack."""
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        out = self.cross(coords, coords)
         out.setflags(write=False)
         return out
 

@@ -24,6 +24,15 @@ import numpy as np
 from .errors import MetricError, PrefixTooShort
 from .metrics import ETA, DbMetric, Point
 
+#: Elements per row chunk of a scan over the distance matrix; bounds the size
+#: of the scan's temporaries independently of N.
+_CHUNK = 2**18
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk of a scan whose rows hold ``width`` elements."""
+    return max(1, _CHUNK // max(width, 1))
+
 
 @dataclass(frozen=True)
 class TailConfig:
@@ -71,20 +80,25 @@ class ShiftWitness:
         return {"delta": self.delta, "p": self.p, "lambda": self.lam, "n0": self.n0}
 
 
+def _stack(points: Sequence) -> np.ndarray:
+    """:class:`Point` objects or plain scalars / vectors as one row each."""
+    coords = np.array([p.coords if isinstance(p, Point) else p for p in points], dtype=float)
+    return coords.reshape(-1, 1) if coords.ndim == 1 else coords
+
+
 class SequencePrefix:
     """A finite prefix x_1 .. x_N together with its metric.
 
     The points are stored once, as the read-only ``(N, d)`` float64 array
     ``coords``, validated at construction (finiteness, one dimension, the
     metric's dimension).  A prefix is immutable, so its distance matrix is
-    built on first use and kept for every later scan.
+    built on first use and kept for every later scan; a prefix grown by
+    :meth:`extend` builds it from the shorter prefix's matrix.
     """
 
     def __init__(self, points: Sequence, metric: DbMetric):
         """``points`` holds :class:`Point` objects or plain scalars / vectors."""
-        coords = np.array([p.coords if isinstance(p, Point) else p for p in points], dtype=float)
-        if coords.ndim == 1:
-            coords = coords.reshape(-1, 1)
+        coords = _stack(points)
         if coords.shape[0] < 2:
             raise PrefixTooShort(f"a prefix needs at least 2 points, got {coords.shape[0]}")
         if coords.ndim != 2 or coords.shape[1] == 0:
@@ -104,6 +118,7 @@ class SequencePrefix:
         self.coords = coords
         self.metric = metric
         self._matrix: Optional[np.ndarray] = None
+        self._base: Optional[np.ndarray] = None  # matrix of a leading sub-prefix
 
     @classmethod
     def from_values(cls, values: Sequence, metric: DbMetric) -> "SequencePrefix":
@@ -121,10 +136,34 @@ class SequencePrefix:
     def distance(self, n: int, m: int) -> float:
         return self.metric.distance(self.point(n), self.point(m))
 
+    def extend(self, points: Sequence) -> "SequencePrefix":
+        """This prefix followed by ``points``, validated like a new prefix.
+
+        The longer prefix keeps this prefix's distance matrix, if one was
+        built, and its own matrix copies it and evaluates only the rows and
+        columns of the new points.
+        """
+        new = _stack(points)
+        if not len(new):
+            return self
+        grown = SequencePrefix(np.concatenate([self.coords, new]), self.metric)
+        grown._base = self._matrix
+        return grown
+
     def distance_matrix(self) -> np.ndarray:
         """Validated read-only all-pairs matrix; entry [i, j] is rho(x_{i+1}, x_{j+1})."""
         if self._matrix is None:
-            self._matrix = self.metric.matrix(self.coords)
+            base, self._base = self._base, None
+            if base is None:
+                self._matrix = self.metric.matrix(self.coords)
+            else:
+                n = base.shape[0]
+                out = np.empty((len(self), len(self)))
+                out[:n, :n] = base
+                out[:n, n:] = self.metric.cross(self.coords[:n], self.coords[n:])
+                out[n:] = self.metric.cross(self.coords[n:], self.coords)
+                out.setflags(write=False)
+                self._matrix = out
         return self._matrix
 
 
@@ -260,7 +299,10 @@ def tail_diameter(seq: SequencePrefix, n0: int) -> float:
     if not (1 <= n0 < n):
         raise PrefixTooShort(f"cutoff n0 = {n0} leaves no tail pairs in a prefix of length {n}")
     tail = seq.distance_matrix()[n0 - 1 :, n0 - 1 :]
-    return float(np.max(np.triu(tail)))
+    rows = chunk_rows(tail.shape[0])
+    return max(
+        float(np.max(np.triu(tail[i : i + rows, i:]))) for i in range(0, tail.shape[0], rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ through ``DbMetric.rows``.  ``argwhere_shift_contraction`` lists every
 violating pair with ``np.argwhere`` and keeps the first, and
 ``blockwise_solve_fixed_point`` grows the orbit point by point and reads the
 last step through the scalar ``SequencePrefix.distance``.
+``loop_block_induction`` checks the blocks of one n per Python iteration, and
+``triu_pair_scan`` gathers every tail pair through ``np.triu_indices``; both
+replay the same float expressions as the residue-class scans in
+``certificates``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ import numpy as np
 
 from cauchycert import (
     ETA,
+    CertificateFailure,
     ContractionError,
     DbMetric,
+    DivergenceError,
+    InductionTrace,
     MetricError,
     Point,
     PrefixTooShort,
@@ -204,3 +211,132 @@ def blockwise_solve_fixed_point(
     raise SolverError(
         f"no certificate at delta = {target_delta} within {cfg.max_iterations} iterations"
     )
+
+
+def loop_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
+    """``run_block_induction`` with one Python iteration per n.
+
+    Scans n in (max(settling, n0), N] and k >= 1 with n + k p <= N.  The
+    direct bound failing is a :class:`CertificateFailure` carrying the first
+    offending (n, k).  Each passing step is then re-justified along the proof
+    route chosen by the previous block distance: a zero previous block repeats
+    the settled offset bound, a positive one combines a shift-contraction pair
+    with the settled offset bound (the two contributions sum to exactly
+    delta * lam + delta * (1 - lam) = delta).  A step whose direct bound holds
+    but whose justification does not raises :class:`DivergenceError`.
+    """
+    n_len = len(seq)
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    n_low = max(settling, w.n0)
+    delta, lam, p = w.delta, w.lam, w.p
+
+    split = delta * lam + delta * (1.0 - lam)
+    if abs(split - delta) > ETA:
+        raise DivergenceError(f"band split {split} deviates from delta {delta}")
+
+    depth = 0
+    zero_steps = 0
+    band_steps = 0
+
+    for n in range(n_low + 1, n_len + 1):
+        k_max = (n_len - n) // p
+        if k_max < 1:
+            continue
+
+        # All blocks at this n at once; rows are k = 1 .. k_max.
+        ks = np.arange(1, k_max + 1)
+        value = dm[n - 1, n + ks * p - 1]
+        prev = dm[n - 1, n + (ks - 1) * p - 1]
+        step = dm[n + (ks - 1) * p - 1, n + ks * p - 1]
+        zero_mask = prev <= ETA
+        shifted_block = s * dm[n + p - 1, n + ks * p - 1]
+        settled_offset = s * float(dm[n - 1, n + p - 1])
+
+        bad_value = ~(value < delta - ETA)
+        bad_zero = zero_mask & ~(s * step < delta * (1.0 - lam))
+        bad_band = ~zero_mask & ~(
+            (shifted_block < delta * lam) & (settled_offset < delta * (1.0 - lam))
+        )
+        bad = bad_value | bad_zero | bad_band
+        if np.any(bad):
+            i = int(np.argmax(bad))  # smallest offending k
+            k = int(ks[i])
+            if bad_value[i]:
+                raise CertificateFailure(
+                    "block_induction",
+                    f"rho(x_{n + k * p}, x_{n}) = {float(value[i])} not below delta = {delta}",
+                    where=(n, k),
+                )
+            if bad_zero[i]:
+                raise DivergenceError(
+                    f"zero-branch justification failed at (n={n}, k={k}): "
+                    f"s * {float(step[i])} not below {delta * (1.0 - lam)}"
+                )
+            raise DivergenceError(
+                f"band-branch justification failed at (n={n}, k={k}): "
+                f"{float(shifted_block[i])} / {settled_offset} vs "
+                f"{delta * lam} / {delta * (1.0 - lam)}"
+            )
+
+        depth = max(depth, k_max)
+        n_zero = int(np.count_nonzero(zero_mask))
+        zero_steps += n_zero
+        band_steps += k_max - n_zero
+
+    return InductionTrace(depth=depth, zero_branch_steps=zero_steps, band_branch_steps=band_steps)
+
+
+def triu_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
+    """``_pair_scan`` over ``np.triu_indices`` of the whole tail.
+
+    For each pair n_low < n <= m <= N, with k = (m - n) // p and
+    q = (m - n) mod p, the components A = rho(x_{n + k p}, x_m) and
+    B = rho(x_n, x_{n + k p}) must satisfy A < delta (1 - lam) / s - eta and
+    B < delta - eta, the relaxed triangle through the base point must hold,
+    and the assembled bound s A + s B must stay below the certified diameter
+    delta (1 - lam) + s delta.  Component failures are certification
+    failures; an assembled-bound failure with passing components is a bug.
+    """
+    n_len = len(seq)
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    delta, lam, p = w.delta, w.lam, w.p
+    theta = delta * (1.0 - lam) / s
+    fb = delta * (1.0 - lam) + s * delta
+
+    idx = np.arange(n_low + 1, n_len + 1)
+    iu = np.triu_indices(idx.size)
+    n_arr = idx[iu[0]]
+    m_arr = idx[iu[1]]
+    diff = m_arr - n_arr
+    k_arr = diff // p
+    base = n_arr + k_arr * p
+
+    a = dm[base - 1, m_arr - 1]
+    b = dm[n_arr - 1, base - 1]
+    direct = dm[n_arr - 1, m_arr - 1]
+
+    comp_ok = (a < theta - ETA) & (b < delta - ETA)
+    triangle_ok = direct <= s * (a + b) + ETA
+    assembled = s * a + s * b
+    assembled_ok = (assembled < fb) & (direct < fb - ETA)
+
+    bad_comp = ~(comp_ok & triangle_ok)
+    if np.any(bad_comp):
+        i = int(np.argmax(bad_comp))  # pairs are in lexicographic (n, m) order
+        raise CertificateFailure(
+            "pair_scan",
+            f"pair (n={int(n_arr[i])}, m={int(m_arr[i])}): offset part {float(a[i])}, "
+            f"block part {float(b[i])}, direct {float(direct[i])} "
+            f"(need offset < {theta}, block < {delta}, triangle at s={s})",
+            where=(int(n_arr[i]), int(m_arr[i])),
+        )
+    bad_assembled = ~assembled_ok
+    if np.any(bad_assembled):
+        i = int(np.argmax(bad_assembled))
+        raise DivergenceError(
+            f"pair (n={int(n_arr[i])}, m={int(m_arr[i])}) passed component checks but "
+            f"assembled bound {float(assembled[i])} / direct {float(direct[i])} "
+            f"escaped the certified diameter {fb}"
+        )

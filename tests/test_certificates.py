@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cauchycert import (
     ETA,
+    CertificateFailure,
     DivergenceError,
+    InductionTrace,
     MetricError,
+    Point,
     PrefixTooShort,
     SearchConfig,
     SequencePrefix,
@@ -19,13 +24,17 @@ from cauchycert import (
     delta_grid,
     diameter_bound,
     find_settling_index,
+    iterate,
+    make_contraction,
     make_metric,
     run_block_induction,
     search_witness,
     tail_diameter,
 )
-from cauchycert.certificates import _chain_stage
-from oracles import chain_bound, self_distance_bound
+from cauchycert import sequences
+from cauchycert.certificates import _chain_stage, _pair_scan
+from cauchycert.metrics import available_metrics
+from oracles import chain_bound, loop_block_induction, self_distance_bound, triu_pair_scan
 
 HALVING_WITNESS = ShiftWitness(0.1, 2, 0.5, 1)
 
@@ -244,6 +253,12 @@ class TestBlockInduction:
         assert trace.zero_branch_steps == 0
         assert trace.band_branch_steps == 36
 
+    def test_previous_block_at_tolerance_takes_zero_branch(self, euclid):
+        # Every previous block is exactly 0 or ETA apart: both count as zero.
+        seq = SequencePrefix.from_values([0.0, ETA, 0.0, ETA, 0.0], euclid)
+        trace = run_block_induction(seq, ShiftWitness(1.0, 1, 0.5, 1), settling=0)
+        assert trace == InductionTrace(depth=3, zero_branch_steps=6, band_branch_steps=0)
+
     def test_failure_carries_location(self, linear_prefix):
         from cauchycert import CertificateFailure
 
@@ -258,6 +273,110 @@ class TestBlockInduction:
         seq = SequencePrefix.from_values([9.0, 1.5, 0.4, 1.0], euclid)
         with pytest.raises(DivergenceError):
             run_block_induction(seq, ShiftWitness(2.0, 1, 0.5, 1), settling=1)
+
+
+def _geometric(x0: float, a: float, n: int, noise: list[float]) -> list[float]:
+    return [x0 * a**k + noise[k % len(noise)] for k in range(n)]
+
+
+#: Prefixes for the residue-class scans: exact dyadic values and multiples of
+#: ETA (ties, exact zeros and distances exactly at the tolerance), noisy
+#: geometric decay (prefixes that settle, so the induction and pair scan run
+#: deep) and arbitrary values (early failures).
+SCAN_VALUES = st.one_of(
+    st.lists(
+        st.sampled_from([0.0, ETA, 2 * ETA] + [k / 8.0 for k in range(17)]), min_size=2, max_size=40
+    ),
+    st.lists(st.sampled_from([0.0, ETA, 2 * ETA]), min_size=2, max_size=20),
+    st.builds(
+        _geometric,
+        st.floats(-2.0, 2.0),
+        st.floats(0.2, 0.99),
+        st.integers(2, 40),
+        st.lists(st.sampled_from([0.0, 0.0, 1e-4, -1e-3, 0.02]), min_size=1, max_size=5),
+    ),
+    st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
+)
+
+
+def _scan_setup(values, name, s, delta, p, lam, n0):
+    seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+    try:
+        seq.distance_matrix()
+    except MetricError:  # e.g. max_dislocated on negative values
+        assume(False)
+    return seq, ShiftWitness(delta, p, lam, n0)
+
+
+def _result(fn, *args):
+    """The return value, or the type, message and location of the raised failure."""
+    try:
+        return fn(*args)
+    except (CertificateFailure, DivergenceError) as exc:
+        return type(exc), str(exc), getattr(exc, "where", None)
+
+
+SCAN_ARGS = dict(
+    values=SCAN_VALUES,
+    name=st.sampled_from(sorted(available_metrics())),
+    s=st.sampled_from([None, 1.0, 2.0, 4.0]),
+    delta=st.floats(0.005, 4.0),
+    p=st.integers(1, 9),
+    lam=st.floats(0.05, 0.95),
+    n0=st.integers(1, 10),
+    cut=st.integers(0, 12),
+    chunk=st.sampled_from([7, sequences._CHUNK]),
+)
+
+
+class TestResidueScansMatchOracles:
+    """The residue-class scans equal the per-n loop and the triu-index scan.
+
+    A chunk of 7 elements makes most scans cross chunk edges; ``cut`` is the
+    settling index of the induction (arbitrary, so both justification
+    branches can diverge) and the ``n_low`` of the pair scan.
+    """
+
+    @settings(max_examples=700, deadline=None)
+    @given(**SCAN_ARGS)
+    # The first failure sits in residue class 1, before a later one in class 0.
+    @example(values=[0.0, 0.1, 0.1, -0.7, 0.1, 0.1, 0.1, 0.7, 0.7, 0.7, 0.7, 0.0],
+             name="euclid_1d", s=None, delta=1.0, p=3, lam=0.3, n0=1, cut=2, chunk=7)
+    def test_block_induction(self, values, name, s, delta, p, lam, n0, cut, chunk):
+        seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_CHUNK", chunk)
+            got = _result(run_block_induction, seq, w, cut)
+        assert got == _result(loop_block_induction, seq, w, cut)
+
+    @settings(max_examples=700, deadline=None)
+    @given(**SCAN_ARGS)
+    @example(values=[-0.7, 0.7, 0.1, -0.7, 0.0, 0.0, -0.7, -0.7, 0.7, 0.0, 0.1, -0.7],
+             name="euclid_1d", s=None, delta=1.0, p=3, lam=0.1, n0=1, cut=2, chunk=7)
+    def test_pair_scan(self, values, name, s, delta, p, lam, n0, cut, chunk):
+        seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_CHUNK", chunk)
+            got = _result(_pair_scan, seq, w, cut)
+        assert got == _result(triu_pair_scan, seq, w, cut)
+
+
+class TestCertifyMemory:
+    def test_replay_temporaries_stay_below_half_the_matrix(self):
+        # With the matrix built, the replay allocates only masks and chunked
+        # temporaries: no stage may hold an N x N float array.
+        seq = iterate(make_contraction("affine_1d", a=0.9, b=1.0), Point(0.0), 3000,
+                      make_metric("euclid_1d"))
+        limit = seq.distance_matrix().nbytes // 2
+        tracemalloc.start()
+        try:
+            outcome = certify_cauchy(seq, ShiftWitness(0.1, 1, 0.95, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.certified
+        assert outcome.certificate.length - outcome.certificate.range_start > 2900
+        assert peak < limit
 
 
 class TestCertifyPipeline:

@@ -320,6 +320,25 @@ class TestSolve:
         assert code == 2
         assert "target_delta" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("target_delta", -0.5), ("target_delta", "x"), ("block", 2.5), ("max_iterations", "100")],
+    )
+    def test_bad_solver_setting_is_config_error(self, tmp_path, capsys, key, value):
+        solver = {"target_delta": 0.01, key: value}
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "euclid_1d"},
+                "parameters": {"contraction": {"name": "halving"}, "solver": solver},
+            },
+        )
+        code, out, err = run_cli(["solve", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f'"parameters.solver.{key}" must be' in err
+        assert repr(value) in err
+
 
 class TestCounterexample:
     def test_default_regression(self, capsys):

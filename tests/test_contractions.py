@@ -10,6 +10,7 @@ from cauchycert import (
     ETA,
     Contraction,
     ContractionError,
+    DbMetric,
     Point,
     ShiftWitness,
     SolverConfig,
@@ -172,6 +173,21 @@ class TestSolveFixedPoint:
         cert = result.certificate
         assert cert.witness == ShiftWitness(0.01, 7, 0.5, 1)
         assert cert.oracle_tail_diameter < cert.diameter_bound
+
+    def test_one_full_matrix_build_per_solve(self, euclid, monkeypatch):
+        # Each block extends the prefix, so only the first certified prefix
+        # builds its matrix from scratch.
+        calls = []
+        build = DbMetric.matrix
+
+        def counted(metric, coords):
+            calls.append(len(coords))
+            return build(metric, coords)
+
+        monkeypatch.setattr(DbMetric, "matrix", counted)
+        result = solve_fixed_point(affine_1d(0.9, 0.1), euclid, Point(0.0), 0.01, SolverConfig(block=8))
+        assert result.iterations == 112
+        assert calls == [16]
 
     def test_halving_lands_on_dyadic_iterate(self, euclid):
         result = solve_fixed_point(halving(), euclid, Point(1.0), 0.01)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cauchycert import (
     ETA,
     DbMetric,
+    MetricError,
     PrefixTooShort,
     SearchConfig,
     SequencePrefix,
@@ -22,6 +23,8 @@ from cauchycert import (
     search_witness,
     tail_diameter,
 )
+from cauchycert import sequences
+from cauchycert.metrics import available_metrics
 from cauchycert.sequences import (
     arithmetic_sequence,
     available_generators,
@@ -90,6 +93,66 @@ class TestSequencePrefix:
         steps = consecutive_distances(linear_prefix)
         assert len(steps) == 49
         assert steps == [1.0] * 49
+
+
+#: A metric with ``fn`` only, asymmetric so that rows and columns differ.
+FN_ONLY = DbMetric(name="fn_only", s=1.0, fn=lambda x, y: abs(float(x[0]) - 0.5 * float(y[0])), dim=1)
+
+
+class TestExtend:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=30),
+        cuts=st.tuples(st.integers(2, 30), st.integers(0, 30)),
+        name=st.sampled_from(sorted(available_metrics()) + ["fn_only"]),
+        built=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_matrix_equals_a_fresh_build(self, values, cuts, name, built):
+        # Two extensions, with or without a built matrix before each: the
+        # copied block and the new rows and columns must match bit for bit.
+        metric = FN_ONLY if name == "fn_only" else make_metric(name)
+        points = [[v, 1.0 - v] for v in values] if name == "euclid_nd" else values
+        first = min(cuts[0], len(points))
+        second = min(first + cuts[1], len(points))
+        seq = SequencePrefix(points[:first], metric)
+        if built[0]:
+            seq.distance_matrix()
+        seq = seq.extend(points[first:second])
+        if built[1]:
+            seq.distance_matrix()
+        seq = seq.extend(points[second:])
+        fresh = SequencePrefix(points, metric)
+        assert np.array_equal(seq.coords, fresh.coords)
+        got = seq.distance_matrix()
+        assert got.tobytes() == fresh.distance_matrix().tobytes()
+        assert not got.flags.writeable
+
+    def test_only_the_first_matrix_is_a_full_build(self, monkeypatch):
+        calls = []
+        build = DbMetric.matrix
+
+        def counted(metric, coords):
+            calls.append(len(coords))
+            return build(metric, coords)
+
+        monkeypatch.setattr(DbMetric, "matrix", counted)
+        seq = SequencePrefix.from_values([1.0, 2.0, 4.0], make_metric("euclid_1d"))
+        seq.distance_matrix()
+        for block in ([8.0], [16.0, 32.0]):
+            seq = seq.extend(block)
+            seq.distance_matrix()
+        assert calls == [3]
+        assert seq.distance_matrix()[0, 5] == 31.0
+        # A prefix extended before building its matrix builds the longer one in full.
+        seq = SequencePrefix.from_values([1.0, 2.0], make_metric("euclid_1d")).extend([4.0])
+        seq.distance_matrix()
+        assert calls == [3, 3]
+
+    def test_new_points_are_validated(self, euclid):
+        seq = SequencePrefix.from_values([1.0, 2.0], euclid)
+        with pytest.raises(MetricError, match="x_4"):
+            seq.extend([3.0, float("inf")])
+        assert seq.extend([]) is seq
 
 
 class TestWitnessValidation:
@@ -271,6 +334,20 @@ class TestTailDiameter:
         m = make_metric("shifted_dislocated", offset=0.5)
         seq = SequencePrefix.from_values([3.0] * 6, m)
         assert tail_diameter(seq, 5) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=40),
+        name=st.sampled_from(["euclid_1d", "shifted_dislocated", "broken_asym"]),
+        n0=st.integers(1, 39),
+    )
+    def test_row_chunks_equal_the_whole_triangle(self, values, name, n0):
+        seq = SequencePrefix.from_values(values, make_metric(name))
+        n0 = min(n0, len(seq) - 1)
+        whole = float(np.max(np.triu(seq.distance_matrix()[n0 - 1 :, n0 - 1 :])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_CHUNK", 7)
+            assert tail_diameter(seq, n0) == whole
 
     @pytest.mark.parametrize("bad", [0, 60, 61])
     def test_cutoff_validation(self, halving_orbit, bad):
