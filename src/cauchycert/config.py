@@ -240,10 +240,16 @@ class Experiment:
         for key in ("block", "max_iterations"):
             if key in spec and not (_is_number(spec[key]) and isinstance(spec[key], int)):
                 raise ConfigError(f'"parameters.solver.{key}" must be an integer, got {spec[key]!r}')
+        n0 = spec.get("n0", 1)
+        if not (_is_number(n0) and isinstance(n0, int) and n0 >= 1):
+            raise ConfigError(f'"parameters.solver.n0" must be an integer >= 1, got {n0!r}')
+        lam = spec.get("lambda", 0.5)
+        if not (_is_number(lam) and 0 < lam < 1):
+            raise ConfigError(f'"parameters.solver.lambda" must be a number in (0, 1), got {lam!r}')
         try:
             cfg = SolverConfig(
-                lam=spec.get("lambda", 0.5),
-                n0=spec.get("n0", 1),
+                lam=lam,
+                n0=n0,
                 block=spec.get("block", 32),
                 max_iterations=spec.get("max_iterations", 10_000),
                 tail=self.tail(),

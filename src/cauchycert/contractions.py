@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .certificates import CauchyCertificate, certify_cauchy
 from .errors import ContractionError, SolverError
-from .metrics import ETA, DbMetric, Point
+from .metrics import ETA, DbMetric, Pairs, Point
 from .sequences import SequencePrefix, ShiftWitness, TailConfig
 
 #: Hard cap for the derived shift; beyond this the witness is unsatisfiable.
@@ -83,28 +83,28 @@ class ContractionEstimate(NamedTuple):
 
 
 def estimate_contraction_constant(
-    f: Contraction, metric: DbMetric, pairs: Sequence[tuple[Point, Point]]
+    f: Contraction, metric: DbMetric, pairs: Pairs
 ) -> ContractionEstimate:
     """Supremum of rho(f x, f y) / rho(x, y) over sampled nondegenerate pairs.
 
-    Pairs at (numerically) zero distance carry no ratio information and are
-    skipped; a sample consisting only of such pairs raises ContractionError.
+    ``pairs`` are aligned ``(k, d)`` stacks.  Pairs at (numerically) zero
+    distance carry no ratio information and are skipped (f is not applied to
+    them); a sample consisting only of such pairs raises ContractionError.
+    ``worst_pair`` is the first maximizer, or None when every ratio is zero.
     ``violation`` flags a sup exceeding the declared c beyond tolerance.
     """
-    best = 0.0
-    worst: Optional[tuple[Point, Point]] = None
-    used = 0
-    for x, y in pairs:
-        base = metric.distance(x, y)
-        if base <= ETA:
-            continue
-        used += 1
-        ratio = metric.distance(f.apply(x), f.apply(y)) / base
-        if ratio > best:
-            best = ratio
-            worst = (x, y)
-    if used == 0:
+    x, y = pairs
+    base = metric.rows(x, y)
+    used = base > ETA
+    if not np.any(used):
         raise ContractionError("all sampled pairs are degenerate (zero base distance)")
+    x, y = x[used], y[used]
+    # f(x_1), f(y_1), f(x_2), ...: the order in which a failing image surfaces.
+    images = np.array([f.apply(Point(p)).coords for pair in zip(x, y) for p in pair])
+    ratio = metric.rows(images[0::2], images[1::2]) / base[used]
+    i = int(np.argmax(ratio))
+    best = float(ratio[i])
+    worst = (Point(x[i]), Point(y[i])) if best > 0.0 else None
     return ContractionEstimate(best, best > f.c + ETA, worst)
 
 
@@ -184,13 +184,11 @@ class SolveResult:
         }
 
 
-def _verification_pairs(
-    f: Contraction, metric: DbMetric, rng: np.random.Generator
-) -> list[tuple[Point, Point]]:
+def _verification_pairs(f: Contraction, metric: DbMetric, rng: np.random.Generator) -> Pairs:
     dim = metric.dim if metric.dim is not None else (f.dim or 1)
     a = rng.uniform(f.sample_low, f.sample_high, size=(VERIFY_PAIRS, dim))
     b = rng.uniform(f.sample_low, f.sample_high, size=(VERIFY_PAIRS, dim))
-    return [(Point(a[i]), Point(b[i])) for i in range(VERIFY_PAIRS)]
+    return a, b
 
 
 def solve_fixed_point(

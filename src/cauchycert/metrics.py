@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class Point:
     def dim(self) -> int:
         return self.coords.size
 
-    def close_to(self, other: "Point", tol: float = ETA) -> bool:
-        """Componentwise agreement within ``tol``."""
-        if self.dim != other.dim:
-            return False
-        return bool(np.max(np.abs(self.coords - other.coords)) <= tol)
-
     def tolist(self) -> list[float]:
         return self.coords.tolist()
 
@@ -83,8 +77,9 @@ class DbMetric:
         Registry identifier.
     s : float
         Declared triangle relaxation constant, ``s >= 1``.
-    fn : callable
-        Maps two coordinate vectors to a distance.
+    fn : callable, optional
+        Per-pair fallback for a metric without ``rows_fn``: maps two
+        coordinate vectors to a distance, called once per pair.
     dim : int or None
         Required point dimension; ``None`` accepts any dimension.
     zero_self_distance : bool
@@ -92,15 +87,15 @@ class DbMetric:
         convention).  Dislocated instances leave this False, and only
         declared instances are held to the converse check.
     rows_fn : callable, optional
-        Vectorized form: maps two broadcastable ``(..., d)`` stacks to the
-        ``(...)`` array of their distances, so it serves both aligned rows
-        and the all-pairs matrix.  Purely an evaluation shortcut; must agree
-        with ``fn``.
+        The distance function: maps two broadcastable ``(..., d)`` stacks to
+        the ``(...)`` array of their distances.  Every evaluation -- one
+        pair, aligned rows or the all-pairs matrix -- goes through it, so
+        they agree bit for bit.
     """
 
     name: str
     s: float
-    fn: Callable[[np.ndarray, np.ndarray], float]
+    fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     dim: Optional[int] = None
     zero_self_distance: bool = False
     rows_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -108,72 +103,65 @@ class DbMetric:
     def __post_init__(self):
         if not (isinstance(self.s, (int, float)) and math.isfinite(self.s) and self.s >= 1.0):
             raise MetricError(f"relaxation constant must be a finite real >= 1, got {self.s!r}")
+        if self.rows_fn is None and self.fn is None:
+            raise MetricError(f"metric {self.name!r} needs a rows_fn or an fn")
 
-    def _check_point(self, p: Point) -> None:
-        if self.dim is not None and p.dim != self.dim:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Validated distances between broadcast ``(..., d)`` stacks."""
+        for d in (a.shape[-1], b.shape[-1]):
+            if self.dim is not None and d != self.dim:
+                raise MetricError(
+                    f"metric {self.name!r} expects dimension {self.dim}, got point of dimension {d}"
+                )
+        if a.shape[-1] != b.shape[-1]:
+            raise MetricError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        if self.rows_fn is not None:
+            out = np.asarray(self.rows_fn(a, b), dtype=float)
+        else:
+            a, b = np.broadcast_arrays(a, b)
+            flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
+            out = np.array([self.fn(x, y) for x, y in flat], dtype=float).reshape(shape)
+        if out.shape != shape:
             raise MetricError(
-                f"metric {self.name!r} expects dimension {self.dim}, got point of dimension {p.dim}"
+                f"metric {self.name!r}: rows_fn must broadcast over leading axes, "
+                f"got shape {out.shape} for stacks of shapes {a.shape} and {b.shape}"
             )
-
-    def distance(self, x: Point, y: Point) -> float:
-        """Validated distance evaluation.
-
-        Rejects dimension mismatches and evaluations that produce NaN, an
-        infinite or a negative value.  Negative round-off within the
-        comparison tolerance is clamped to zero.
-        """
-        self._check_point(x)
-        self._check_point(y)
-        if x.dim != y.dim:
-            raise MetricError(f"dimension mismatch: {x.dim} vs {y.dim}")
-        value = float(self.fn(x.coords, y.coords))
-        if not math.isfinite(value):
-            raise MetricError(f"metric {self.name!r} produced a non-finite distance {value}")
-        if value < 0.0:
-            if value < -ETA:
-                raise MetricError(f"metric {self.name!r} produced a negative distance {value}")
-            return 0.0
-        return value
+        return self._validate(out)
 
     def _validate(self, out: np.ndarray) -> np.ndarray:
-        """The array form of the checks in :meth:`distance`."""
+        """Reject NaN, infinite and negative distances; clamp negative round-off
+        within the comparison tolerance to zero.  The message names the first
+        offending value."""
         if not np.all(np.isfinite(out)):
-            raise MetricError(f"metric {self.name!r} produced a non-finite distance")
+            value = float(out[~np.isfinite(out)][0])
+            raise MetricError(f"metric {self.name!r} produced a non-finite distance {value}")
         if np.any(out < -ETA):
-            raise MetricError(f"metric {self.name!r} produced a negative distance")
+            value = float(out[out < -ETA][0])
+            raise MetricError(f"metric {self.name!r} produced a negative distance {value}")
         return np.clip(out, 0.0, None)
+
+    def distance(self, x: Point, y: Point) -> float:
+        """rho(x, y): the one-pair case of :meth:`rows`."""
+        return float(self.rows(x.coords, y.coords)[0])
 
     def rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances between aligned rows of two ``(k, d)`` stacks."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        if self.rows_fn is not None:
-            out = np.asarray(self.rows_fn(a, b), dtype=float)
-        else:
-            out = np.array([self.fn(a[i], b[i]) for i in range(a.shape[0])], dtype=float)
-        return self._validate(out)
+        return self._evaluate(a, b)
 
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Validated ``(len(a), len(b))`` matrix; entry [i, j] is rho(a_i, b_j).
 
-        ``rows_fn`` is broadcast over ``a[:, None]`` and ``b[None, :]``; a
-        metric without one calls ``fn`` once per pair.  Every entry is
-        evaluated exactly as in the square :meth:`matrix`, so blocks of a
-        matrix built this way are bit-identical to the full build.
+        The distance function is broadcast over ``a[:, None]`` and
+        ``b[None, :]``, so every entry is evaluated exactly as in
+        :meth:`rows` and the square :meth:`matrix`, and blocks of a matrix
+        built this way are bit-identical to the full build.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        if self.rows_fn is not None:
-            out = np.asarray(self.rows_fn(a[:, None], b[None, :]), dtype=float)
-        else:
-            out = np.array([[self.fn(x, y) for y in b] for x in a], dtype=float)
-        if out.shape != (a.shape[0], b.shape[0]):
-            points = a.shape[0] if a is b else f"{a.shape[0]} x {b.shape[0]}"
-            raise MetricError(
-                f"metric {self.name!r}: rows_fn must broadcast over leading axes, "
-                f"got shape {out.shape} for {points} points"
-            )
-        return self._validate(out)
+        return self._evaluate(a[:, None], b[None, :])
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """Read-only all-pairs distance matrix for an ``(N, d)`` coordinate stack."""
@@ -192,7 +180,6 @@ def euclid_1d() -> DbMetric:
     return DbMetric(
         name="euclid_1d",
         s=1.0,
-        fn=lambda x, y: abs(float(x[0]) - float(y[0])),
         dim=1,
         zero_self_distance=True,
         rows_fn=lambda a, b: np.abs(a[..., 0] - b[..., 0]),
@@ -204,7 +191,6 @@ def euclid_nd() -> DbMetric:
     return DbMetric(
         name="euclid_nd",
         s=1.0,
-        fn=lambda x, y: float(np.linalg.norm(x - y)),
         dim=None,
         zero_self_distance=True,
         rows_fn=lambda a, b: np.linalg.norm(a - b, axis=-1),
@@ -216,7 +202,6 @@ def sq_abs() -> DbMetric:
     return DbMetric(
         name="sq_abs",
         s=2.0,
-        fn=lambda x, y: (float(x[0]) - float(y[0])) ** 2,
         dim=1,
         zero_self_distance=True,
         rows_fn=lambda a, b: (a[..., 0] - b[..., 0]) ** 2,
@@ -232,7 +217,6 @@ def max_dislocated() -> DbMetric:
     return DbMetric(
         name="max_dislocated",
         s=1.0,
-        fn=lambda x, y: max(float(x[0]), float(y[0])),
         dim=1,
         rows_fn=lambda a, b: np.maximum(a[..., 0], b[..., 0]),
     )
@@ -246,7 +230,6 @@ def shifted_dislocated(offset: float = 1.0) -> DbMetric:
     return DbMetric(
         name="shifted_dislocated",
         s=1.0,
-        fn=lambda x, y: abs(float(x[0]) - float(y[0])) + offset,
         dim=1,
         rows_fn=lambda a, b: np.abs(a[..., 0] - b[..., 0]) + offset,
     )
@@ -257,7 +240,6 @@ def broken_asym() -> DbMetric:
     return DbMetric(
         name="broken_asym",
         s=1.0,
-        fn=lambda x, y: max(float(x[0]) - float(y[0]), 0.0),
         dim=1,
         rows_fn=lambda a, b: np.maximum(a[..., 0] - b[..., 0], 0.0),
     )
@@ -293,6 +275,11 @@ def available_metrics() -> dict[str, dict[str, str]]:
 # Sampled axiom checks
 # ---------------------------------------------------------------------------
 
+#: Aligned ``(k, d)`` coordinate stacks; row i of each stack is sample i.
+Pairs = tuple[np.ndarray, np.ndarray]
+Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class PairCheck(NamedTuple):
     ok: bool
     counterexample: Optional[tuple[Point, Point]]
@@ -303,70 +290,73 @@ class TriangleEstimate(NamedTuple):
     worst: Optional[tuple[Point, Point, Point]]
 
 
-def check_symmetry(metric: DbMetric, pairs: Sequence[tuple[Point, Point]]) -> PairCheck:
+def _nonempty(rows: np.ndarray, what: str) -> None:
+    if len(rows) == 0:
+        raise ValueError(f"a nonempty {what} sample is required")
+
+
+def _row(i: int, *stacks: np.ndarray) -> tuple[Point, ...]:
+    return tuple(Point(stack[i]) for stack in stacks)
+
+
+def _pair_check(bad: np.ndarray, x: np.ndarray, y: np.ndarray) -> PairCheck:
+    """Fails at the first flagged row, in sample order."""
+    if not np.any(bad):
+        return PairCheck(True, None)
+    return PairCheck(False, _row(int(np.argmax(bad)), x, y))
+
+
+def check_symmetry(metric: DbMetric, pairs: Pairs) -> PairCheck:
     """Require |rho(x, y) - rho(y, x)| <= tolerance on every sampled pair.
 
     Returns the first failing pair in sample order, so a reported
     counterexample is reproducible by re-evaluating both orientations.
     """
-    if not pairs:
-        raise ValueError("a nonempty pair sample is required")
-    for x, y in pairs:
-        if abs(metric.distance(x, y) - metric.distance(y, x)) > ETA:
-            return PairCheck(False, (x, y))
-    return PairCheck(True, None)
+    x, y = pairs
+    _nonempty(x, "pair")
+    return _pair_check(np.abs(metric.rows(x, y) - metric.rows(y, x)) > ETA, x, y)
 
 
-def check_zero_identity(metric: DbMetric, pairs: Sequence[tuple[Point, Point]]) -> PairCheck:
+def check_zero_identity(metric: DbMetric, pairs: Pairs) -> PairCheck:
     """Pairs at (numerically) zero distance must be componentwise equal."""
-    if not pairs:
-        raise ValueError("a nonempty pair sample is required")
-    for x, y in pairs:
-        if metric.distance(x, y) <= ETA and not x.close_to(y):
-            return PairCheck(False, (x, y))
-    return PairCheck(True, None)
+    x, y = pairs
+    _nonempty(x, "pair")
+    apart = np.max(np.abs(x - y), axis=-1) > ETA
+    return _pair_check((metric.rows(x, y) <= ETA) & apart, x, y)
 
 
-def check_self_distance_zero(metric: DbMetric, points: Sequence[Point]) -> PairCheck:
+def check_self_distance_zero(metric: DbMetric, points: np.ndarray) -> PairCheck:
     """Converse check for declared b-metric instances: rho(x, x) = 0."""
-    if not points:
-        raise ValueError("a nonempty point sample is required")
-    for x in points:
-        if metric.distance(x, x) > ETA:
-            return PairCheck(False, (x, x))
-    return PairCheck(True, None)
+    _nonempty(points, "point")
+    return _pair_check(metric.rows(points, points) > ETA, points, points)
 
 
-def estimate_minimal_s(
-    metric: DbMetric, triples: Sequence[tuple[Point, Point, Point]]
-) -> TriangleEstimate:
+def estimate_minimal_s(metric: DbMetric, triples: Triples) -> TriangleEstimate:
     """Supremum of rho(x, z) / (rho(x, y) + rho(y, z)) over the sample.
 
     This is exhaustive brute force over the given triples, so the estimate
-    never exceeds the true sampled supremum.  Triples whose two legs sum to
-    (numerically) zero are skipped, unless the direct distance is positive --
-    that violates the relaxed triangle inequality for every s and raises
-    :class:`TriangleViolation`.
+    never exceeds the true sampled supremum; ``worst`` is its first
+    maximizer, or None when every ratio is zero.  Triples whose two legs sum
+    to (numerically) zero are skipped, unless the direct distance is
+    positive -- that violates the relaxed triangle inequality for every s,
+    and the first such triple raises :class:`TriangleViolation`.
     """
-    if not triples:
-        raise ValueError("a nonempty triple sample is required")
-    best = 0.0
-    worst: Optional[tuple[Point, Point, Point]] = None
-    for x, y, z in triples:
-        legs = metric.distance(x, y) + metric.distance(y, z)
-        direct = metric.distance(x, z)
-        if legs <= ETA:
-            if direct > ETA:
-                raise TriangleViolation(
-                    f"rho(x, z) = {direct} with both legs zero: no s can hold",
-                    triple=(x, y, z),
-                )
-            continue
-        ratio = direct / legs
-        if ratio > best:
-            best = ratio
-            worst = (x, y, z)
-    return TriangleEstimate(best, worst)
+    x, y, z = triples
+    _nonempty(x, "triple")
+    legs = metric.rows(x, y) + metric.rows(y, z)
+    direct = metric.rows(x, z)
+    degenerate = legs <= ETA
+    violation = degenerate & (direct > ETA)
+    if np.any(violation):
+        i = int(np.argmax(violation))
+        raise TriangleViolation(
+            f"rho(x, z) = {float(direct[i])} with both legs zero: no s can hold",
+            triple=_row(i, x, y, z),
+        )
+    ratio = np.divide(direct, legs, out=np.zeros_like(direct), where=~degenerate)
+    i = int(np.argmax(ratio))
+    best = float(ratio[i])
+    return TriangleEstimate(best, _row(i, x, y, z) if best > 0.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -403,57 +393,48 @@ def _rng_points(rng: np.random.Generator, cfg: SamplerConfig, dim: int, count: i
     return np.round(raw * 2.0**20) / 2.0**20
 
 
-def sample_pairs(cfg: SamplerConfig, dim: int) -> list[tuple[Point, Point]]:
-    """Sampled pairs: 1-d grid pairs (when dim == 1), identical pairs, uniform draws."""
+def _grid(cfg: SamplerConfig, axes: int) -> list[np.ndarray]:
+    """Every combination of 1-d grid values, first axis slowest, as ``(g**axes, 1)`` columns."""
+    grid = np.linspace(cfg.box_low, cfg.box_high, cfg.grid_points)
+    return [g.reshape(-1, 1) for g in np.meshgrid(*[grid] * axes, indexing="ij")]
+
+
+def sample_pairs(cfg: SamplerConfig, dim: int) -> Pairs:
+    """Sampled pairs as ``(x, y)`` stacks, in this order: 1-d grid pairs (when
+    dim == 1), uniform draws, identical pairs."""
     rng = np.random.default_rng(cfg.seed)
-    pairs: list[tuple[Point, Point]] = []
-    if dim == 1:
-        grid = np.linspace(cfg.box_low, cfg.box_high, cfg.grid_points)
-        for a in grid:
-            for b in grid:
-                pairs.append((Point(a), Point(b)))
-    a = _rng_points(rng, cfg, dim, cfg.pair_count)
-    b = _rng_points(rng, cfg, dim, cfg.pair_count)
-    pairs.extend((Point(a[i]), Point(b[i])) for i in range(cfg.pair_count))
+    parts = [_grid(cfg, 2)] if dim == 1 else []
+    x = _rng_points(rng, cfg, dim, cfg.pair_count)
+    y = _rng_points(rng, cfg, dim, cfg.pair_count)
     # Identical pairs exercise self-distances explicitly.
     c = _rng_points(rng, cfg, dim, max(cfg.pair_count // 8, 4))
-    pairs.extend((Point(row), Point(row)) for row in c)
-    return pairs
+    parts += [(x, y), (c, c)]
+    return tuple(np.concatenate(stack) for stack in zip(*parts))
 
 
-def sample_triples(cfg: SamplerConfig, dim: int) -> list[tuple[Point, Point, Point]]:
-    """Sampled triples, always including equispaced (x, midpoint, z) triples.
+def sample_triples(cfg: SamplerConfig, dim: int) -> Triples:
+    """Sampled triples as ``(x, y, z)`` stacks, always including equispaced
+    (x, midpoint, z) triples.  In order: 1-d grid triples and grid midpoint
+    triples (when dim == 1), uniform draws, their midpoint triples.
 
     The midpoint triples matter: for quadratic-type instances they are the
     maximizers of the triangle ratio, so omitting them systematically
     underestimates the minimal s.
     """
     rng = np.random.default_rng(cfg.seed + 1)
-    triples: list[tuple[Point, Point, Point]] = []
+    parts = []
     if dim == 1:
-        grid = np.linspace(cfg.box_low, cfg.box_high, cfg.grid_points)
-        for a in grid:
-            for b in grid:
-                for c in grid:
-                    triples.append((Point(a), Point(b), Point(c)))
-        for a in grid:
-            for b in grid:
-                triples.append((Point(a), Point((a + b) / 2.0), Point(b)))
+        a, b = _grid(cfg, 2)
+        parts += [_grid(cfg, 3), (a, (a + b) / 2.0, b)]
     x = _rng_points(rng, cfg, dim, cfg.triple_count)
     y = _rng_points(rng, cfg, dim, cfg.triple_count)
     z = _rng_points(rng, cfg, dim, cfg.triple_count)
-    triples.extend(
-        (Point(x[i]), Point(y[i]), Point(z[i])) for i in range(cfg.triple_count)
-    )
-    mids = (x + z) / 2.0
-    triples.extend(
-        (Point(x[i]), Point(mids[i]), Point(z[i])) for i in range(cfg.triple_count)
-    )
-    return triples
+    parts += [(x, y, z), (x, (x + z) / 2.0, z)]
+    return tuple(np.concatenate(stack) for stack in zip(*parts))
 
 
-def _point_json(p: Optional[Point]):
-    return None if p is None else p.tolist()
+def _points_json(points: Optional[tuple[Point, ...]]):
+    return None if points is None else [p.tolist() for p in points]
 
 
 @dataclass(frozen=True)
@@ -489,21 +470,9 @@ class AxiomReport:
             "estimated_min_s": (
                 self.estimated_min_s if math.isfinite(self.estimated_min_s) else None
             ),
-            "symmetry_counterexample": (
-                None
-                if self.symmetry_counterexample is None
-                else [_point_json(p) for p in self.symmetry_counterexample]
-            ),
-            "zero_identity_counterexample": (
-                None
-                if self.zero_identity_counterexample is None
-                else [_point_json(p) for p in self.zero_identity_counterexample]
-            ),
-            "violating_triple": (
-                None
-                if self.violating_triple is None
-                else [_point_json(p) for p in self.violating_triple]
-            ),
+            "symmetry_counterexample": _points_json(self.symmetry_counterexample),
+            "zero_identity_counterexample": _points_json(self.zero_identity_counterexample),
+            "violating_triple": _points_json(self.violating_triple),
             "self_distance_zero_ok": self.self_distance_zero_ok,
             "samples_used": self.samples_used,
             "seed": self.seed,
@@ -541,7 +510,7 @@ def run_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) -> 
 
     converse: Optional[bool] = None
     if metric.zero_self_distance:
-        points = [x for x, _ in pairs[: max(len(pairs) // 4, 8)]]
+        points = pairs[0][: max(len(pairs[0]) // 4, 8)]
         converse = check_self_distance_zero(metric, points).ok
 
     return AxiomReport(
@@ -555,6 +524,6 @@ def run_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) -> 
         zero_identity_counterexample=zero_identity.counterexample,
         violating_triple=violating,
         self_distance_zero_ok=converse,
-        samples_used=len(pairs) + len(triples),
+        samples_used=len(pairs[0]) + len(triples[0]),
         seed=cfg.seed,
     )

@@ -69,11 +69,12 @@ class ShiftWitness:
     def __post_init__(self):
         if not (isinstance(self.delta, (int, float)) and self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if not (isinstance(self.p, int) and self.p >= 1):
+        # bool is an int subclass, but True is no shift.
+        if isinstance(self.p, bool) or not (isinstance(self.p, int) and self.p >= 1):
             raise ValueError(f"shift p must be an integer >= 1, got {self.p!r}")
         if not (0.0 < self.lam < 1.0):
             raise ValueError(f"lam must lie strictly in (0, 1), got {self.lam!r}")
-        if not (isinstance(self.n0, int) and self.n0 >= 1):
+        if isinstance(self.n0, bool) or not (isinstance(self.n0, int) and self.n0 >= 1):
             raise ValueError(f"cutoff n0 must be an integer >= 1, got {self.n0!r}")
 
     def to_dict(self) -> dict:

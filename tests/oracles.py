@@ -11,7 +11,11 @@ last step through the scalar ``SequencePrefix.distance``.
 ``loop_block_induction`` checks the blocks of one n per Python iteration, and
 ``triu_pair_scan`` gathers every tail pair through ``np.triu_indices``; both
 replay the same float expressions as the residue-class scans in
-``certificates``.
+``certificates``.  The ``loop_*`` axiom and contraction checks walk lists of
+``Point`` pairs and triples one ``DbMetric.distance`` call at a time, over
+samples built by ``loop_sample_pairs`` / ``loop_sample_triples``, and
+``loop_axiom_report`` assembles the axiom report from them; the vectorised
+checks in ``metrics`` and ``contractions`` must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import math
+
 import numpy as np
 
 from cauchycert import (
     ETA,
+    AxiomReport,
     CertificateFailure,
     ContractionError,
     DbMetric,
@@ -37,11 +44,13 @@ from cauchycert import (
     SolverConfig,
     SolverError,
     SolveResult,
+    TriangleViolation,
     certify_cauchy,
     derive_shift,
     estimate_contraction_constant,
 )
-from cauchycert.contractions import Contraction
+from cauchycert.contractions import Contraction, ContractionEstimate
+from cauchycert.metrics import PairCheck, SamplerConfig, TriangleEstimate, _rng_points
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,7 @@ def blockwise_solve_fixed_point(
     dim = metric.dim if metric.dim is not None else (f.dim or 1)
     a = rng.uniform(f.sample_low, f.sample_high, size=(32, dim))
     b = rng.uniform(f.sample_low, f.sample_high, size=(32, dim))
-    sample = [(Point(a[i]), Point(b[i])) for i in range(32)]
-    estimate = estimate_contraction_constant(f, metric, sample)
+    estimate = estimate_contraction_constant(f, metric, (a, b))
     if estimate.violation:
         raise ContractionError(
             f"sampled contraction ratio {estimate.ratio} exceeds declared c = {f.c} "
@@ -340,3 +348,152 @@ def triu_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
             f"assembled bound {float(assembled[i])} / direct {float(direct[i])} "
             f"escaped the certified diameter {fb}"
         )
+
+
+def loop_sample_pairs(cfg: SamplerConfig, dim: int) -> list[tuple[Point, Point]]:
+    """Sampled pairs: 1-d grid pairs (when dim == 1), uniform draws, identical pairs."""
+    rng = np.random.default_rng(cfg.seed)
+    pairs: list[tuple[Point, Point]] = []
+    if dim == 1:
+        grid = np.linspace(cfg.box_low, cfg.box_high, cfg.grid_points)
+        for a in grid:
+            for b in grid:
+                pairs.append((Point(a), Point(b)))
+    a = _rng_points(rng, cfg, dim, cfg.pair_count)
+    b = _rng_points(rng, cfg, dim, cfg.pair_count)
+    pairs.extend((Point(a[i]), Point(b[i])) for i in range(cfg.pair_count))
+    c = _rng_points(rng, cfg, dim, max(cfg.pair_count // 8, 4))
+    pairs.extend((Point(row), Point(row)) for row in c)
+    return pairs
+
+
+def loop_sample_triples(cfg: SamplerConfig, dim: int) -> list[tuple[Point, Point, Point]]:
+    """Sampled triples: 1-d grid and grid-midpoint triples (when dim == 1),
+    uniform draws and their midpoint triples."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    triples: list[tuple[Point, Point, Point]] = []
+    if dim == 1:
+        grid = np.linspace(cfg.box_low, cfg.box_high, cfg.grid_points)
+        for a in grid:
+            for b in grid:
+                for c in grid:
+                    triples.append((Point(a), Point(b), Point(c)))
+        for a in grid:
+            for b in grid:
+                triples.append((Point(a), Point((a + b) / 2.0), Point(b)))
+    x = _rng_points(rng, cfg, dim, cfg.triple_count)
+    y = _rng_points(rng, cfg, dim, cfg.triple_count)
+    z = _rng_points(rng, cfg, dim, cfg.triple_count)
+    triples.extend((Point(x[i]), Point(y[i]), Point(z[i])) for i in range(cfg.triple_count))
+    mids = (x + z) / 2.0
+    triples.extend((Point(x[i]), Point(mids[i]), Point(z[i])) for i in range(cfg.triple_count))
+    return triples
+
+
+def loop_check_symmetry(metric: DbMetric, pairs: list[tuple[Point, Point]]) -> PairCheck:
+    if not pairs:
+        raise ValueError("a nonempty pair sample is required")
+    for x, y in pairs:
+        if abs(metric.distance(x, y) - metric.distance(y, x)) > ETA:
+            return PairCheck(False, (x, y))
+    return PairCheck(True, None)
+
+
+def loop_check_zero_identity(metric: DbMetric, pairs: list[tuple[Point, Point]]) -> PairCheck:
+    if not pairs:
+        raise ValueError("a nonempty pair sample is required")
+    for x, y in pairs:
+        if metric.distance(x, y) <= ETA and not np.max(np.abs(x.coords - y.coords)) <= ETA:
+            return PairCheck(False, (x, y))
+    return PairCheck(True, None)
+
+
+def loop_check_self_distance_zero(metric: DbMetric, points: list[Point]) -> PairCheck:
+    if not points:
+        raise ValueError("a nonempty point sample is required")
+    for x in points:
+        if metric.distance(x, x) > ETA:
+            return PairCheck(False, (x, x))
+    return PairCheck(True, None)
+
+
+def loop_estimate_minimal_s(
+    metric: DbMetric, triples: list[tuple[Point, Point, Point]]
+) -> TriangleEstimate:
+    if not triples:
+        raise ValueError("a nonempty triple sample is required")
+    best = 0.0
+    worst: Optional[tuple[Point, Point, Point]] = None
+    for x, y, z in triples:
+        legs = metric.distance(x, y) + metric.distance(y, z)
+        direct = metric.distance(x, z)
+        if legs <= ETA:
+            if direct > ETA:
+                raise TriangleViolation(
+                    f"rho(x, z) = {direct} with both legs zero: no s can hold",
+                    triple=(x, y, z),
+                )
+            continue
+        ratio = direct / legs
+        if ratio > best:
+            best = ratio
+            worst = (x, y, z)
+    return TriangleEstimate(best, worst)
+
+
+def loop_estimate_contraction_constant(
+    f: Contraction, metric: DbMetric, pairs: list[tuple[Point, Point]]
+) -> ContractionEstimate:
+    best = 0.0
+    worst: Optional[tuple[Point, Point]] = None
+    used = 0
+    for x, y in pairs:
+        base = metric.distance(x, y)
+        if base <= ETA:
+            continue
+        used += 1
+        ratio = metric.distance(f.apply(x), f.apply(y)) / base
+        if ratio > best:
+            best = ratio
+            worst = (x, y)
+    if used == 0:
+        raise ContractionError("all sampled pairs are degenerate (zero base distance)")
+    return ContractionEstimate(best, best > f.c + ETA, worst)
+
+
+def loop_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) -> AxiomReport:
+    """``run_axiom_report`` over the loop samples and the loop checks."""
+    dim = metric.dim if metric.dim is not None else 1
+    pairs = loop_sample_pairs(cfg, dim)
+    triples = loop_sample_triples(cfg, dim)
+    symmetry = loop_check_symmetry(metric, pairs)
+    zero_identity = loop_check_zero_identity(metric, pairs)
+    violating: Optional[tuple[Point, Point, Point]] = None
+    try:
+        estimate = loop_estimate_minimal_s(metric, triples)
+        min_s = estimate.min_s
+        triangle_ok = min_s <= metric.s + ETA
+        if not triangle_ok:
+            violating = estimate.worst
+    except TriangleViolation as exc:
+        min_s = math.inf
+        triangle_ok = False
+        violating = exc.triple
+    converse: Optional[bool] = None
+    if metric.zero_self_distance:
+        points = [x for x, _ in pairs[: max(len(pairs) // 4, 8)]]
+        converse = loop_check_self_distance_zero(metric, points).ok
+    return AxiomReport(
+        metric_name=metric.name,
+        declared_s=metric.s,
+        symmetry_ok=symmetry.ok,
+        zero_identity_ok=zero_identity.ok,
+        triangle_ok=triangle_ok,
+        estimated_min_s=min_s,
+        symmetry_counterexample=symmetry.counterexample,
+        zero_identity_counterexample=zero_identity.counterexample,
+        violating_triple=violating,
+        self_distance_zero_ok=converse,
+        samples_used=len(pairs) + len(triples),
+        seed=cfg.seed,
+    )

@@ -255,6 +255,20 @@ class TestCertify:
         assert entry["outcome"] is None
         assert "need N >=" in entry["note"]
 
+    @pytest.mark.parametrize("witness", [{"p": True}, {"p": 1, "n0": True}])
+    def test_boolean_witness_setting_is_config_error(self, tmp_path, capsys, witness):
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "euclid_1d"},
+                "source": {"generator": {"name": "geometric", "params": {"n": 40}}},
+                "parameters": {"witness": witness, "delta_grid": {"values": [0.5]}},
+            },
+        )
+        code, out, err = run_cli(["certify", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "bad witness parameters" in err and "got True" in err
 
     def test_report_validates_certificates(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HALVING_ORBIT_CONFIG)
@@ -322,7 +336,17 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("target_delta", -0.5), ("target_delta", "x"), ("block", 2.5), ("max_iterations", "100")],
+        [
+            ("target_delta", -0.5),
+            ("target_delta", "x"),
+            ("block", 2.5),
+            ("max_iterations", "100"),
+            ("lambda", "x"),
+            ("lambda", 2.0),
+            ("lambda", True),
+            ("n0", 1.5),
+            ("n0", True),
+        ],
     )
     def test_bad_solver_setting_is_config_error(self, tmp_path, capsys, key, value):
         solver = {"target_delta": 0.01, key: value}

@@ -31,7 +31,7 @@ from cauchycert.contractions import (
     halving,
     logistic_damped,
 )
-from oracles import blockwise_solve_fixed_point
+from oracles import blockwise_solve_fixed_point, loop_estimate_contraction_constant
 
 
 class TestContraction:
@@ -73,33 +73,70 @@ class TestIterate:
             iterate(halving(), Point(1.0), 1, euclid)
 
 
+def _stacks(*rows):
+    return tuple(np.array(col, dtype=float).reshape(-1, 1) for col in zip(*rows))
+
+
 class TestEstimateContractionConstant:
     def test_halving_ratio_is_exact(self, euclid):
-        pairs = [(Point(0.0), Point(4.0)), (Point(1.0), Point(3.0))]
+        pairs = _stacks((0.0, 4.0), (1.0, 3.0))
         est = estimate_contraction_constant(halving(), euclid, pairs)
         assert est.ratio == 0.5
         assert not est.violation
-        assert est.worst_pair in (pairs[0], pairs[1])
+        assert est.worst_pair in ((Point(0.0), Point(4.0)), (Point(1.0), Point(3.0)))
 
     def test_understated_c_is_flagged(self, euclid):
         liar = Contraction(name="liar", fn=lambda x: x / 2.0, c=0.3, dim=1)
-        est = estimate_contraction_constant(
-            liar, euclid, [(Point(0.0), Point(4.0))]
-        )
+        est = estimate_contraction_constant(liar, euclid, _stacks((0.0, 4.0)))
         assert est.violation
         assert est.ratio == 0.5
         assert est.worst_pair == (Point(0.0), Point(4.0))
 
     def test_degenerate_pairs_are_rejected(self, euclid):
         with pytest.raises(ContractionError):
-            estimate_contraction_constant(
-                halving(), euclid, [(Point(2.0), Point(2.0))]
-            )
+            estimate_contraction_constant(halving(), euclid, _stacks((2.0, 2.0)))
 
     def test_zero_distance_pairs_are_skipped_not_counted(self, euclid):
-        pairs = [(Point(2.0), Point(2.0)), (Point(0.0), Point(1.0))]
+        pairs = _stacks((2.0, 2.0), (0.0, 1.0))
         est = estimate_contraction_constant(halving(), euclid, pairs)
         assert est.ratio == 0.5
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        case=st.sampled_from([
+            (halving(), "euclid_1d"),
+            (halving(), "sq_abs"),
+            (affine_1d(-0.5, 1.0), "euclid_1d"),
+            (constant_map(2.0), "euclid_1d"),
+            (Contraction(name="liar", fn=lambda x: 0.9 * x, c=0.3, dim=1), "euclid_1d"),
+            # A non-finite image at 6: the first one met, in pair order, is reported.
+            (Contraction(name="hole", fn=lambda x: np.where(x == 6.0, np.nan, 0.5 * x), c=0.5),
+             "euclid_1d"),
+            (affine_nd([[0.5, 0.25], [0.0, -0.5]], [1.0, 0.0], c=0.3), "euclid_nd"),
+        ]),
+        data=st.data(),
+    )
+    def test_matches_loop_oracle(self, case, data):
+        f, name = case
+        metric = make_metric(name)
+        dim = f.dim or 1
+        k = data.draw(st.integers(0, 10))
+        values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 6.0])
+        x, y = (
+            np.array(data.draw(st.lists(values, min_size=k * dim, max_size=k * dim))).reshape(k, dim)
+            for _ in range(2)
+        )
+
+        def outcome(estimate, pairs):
+            try:
+                return estimate(f, metric, pairs)
+            except ContractionError as exc:
+                return str(exc)
+
+        pairs = [(Point(a), Point(b)) for a, b in zip(x, y)]
+        assert outcome(estimate_contraction_constant, (x, y)) == outcome(
+            loop_estimate_contraction_constant, pairs
+        )
 
 
 class TestDeriveShift:

@@ -29,7 +29,14 @@ from cauchycert.metrics import (
     sample_pairs,
     sample_triples,
 )
-from oracles import meshgrid_matrix
+from oracles import (
+    loop_axiom_report,
+    loop_check_self_distance_zero,
+    loop_check_symmetry,
+    loop_check_zero_identity,
+    loop_estimate_minimal_s,
+    meshgrid_matrix,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -66,11 +73,6 @@ class TestPoint:
         assert hash(Point([1.0, 2.0])) == hash(Point([1.0, 2.0]))
         assert Point(1.0) != (1.0,)
 
-    def test_close_to(self):
-        assert Point(1.0).close_to(Point(1.0 + 1e-10))
-        assert not Point(1.0).close_to(Point(1.1))
-        assert not Point(1.0).close_to(Point([1.0, 0.0]))
-
 
 class TestDbMetricValidation:
     def test_s_below_one_rejected(self):
@@ -95,6 +97,21 @@ class TestDbMetricValidation:
         m = DbMetric(name="neg", s=1.0, fn=lambda x, y: -1.0)
         with pytest.raises(MetricError):
             m.distance(Point(0.0), Point(1.0))
+
+    def test_needs_a_distance_function(self):
+        with pytest.raises(MetricError, match="rows_fn or an fn"):
+            DbMetric(name="none", s=1.0)
+
+    def test_error_names_the_first_offending_value(self):
+        m = make_metric("max_dislocated")
+        with pytest.raises(MetricError, match=r"negative distance -0\.5$"):
+            m.rows([[1.0], [-0.5], [-2.0]], [[0.0], [-1.0], [-3.0]])
+        with pytest.raises(MetricError, match=r"negative distance -1\.0$"):
+            m.matrix([[-1.0], [-0.5]])
+        vec = DbMetric(name="bad", s=1.0, rows_fn=lambda a, b: np.log(a[..., 0] - b[..., 0] + 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(MetricError, match="non-finite distance -inf$"):
+                vec.rows([[0.0], [-1.0], [-2.0]], [[0.0], [0.0], [0.0]])
 
     def test_nan_rejected(self):
         for bad in (float("nan"), float("inf")):
@@ -165,18 +182,6 @@ class TestBuiltins:
             "broken_asym",
         }
 
-    @pytest.mark.parametrize(
-        "name", ["euclid_1d", "sq_abs", "max_dislocated", "shifted_dislocated", "broken_asym"]
-    )
-    def test_rows_agrees_with_scalar_fn(self, name):
-        m = make_metric(name)
-        rng = np.random.default_rng(5)
-        a = rng.uniform(0, 10, size=(30, 1))
-        b = rng.uniform(0, 10, size=(30, 1))
-        fast = m.rows(a, b)
-        slow = [m.fn(a[i], b[i]) for i in range(30)]
-        assert np.allclose(fast, slow, atol=0.0)
-
     def test_matrix_rejects_non_broadcasting_rows_fn(self):
         m = DbMetric(name="rows_only", s=1.0, fn=lambda x, y: 0.0,
                      rows_fn=lambda a, b: np.abs(a[:, 0] - b[:, 0]))
@@ -210,7 +215,7 @@ class TestAxiomChecks:
         result = check_zero_identity(m, sample_pairs(SamplerConfig(), 1))
         assert not result.ok
         x, y = result.counterexample
-        assert m.distance(x, y) <= ETA and not x.close_to(y)
+        assert m.distance(x, y) <= ETA and np.max(np.abs(x.coords - y.coords)) > ETA
 
     def test_zero_identity_holds_for_dislocated_instances(self):
         pairs = sample_pairs(SamplerConfig(), 1)
@@ -218,24 +223,26 @@ class TestAxiomChecks:
             assert check_zero_identity(make_metric(name), pairs).ok
 
     def test_self_distance_zero(self):
-        pts = [Point(v) for v in [0.0, 1.0, 2.5, 7.0]]
+        pts = np.array([[0.0], [1.0], [2.5], [7.0]])
         assert check_self_distance_zero(make_metric("euclid_1d"), pts).ok
         result = check_self_distance_zero(make_metric("max_dislocated"), pts)
         assert not result.ok
 
     def test_empty_samples_rejected(self):
         m = make_metric("euclid_1d")
+        empty = np.empty((0, 1))
         with pytest.raises(ValueError):
-            check_symmetry(m, [])
+            check_symmetry(m, (empty, empty))
         with pytest.raises(ValueError):
-            estimate_minimal_s(m, [])
+            estimate_minimal_s(m, (empty, empty, empty))
 
     def test_estimate_minimal_s_matches_independent_scan(self):
         # Recompute the sampled supremum with a plain loop and compare.
         m = make_metric("sq_abs")
         triples = sample_triples(SamplerConfig(), 1)
         best = 0.0
-        for x, y, z in triples:
+        for x, y, z in zip(*triples):
+            x, y, z = Point(x), Point(y), Point(z)
             legs = m.distance(x, y) + m.distance(y, z)
             if legs <= ETA:
                 continue
@@ -267,21 +274,22 @@ class TestSampler:
 
     def test_sample_sizes(self):
         cfg = SamplerConfig()
-        assert len(sample_pairs(cfg, 1)) == 346  # 121 grid + 200 random + 25 identical
-        assert len(sample_triples(cfg, 1)) == 1852  # 1331 grid + 121 midpoint + 400 random
-        assert len(sample_pairs(cfg, 3)) == 225
-        assert len(sample_triples(cfg, 3)) == 400
+        # 121 grid + 200 random + 25 identical
+        assert [s.shape for s in sample_pairs(cfg, 1)] == [(346, 1)] * 2
+        # 1331 grid + 121 midpoint + 400 random
+        assert [s.shape for s in sample_triples(cfg, 1)] == [(1852, 1)] * 3
+        assert [s.shape for s in sample_pairs(cfg, 3)] == [(225, 3)] * 2
+        assert [s.shape for s in sample_triples(cfg, 3)] == [(400, 3)] * 3
 
     def test_sampling_is_deterministic(self):
         cfg = SamplerConfig(seed=11)
-        a = sample_pairs(cfg, 2)
-        b = sample_pairs(cfg, 2)
-        assert a == b
-        assert sample_triples(cfg, 2) == sample_triples(cfg, 2)
+        for sample in (sample_pairs, sample_triples):
+            a, b = sample(cfg, 2), sample(cfg, 2)
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_identical_pairs_present(self):
-        pairs = sample_pairs(SamplerConfig(), 3)
-        assert any(x == y for x, y in pairs)
+        x, y = sample_pairs(SamplerConfig(), 3)
+        assert np.any(np.all(x == y, axis=1))
 
 
 class TestAxiomReport:
@@ -396,3 +404,105 @@ def test_broadcast_matrix_is_bit_identical_to_meshgrid_build(case):
     got = metric.matrix(coords)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def metric_and_points(draw):
+    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab"]))
+    metric = TAXICAB if name == "taxicab" else make_metric(name)
+    dim = metric.dim or draw(st.integers(1, 33))
+    n = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    flat = draw(st.lists(unit, min_size=n * dim, max_size=n * dim))
+    coords = np.array(flat).reshape(n, dim) * 10.0 ** draw(st.integers(-8, 8))
+    if name == "max_dislocated":  # max(x, y) of negative reals is a negative distance
+        coords = np.abs(coords)
+    return metric, coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=metric_and_points())
+def test_distance_rows_and_matrix_are_bit_equal(case):
+    metric, coords = case
+    n = len(coords)
+    points = [Point(c) for c in coords]
+    one = np.array([[metric.distance(p, q) for q in points] for p in points])
+    rows = metric.rows(np.repeat(coords, n, axis=0), np.tile(coords, (n, 1))).reshape(n, n)
+    assert one.tobytes() == rows.tobytes() == metric.matrix(coords).tobytes()
+
+
+#: Zero within distance 5, one beyond: two legs can vanish while the direct
+#: distance does not, which no relaxation constant repairs.
+THRESH = DbMetric(
+    name="thresh", s=1.0, fn=lambda x, y: 0.0 if abs(float(x[0] - y[0])) <= 5.0 else 1.0, dim=1
+)
+
+
+@st.composite
+def metric_and_stacks(draw, count: int):
+    """A metric and ``count`` aligned stacks of k >= 0 rows; few distinct
+    dyadic values, so zero distances, ties and collapsed legs are common."""
+    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab", "thresh"]))
+    metric = {"taxicab": TAXICAB, "thresh": THRESH}.get(name) or make_metric(name)
+    dim = metric.dim or draw(st.integers(1, 3))
+    k = draw(st.integers(0, 12))
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.75, 6.0, 8.0])
+    stacks = tuple(
+        np.array(draw(st.lists(values, min_size=k * dim, max_size=k * dim))).reshape(k, dim)
+        for _ in range(count)
+    )
+    return metric, stacks
+
+
+def _points(*stacks) -> list[tuple[Point, ...]]:
+    return [tuple(Point(row) for row in rows) for rows in zip(*stacks)]
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (ValueError, TriangleViolation) as exc:
+        return type(exc), str(exc), getattr(exc, "triple", None)
+
+
+class TestChecksMatchLoopOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(case=metric_and_stacks(2))
+    def test_pair_checks(self, case):
+        metric, (x, y) = case
+        pairs = _points(x, y)
+        for check, oracle in [
+            (check_symmetry, loop_check_symmetry),
+            (check_zero_identity, loop_check_zero_identity),
+        ]:
+            assert _outcome(check, metric, (x, y)) == _outcome(oracle, metric, pairs)
+        assert _outcome(check_self_distance_zero, metric, x) == _outcome(
+            loop_check_self_distance_zero, metric, [p for p, _ in pairs]
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=metric_and_stacks(3))
+    def test_estimate_minimal_s(self, case):
+        metric, triples = case
+        assert _outcome(estimate_minimal_s, metric, triples) == _outcome(
+            loop_estimate_minimal_s, metric, _points(*triples)
+        )
+
+    @pytest.mark.parametrize("s", [None, 1.5])
+    @pytest.mark.parametrize("name", sorted(METRIC_BUILDERS))
+    def test_axiom_report(self, name, s):
+        metric = make_metric(name, s=s)
+        for cfg in [
+            SamplerConfig(seed=7),
+            SamplerConfig(pair_count=50, triple_count=40, seed=7, box_low=-3.0, box_high=4.0,
+                          grid_points=6),
+            SamplerConfig(pair_count=13, triple_count=7, seed=7, box_low=0.25, box_high=3.5,
+                          grid_points=3),
+        ]:
+            def report(run):
+                try:
+                    return run(metric, cfg).to_dict()
+                except MetricError as exc:  # max(x, y) on the negative box
+                    return str(exc)
+
+            assert report(run_axiom_report) == report(loop_axiom_report)

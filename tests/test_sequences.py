@@ -166,6 +166,8 @@ class TestWitnessValidation:
             {"delta": 0.1, "p": 1, "lam": 0.0, "n0": 1},
             {"delta": 0.1, "p": 1, "lam": 1.0, "n0": 1},
             {"delta": 0.1, "p": 1, "lam": 0.5, "n0": 0},
+            {"delta": 0.1, "p": True, "lam": 0.5, "n0": 1},
+            {"delta": 0.1, "p": 1, "lam": 0.5, "n0": True},
         ],
     )
     def test_rejected(self, kwargs):
