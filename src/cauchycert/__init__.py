@@ -10,6 +10,7 @@ certified fixed-point iteration for contractions.
 __version__ = "0.1.0"
 
 from .certificates import (
+    STAGES,
     CauchyCertificate,
     CertifyOutcome,
     InductionTrace,
@@ -87,6 +88,7 @@ __all__ = [
     "MetricError",
     "Point",
     "PrefixTooShort",
+    "STAGES",
     "SamplerConfig",
     "SearchConfig",
     "SequencePrefix",

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CertificateFailure, DivergenceError, MetricError, PrefixTooShort
+from .errors import CertificateFailure, DivergenceError, PrefixTooShort
 from .metrics import ETA
 from .sequences import (
     ConsecutiveDecayReport,
@@ -58,6 +58,8 @@ def delta_grid(delta0: float = 0.5, levels: int = 7) -> list[float]:
     """The default halving grid delta0 * 2**-j, j = 0 .. levels - 1."""
     if delta0 <= 0.0 or levels < 1:
         raise ValueError("need delta0 > 0 and at least one level")
+    if delta0 * 2.0 ** (1 - levels) == 0.0:
+        raise ValueError(f"delta grid underflows: {delta0} * 2**-{levels - 1} is zero")
     return [delta0 * 2.0 ** (-j) for j in range(levels)]
 
 
@@ -65,13 +67,14 @@ def delta_grid(delta0: float = 0.5, levels: int = 7) -> list[float]:
 # Stage 1: settling index
 # ---------------------------------------------------------------------------
 
-def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> Optional[int]:
+def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> int:
     """Smallest m0 >= n0 beyond which all short-offset distances are small.
 
     Specifically: every n with m0 < n <= N - p and every offset q in {0..p}
-    must satisfy rho(x_{n+q}, x_n) < delta * (1 - lam) / s - eta.  Returns
-    None when no cutoff leaves a nonempty verified range -- the quantitative
-    way a prefix with non-decaying steps fails at scale delta.
+    must satisfy rho(x_{n+q}, x_n) < delta * (1 - lam) / s - eta.  When no
+    cutoff leaves a nonempty verified range -- the quantitative way a prefix
+    with non-decaying steps fails at scale delta -- raises
+    :class:`CertificateFailure`.
     """
     n = len(seq)
     hi = n - w.p  # last checkable index
@@ -86,15 +89,15 @@ def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> Optional[int]:
     worst = np.zeros(hi - w.n0)
     for q in range(w.p + 1):
         np.maximum(worst, np.diagonal(dm, q)[w.n0 : hi], out=worst)
-    ok = worst < threshold
-
-    if not ok[-1]:
-        return None
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(~(worst < threshold))
     last_bad = w.n0 + int(bad[-1]) + 1 if bad.size else 0
     m0 = max(w.n0, last_bad)
     if m0 > hi - 1:
-        return None
+        raise CertificateFailure(
+            "settling_index",
+            f"no cutoff reaches offset bound {w.delta * (1.0 - w.lam) / seq.metric.s} "
+            f"with a nonempty range: step distances do not decay at scale delta = {w.delta}",
+        )
     return m0
 
 
@@ -250,16 +253,30 @@ class CauchyCertificate:
         }
 
 
+#: The replay stages in the order :func:`certify_cauchy` runs them.
+STAGES = (
+    "consecutive_decay", "shift_contraction", "settling_index",
+    "chain_bounds", "block_induction", "pair_scan",
+)
+
+
 @dataclass(frozen=True)
 class CertifyOutcome:
     certified: bool
     certificate: Optional[CauchyCertificate]
     failure_stage: Optional[str]
     failure_detail: Optional[str]
-    stages: tuple[tuple[str, bool], ...]
     decay: ConsecutiveDecayReport
-    shift: Optional[ShiftContractionReport]
-    induction: Optional[InductionTrace] = None
+    shift: ShiftContractionReport
+
+    @property
+    def stages(self) -> tuple[tuple[str, bool], ...]:
+        """(stage, passed) for each stage run: all of :data:`STAGES` on
+        success, else the stages up to and including the failed one."""
+        if self.failure_stage is None:
+            return tuple((name, True) for name in STAGES)
+        failed = STAGES.index(self.failure_stage)
+        return tuple((name, i < failed) for i, name in enumerate(STAGES[: failed + 1]))
 
     def to_dict(self) -> dict:
         return {
@@ -272,7 +289,7 @@ class CertifyOutcome:
             ),
             "stages": [{"stage": name, "passed": ok} for name, ok in self.stages],
             "consecutive_decay": self.decay.to_dict(),
-            "shift_contraction": None if self.shift is None else self.shift.to_dict(),
+            "shift_contraction": self.shift.to_dict(),
         }
 
 
@@ -285,7 +302,8 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tupl
     two.  Offset 1 is bounded by the step itself and offset 0 by the doubled
     step 2 s rho(x_n, x_{n+1}), which holds in every dislocated b-metric.
     Each bound is cross-checked against the direct distance; a violation
-    means the declared s does not hold on this data and raises MetricError.
+    means the declared s does not hold on this data and raises
+    :class:`CertificateFailure` at the first offending (n, q).
     """
     n_len = len(seq)
     dm = seq.distance_matrix()
@@ -313,9 +331,12 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tupl
         gap = direct - bounds
         if np.any(gap > ETA):
             i = int(np.argmax(gap > ETA))
-            raise MetricError(
-                f"chain bound violated at n={int(r[i]) + 1}, q={q}: "
-                f"direct {float(direct[i])} > telescoped {float(bounds[i])}"
+            n = int(r[i]) + 1
+            raise CertificateFailure(
+                "chain_bounds",
+                f"chain bound violated at n={n}, q={q}: "
+                f"direct {float(direct[i])} > telescoped {float(bounds[i])}",
+                where=(n, q),
             )
         out.append((q, float(np.max(bounds))))
     return tuple(out)
@@ -343,7 +364,7 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     s = seq.metric.s
     delta, lam, p = w.delta, w.lam, w.p
     theta = delta * (1.0 - lam) / s
-    fb = delta * (1.0 - lam) + s * delta
+    fb = diameter_bound(w, s)
 
     d = dm[n_low:, n_low:]
     t = d.shape[0]
@@ -411,66 +432,37 @@ def certify_cauchy(
     consumes is the settling scan at scale delta, and that stage fails on its
     own when steps do not decay.
 
-    A certificate is issued only when every stage passes; the outcome of a
-    failed stage carries the stage name and the first offending location.
-    The issued certificate records the brute-force tail diameter over the
-    verified range next to the certified bound, and a certificate whose
-    oracle value escapes its own bound is treated as an internal bug
-    (DivergenceError), never returned.
+    Every other stage of :data:`STAGES` fails by raising
+    :class:`CertificateFailure`; the outcome then carries the stage name and
+    the message, which names the first offending location.  A certificate is
+    issued only when every stage passes.  The issued certificate records the
+    brute-force tail diameter over the verified range next to the certified
+    bound, and a certificate whose oracle value escapes its own bound is
+    treated as an internal bug (DivergenceError), never returned.
     """
     decay = check_consecutive_decay(seq, tail)
-    stages: list[tuple[str, bool]] = [("consecutive_decay", True)]
-
-    def outcome_failure(stage: str, detail: str, shift=None, induction=None) -> CertifyOutcome:
-        stages.append((stage, False))
+    shift = check_shift_contraction(seq, w)
+    try:
+        if not shift.holds:
+            raise CertificateFailure(
+                "shift_contraction",
+                f"violating pair {shift.violating_pair}",
+                where=shift.violating_pair,
+            )
+        settling = find_settling_index(seq, w)
+        n_low = max(settling, w.n0)
+        chains = _chain_stage(seq, w, n_low)
+        induction = run_block_induction(seq, w, settling)
+        _pair_scan(seq, w, n_low)
+    except CertificateFailure as exc:
         return CertifyOutcome(
             certified=False,
             certificate=None,
-            failure_stage=stage,
-            failure_detail=detail,
-            stages=tuple(stages),
+            failure_stage=exc.stage,
+            failure_detail=str(exc),
             decay=decay,
             shift=shift,
-            induction=induction,
         )
-
-    shift = check_shift_contraction(seq, w)
-    if not shift.holds:
-        return outcome_failure(
-            "shift_contraction",
-            f"violating pair {shift.violating_pair}",
-            shift=shift,
-        )
-    stages.append(("shift_contraction", True))
-
-    settling = find_settling_index(seq, w)
-    if settling is None:
-        return outcome_failure(
-            "settling_index",
-            f"no cutoff reaches offset bound {w.delta * (1.0 - w.lam) / seq.metric.s} "
-            f"with a nonempty range: step distances do not decay at scale delta = {w.delta}",
-            shift=shift,
-        )
-    stages.append(("settling_index", True))
-    n_low = max(settling, w.n0)
-
-    try:
-        chains = _chain_stage(seq, w, n_low)
-    except MetricError as exc:
-        return outcome_failure("chain_bounds", str(exc), shift=shift)
-    stages.append(("chain_bounds", True))
-
-    try:
-        induction = run_block_induction(seq, w, settling)
-    except CertificateFailure as exc:
-        return outcome_failure(exc.stage, str(exc), shift=shift)
-    stages.append(("block_induction", True))
-
-    try:
-        _pair_scan(seq, w, n_low)
-    except CertificateFailure as exc:
-        return outcome_failure(exc.stage, str(exc), shift=shift, induction=induction)
-    stages.append(("pair_scan", True))
 
     fb = diameter_bound(w, seq.metric.s)
     oracle = tail_diameter(seq, n_low + 1)
@@ -497,10 +489,8 @@ def certify_cauchy(
         certificate=certificate,
         failure_stage=None,
         failure_detail=None,
-        stages=tuple(stages),
         decay=decay,
         shift=shift,
-        induction=induction,
     )
 
 

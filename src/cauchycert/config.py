@@ -33,9 +33,29 @@ from .sequences import (
 )
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number, or one of the non-JSON constants NaN, Infinity and
+    -Infinity that Python's parser accepts, as a float; it must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds {text}, which is not a finite float")
+    return value
+
+
+def _float_range_int(text: str) -> int:
+    """A JSON integer that converts to a finite float."""
+    _finite_float(text)
+    return int(text)
+
+
 def load_config_text(text: str) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(
+            text,
+            parse_float=_finite_float,
+            parse_int=_float_range_int,
+            parse_constant=_finite_float,
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -46,6 +66,11 @@ def load_config_text(text: str) -> dict:
 def _is_number(value) -> bool:
     """A JSON number: int or float, but not bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer, but not bool."""
+    return _is_number(value) and isinstance(value, int)
 
 
 def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
@@ -96,11 +121,14 @@ class Experiment:
         params = section.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError('"metric.params" must be an object')
+        s = section.get("s")
+        if s is not None and not _is_number(s):
+            raise ConfigError(f'"metric.s" must be a number, got {s!r}')
         try:
-            return make_metric(section["name"], s=section.get("s"), **params)
+            return make_metric(section["name"], s=s, **params)
         except CauchyCertError as exc:
             raise ConfigError(str(exc)) from exc
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad metric parameters: {exc}") from exc
 
     # -- sequence source ---------------------------------------------------
@@ -146,7 +174,10 @@ class Experiment:
     def tail(self) -> TailConfig:
         spec = self._params().get("tail", {})
         try:
-            return TailConfig(tau=spec.get("tau", 0.5), eps=spec.get("eps", 1e-6))
+            tau, eps = spec.get("tau", 0.5), spec.get("eps", 1e-6)
+            if not (_is_number(tau) and _is_number(eps)):
+                raise ValueError(f"tau and eps must be numbers, got {tau!r} and {eps!r}")
+            return TailConfig(tau=tau, eps=eps)
         except (ValueError, AttributeError) as exc:
             raise ConfigError(f"bad tail parameters: {exc}") from exc
 
@@ -156,11 +187,19 @@ class Experiment:
             raise ConfigError('"parameters.delta_grid" must be an object')
         if "values" in spec:
             values = spec["values"]
-            if not values or any(not isinstance(v, (int, float)) or v <= 0 for v in values):
+            if not (isinstance(values, list) and values) or any(
+                not _is_number(v) or v <= 0 for v in values
+            ):
                 raise ConfigError("explicit delta values must be positive numbers")
             return [float(v) for v in values]
+        delta0, levels = spec.get("delta0", 0.5), spec.get("levels", 7)
+        if not (_is_number(delta0) and _is_int(levels)):
+            raise ConfigError(
+                f'"parameters.delta_grid" needs a number delta0 and an integer levels, '
+                f"got {delta0!r} and {levels!r}"
+            )
         try:
-            return delta_grid(spec.get("delta0", 0.5), spec.get("levels", 7))
+            return delta_grid(delta0, levels)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -170,12 +209,16 @@ class Experiment:
     def search(self) -> SearchConfig:
         spec = self._params().get("search", {})
         try:
+            p_max = spec.get("p_max", 8)
+            n0_values = tuple(spec["n0_values"]) if "n0_values" in spec else None
+            if not (_is_int(p_max) and all(_is_int(n0) and n0 >= 1 for n0 in n0_values or ())):
+                raise ValueError(
+                    f"p_max and n0_values must be integers (n0 >= 1), got {p_max!r} and {n0_values!r}"
+                )
             return SearchConfig(
-                p_max=spec.get("p_max", 8),
+                p_max=p_max,
                 lambdas=tuple(spec.get("lambdas", SearchConfig.lambdas)),
-                n0_values=(
-                    tuple(spec["n0_values"]) if "n0_values" in spec else None
-                ),
+                n0_values=n0_values,
             )
         except (ValueError, AttributeError, TypeError) as exc:
             raise ConfigError(f"bad search parameters: {exc}") from exc
@@ -197,9 +240,14 @@ class Experiment:
 
     def sampler(self) -> SamplerConfig:
         spec = self._params().get("axioms", {})
+        if not isinstance(spec, dict):
+            raise ConfigError('"parameters.axioms" must be an object')
         box = spec.get("box", [0.0, 10.0])
-        if not (isinstance(box, (list, tuple)) and len(box) == 2):
-            raise ConfigError('"parameters.axioms.box" must be [low, high]')
+        if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(map(_is_number, box))):
+            raise ConfigError(f'"parameters.axioms.box" must be [low, high] numbers, got {box!r}')
+        for key in ("pair_count", "triple_count", "grid_points"):
+            if key in spec and not _is_int(spec[key]):
+                raise ConfigError(f'"parameters.axioms.{key}" must be an integer, got {spec[key]!r}')
         try:
             return SamplerConfig(
                 pair_count=spec.get("pair_count", 200),
@@ -219,7 +267,7 @@ class Experiment:
             return make_contraction(spec["name"], **spec.get("params", {}))
         except CauchyCertError as exc:
             raise ConfigError(str(exc)) from exc
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad contraction parameters: {exc}") from exc
 
     def contraction(self) -> Contraction:
@@ -238,10 +286,10 @@ class Experiment:
                 f'"parameters.solver.target_delta" must be a positive number, got {target_delta!r}'
             )
         for key in ("block", "max_iterations"):
-            if key in spec and not (_is_number(spec[key]) and isinstance(spec[key], int)):
+            if key in spec and not _is_int(spec[key]):
                 raise ConfigError(f'"parameters.solver.{key}" must be an integer, got {spec[key]!r}')
         n0 = spec.get("n0", 1)
-        if not (_is_number(n0) and isinstance(n0, int) and n0 >= 1):
+        if not (_is_int(n0) and n0 >= 1):
             raise ConfigError(f'"parameters.solver.n0" must be an integer >= 1, got {n0!r}')
         lam = spec.get("lambda", 0.5)
         if not (_is_number(lam) and 0 < lam < 1):

@@ -30,8 +30,9 @@ class PrefixTooShort(CauchyCertError):
 class CertificateFailure(CauchyCertError):
     """A certification stage failed on this input (a normal negative result).
 
-    Carries the stage name and, when available, the first offending location
-    so callers can report it.
+    The one way a replay stage reports failure.  Carries the stage name (one
+    of ``certificates.STAGES``) and, when available, the first offending
+    location, so callers can report it.
     """
 
     def __init__(self, stage: str, message: str, where=None):

@@ -116,12 +116,14 @@ class DbMetric:
         if a.shape[-1] != b.shape[-1]:
             raise MetricError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
         shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        if self.rows_fn is not None:
-            out = np.asarray(self.rows_fn(a, b), dtype=float)
-        else:
-            a, b = np.broadcast_arrays(a, b)
-            flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
-            out = np.array([self.fn(x, y) for x, y in flat], dtype=float).reshape(shape)
+        # Overflow and NaN are reported by _validate, naming the first such value.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.rows_fn is not None:
+                out = np.asarray(self.rows_fn(a, b), dtype=float)
+            else:
+                a, b = np.broadcast_arrays(a, b)
+                flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
+                out = np.array([self.fn(x, y) for x, y in flat], dtype=float).reshape(shape)
         if out.shape != shape:
             raise MetricError(
                 f"metric {self.name!r}: rows_fn must broadcast over leading axes, "
@@ -363,6 +365,10 @@ def estimate_minimal_s(metric: DbMetric, triples: Triples) -> TriangleEstimate:
 # Deterministic sampling and the aggregate report
 # ---------------------------------------------------------------------------
 
+#: Sampled coordinates are snapped to multiples of 1 / _SNAP (see _rng_points).
+_SNAP = 2.0**20
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Grid-plus-seeded-uniform sampling over a box (default [0, 10] per axis)."""
@@ -377,6 +383,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.box_high <= self.box_low:
             raise ValueError("sampling box must have positive width")
+        if not (math.isfinite(self.box_low * _SNAP) and math.isfinite(self.box_high * _SNAP)):
+            raise ValueError(
+                f"sampling box bounds times 2**20 must be finite, got [{self.box_low}, {self.box_high}]"
+            )
         if self.pair_count < 1 or self.triple_count < 1:
             raise ValueError("sample counts must be positive")
         if self.grid_points < 2:
@@ -390,7 +400,7 @@ def _rng_points(rng: np.random.Generator, cfg: SamplerConfig, dim: int, count: i
     # supremum by a few ulps, which matters when the estimate is compared
     # against the declared s at tight tolerance.
     raw = rng.uniform(cfg.box_low, cfg.box_high, size=(count, dim))
-    return np.round(raw * 2.0**20) / 2.0**20
+    return np.round(raw * _SNAP) / _SNAP
 
 
 def _grid(cfg: SamplerConfig, axes: int) -> list[np.ndarray]:

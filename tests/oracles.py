@@ -16,6 +16,11 @@ replay the same float expressions as the residue-class scans in
 samples built by ``loop_sample_pairs`` / ``loop_sample_triples``, and
 ``loop_axiom_report`` assembles the axiom report from them; the vectorised
 checks in ``metrics`` and ``contractions`` must agree with them exactly.
+``appended_certify_cauchy`` assembles the certification outcome the way
+``certify_cauchy`` did before every stage raised ``CertificateFailure``: it
+translates each stage's own failure signal by hand (a report with
+``holds=False``, a ``None`` settling index from ``scan_settling_index``, a
+raised failure) and appends each stage's verdict to a list as it goes.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ import numpy as np
 from cauchycert import (
     ETA,
     AxiomReport,
+    CauchyCertificate,
     CertificateFailure,
+    ConsecutiveDecayReport,
     ContractionError,
     DbMetric,
     DivergenceError,
@@ -44,11 +51,18 @@ from cauchycert import (
     SolverConfig,
     SolverError,
     SolveResult,
+    TailConfig,
     TriangleViolation,
     certify_cauchy,
+    check_consecutive_decay,
+    check_shift_contraction,
     derive_shift,
+    diameter_bound,
     estimate_contraction_constant,
+    run_block_induction,
+    tail_diameter,
 )
+from cauchycert.certificates import _chain_stage, _pair_scan
 from cauchycert.contractions import Contraction, ContractionEstimate
 from cauchycert.metrics import PairCheck, SamplerConfig, TriangleEstimate, _rng_points
 
@@ -496,4 +510,151 @@ def loop_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) ->
         self_distance_zero_ok=converse,
         samples_used=len(pairs) + len(triples),
         seed=cfg.seed,
+    )
+
+
+@dataclass(frozen=True)
+class AppendedOutcome:
+    """The outcome of ``appended_certify_cauchy``: ``CertifyOutcome`` with the
+    stage verdicts stored as assembled instead of derived."""
+
+    certified: bool
+    certificate: Optional[CauchyCertificate]
+    failure_stage: Optional[str]
+    failure_detail: Optional[str]
+    stages: tuple[tuple[str, bool], ...]
+    decay: ConsecutiveDecayReport
+    shift: Optional[ShiftContractionReport]
+    induction: Optional[InductionTrace] = None
+
+    def to_dict(self) -> dict:
+        return {
+            "certified": self.certified,
+            "certificate": None if self.certificate is None else self.certificate.to_dict(),
+            "failure": (
+                None
+                if self.failure_stage is None
+                else {"stage": self.failure_stage, "detail": self.failure_detail}
+            ),
+            "stages": [{"stage": name, "passed": ok} for name, ok in self.stages],
+            "consecutive_decay": self.decay.to_dict(),
+            "shift_contraction": None if self.shift is None else self.shift.to_dict(),
+        }
+
+
+def scan_settling_index(seq: SequencePrefix, w: ShiftWitness) -> Optional[int]:
+    """``find_settling_index`` returning None when no cutoff leaves a nonempty range."""
+    n = len(seq)
+    hi = n - w.p  # last checkable index
+    if hi < w.n0 + 1:
+        raise PrefixTooShort(
+            f"need N >= n0 + p + 1 = {w.n0 + w.p + 1} for a nonempty settling scan, got N = {n}"
+        )
+    dm = seq.distance_matrix()
+    threshold = w.delta * (1.0 - w.lam) / seq.metric.s - ETA
+
+    # Entry i of each diagonal is the 0-based row n0 + i, i.e. n = n0 + i + 1.
+    worst = np.zeros(hi - w.n0)
+    for q in range(w.p + 1):
+        np.maximum(worst, np.diagonal(dm, q)[w.n0 : hi], out=worst)
+    ok = worst < threshold
+
+    if not ok[-1]:
+        return None
+    bad = np.flatnonzero(~ok)
+    last_bad = w.n0 + int(bad[-1]) + 1 if bad.size else 0
+    m0 = max(w.n0, last_bad)
+    if m0 > hi - 1:
+        return None
+    return m0
+
+
+def appended_certify_cauchy(
+    seq: SequencePrefix, w: ShiftWitness, tail: TailConfig = TailConfig()
+) -> AppendedOutcome:
+    """``certify_cauchy`` with one hand translation per stage failure and the
+    stage list appended stage by stage."""
+    decay = check_consecutive_decay(seq, tail)
+    stages: list[tuple[str, bool]] = [("consecutive_decay", True)]
+
+    def outcome_failure(stage: str, detail: str, shift=None, induction=None) -> AppendedOutcome:
+        stages.append((stage, False))
+        return AppendedOutcome(
+            certified=False,
+            certificate=None,
+            failure_stage=stage,
+            failure_detail=detail,
+            stages=tuple(stages),
+            decay=decay,
+            shift=shift,
+            induction=induction,
+        )
+
+    shift = check_shift_contraction(seq, w)
+    if not shift.holds:
+        return outcome_failure(
+            "shift_contraction",
+            f"violating pair {shift.violating_pair}",
+            shift=shift,
+        )
+    stages.append(("shift_contraction", True))
+
+    settling = scan_settling_index(seq, w)
+    if settling is None:
+        return outcome_failure(
+            "settling_index",
+            f"no cutoff reaches offset bound {w.delta * (1.0 - w.lam) / seq.metric.s} "
+            f"with a nonempty range: step distances do not decay at scale delta = {w.delta}",
+            shift=shift,
+        )
+    stages.append(("settling_index", True))
+    n_low = max(settling, w.n0)
+
+    try:
+        chains = _chain_stage(seq, w, n_low)
+    except CertificateFailure as exc:
+        return outcome_failure("chain_bounds", str(exc), shift=shift)
+    stages.append(("chain_bounds", True))
+
+    try:
+        induction = run_block_induction(seq, w, settling)
+    except CertificateFailure as exc:
+        return outcome_failure(exc.stage, str(exc), shift=shift)
+    stages.append(("block_induction", True))
+
+    try:
+        _pair_scan(seq, w, n_low)
+    except CertificateFailure as exc:
+        return outcome_failure(exc.stage, str(exc), shift=shift, induction=induction)
+    stages.append(("pair_scan", True))
+
+    fb = diameter_bound(w, seq.metric.s)
+    oracle = tail_diameter(seq, n_low + 1)
+    if not (oracle < fb):
+        raise DivergenceError(
+            f"certificate issued but oracle tail diameter {oracle} >= bound {fb}"
+        )
+
+    certificate = CauchyCertificate(
+        witness=w,
+        s=seq.metric.s,
+        length=len(seq),
+        settling_index=settling,
+        range_start=n_low,
+        diameter_bound=fb,
+        induction_depth=induction.depth,
+        zero_branch_steps=induction.zero_branch_steps,
+        band_branch_steps=induction.band_branch_steps,
+        chain_bounds=chains,
+        oracle_tail_diameter=oracle,
+    )
+    return AppendedOutcome(
+        certified=True,
+        certificate=certificate,
+        failure_stage=None,
+        failure_detail=None,
+        stages=tuple(stages),
+        decay=decay,
+        shift=shift,
+        induction=induction,
     )

@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cauchycert import (
     ETA,
+    STAGES,
+    CauchyCertError,
     CertificateFailure,
     DivergenceError,
     InductionTrace,
@@ -34,7 +36,13 @@ from cauchycert import (
 from cauchycert import sequences
 from cauchycert.certificates import _chain_stage, _pair_scan
 from cauchycert.metrics import available_metrics
-from oracles import chain_bound, loop_block_induction, self_distance_bound, triu_pair_scan
+from oracles import (
+    appended_certify_cauchy,
+    chain_bound,
+    loop_block_induction,
+    self_distance_bound,
+    triu_pair_scan,
+)
 
 HALVING_WITNESS = ShiftWitness(0.1, 2, 0.5, 1)
 
@@ -66,6 +74,8 @@ class TestDeltaGrid:
             delta_grid(0.0, 3)
         with pytest.raises(ValueError):
             delta_grid(0.5, 0)
+        with pytest.raises(ValueError, match="underflows"):
+            delta_grid(0.5, 1100)
 
 
 class TestChainBound:
@@ -148,7 +158,7 @@ def scalar_chain_stage(seq: SequencePrefix, p: int, n_low: int):
     """_chain_stage rebuilt from the scalar oracles, one (n, q) at a time.
 
     Returns the per-offset maxima; the first violated bound in the stage's
-    order (q ascending, then n) raises MetricError naming its (n, q).
+    order (q ascending, then n) raises a chain-bounds failure at its (n, q).
     """
     n_len = len(seq)
     out = []
@@ -166,7 +176,9 @@ def scalar_chain_stage(seq: SequencePrefix, p: int, n_low: int):
                 else:
                     bounds.append(chain_bound(seq, n, q).total)
             except MetricError:
-                raise MetricError(f"chain bound violated at n={n}, q={q}:") from None
+                raise CertificateFailure(
+                    "chain_bounds", f"chain bound violated at n={n}, q={q}:", where=(n, q)
+                ) from None
         out.append((q, max(bounds)))
     return tuple(out)
 
@@ -186,9 +198,10 @@ class TestChainStage:
         w = ShiftWitness(0.5, p, 0.5, 1)
         try:
             expected = scalar_chain_stage(seq, p, n_low)
-        except MetricError as exc:
-            with pytest.raises(MetricError, match=str(exc)):
+        except CertificateFailure as exc:
+            with pytest.raises(CertificateFailure, match=str(exc)) as got:
                 _chain_stage(seq, w, n_low)
+            assert (got.value.stage, got.value.where) == ("chain_bounds", exc.where)
             return
         assert _chain_stage(seq, w, n_low) == expected
 
@@ -212,7 +225,9 @@ class TestSettlingIndex:
         )
 
     def test_linear_never_settles(self, linear_prefix):
-        assert find_settling_index(linear_prefix, ShiftWitness(0.5, 1, 0.5, 1)) is None
+        with pytest.raises(CertificateFailure, match="do not decay") as exc:
+            find_settling_index(linear_prefix, ShiftWitness(0.5, 1, 0.5, 1))
+        assert exc.value.stage == "settling_index"
 
     def test_cutoff_respects_n0(self, halving_orbit):
         # The scan starts at n0, so the settling index cannot undercut it.
@@ -359,6 +374,76 @@ class TestResidueScansMatchOracles:
             mp.setattr(sequences, "_CHUNK", chunk)
             got = _result(_pair_scan, seq, w, cut)
         assert got == _result(triu_pair_scan, seq, w, cut)
+
+
+def _certify_view(certify, seq, w):
+    """What a caller sees of one certification: the report, the failure and
+    the stage verdicts, or the type and message of the raised error."""
+    try:
+        outcome = certify(seq, w)
+    except CauchyCertError as exc:
+        return type(exc), str(exc)
+    return outcome.to_dict(), outcome.failure_stage, outcome.failure_detail, outcome.stages
+
+
+HALVING_VALUES = [2.0**-n for n in range(1, 61)]
+
+#: (expected failure stage or None, values, metric, s, delta, p, lam, n0)
+PINNED_REPLAYS = [
+    ("shift_contraction", HALVING_VALUES, "euclid_1d", None, 0.1, 1, 0.4, 1),
+    ("settling_index", [float(k) for k in range(1, 51)], "euclid_1d", None, 0.5, 1, 0.5, 1),
+    ("chain_bounds", [2.0**-k for k in range(12)], "sq_abs", 1.0, 0.1, 2, 0.5, 1),
+    # Steps of 0.7**2 = 0.49 pass under an understated s = 1; two steps span 1.4**2 = 1.96.
+    ("block_induction", [0.7 * k for k in range(12)], "sq_abs", 1.0, 1.0, 1, 0.5, 1),
+    ("pair_scan", [0.5, 0.25, 0.125, 0.0625, 0.03, 0.01, 0.0, 0.0, 0.0, -0.03, 0.0, 0.03],
+     "euclid_1d", None, 0.1, 3, 0.5, 1),
+    (None, HALVING_VALUES, "euclid_1d", None, 0.1, 2, 0.5, 1),
+]
+
+
+#: Prefixes long enough for most witnesses: dyadic values, noisy geometric
+#: decay and arithmetic progressions (steps that never decay).
+REPLAY_VALUES = st.one_of(
+    st.lists(st.sampled_from([0.0, ETA] + [k / 8.0 for k in range(17)]), min_size=8, max_size=40),
+    st.builds(
+        _geometric,
+        st.floats(-2.0, 2.0),
+        st.floats(0.2, 0.99),
+        st.integers(8, 60),
+        st.lists(st.sampled_from([0.0, 0.0, 1e-4, -1e-3, 0.02]), min_size=1, max_size=5),
+    ),
+    st.builds(lambda step, n: [step * k for k in range(n)], st.floats(0.05, 1.0), st.integers(8, 30)),
+)
+
+
+class TestCertifyMatchesOracle:
+    """``certify_cauchy`` equals the stage-by-stage appended assembly."""
+
+    @pytest.mark.parametrize("stage, values, name, s, delta, p, lam, n0", PINNED_REPLAYS)
+    def test_pinned(self, stage, values, name, s, delta, p, lam, n0):
+        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        w = ShiftWitness(delta, p, lam, n0)
+        outcome = certify_cauchy(seq, w)
+        assert outcome.failure_stage == stage
+        assert outcome.certified is (stage is None)
+        failed = STAGES.index(stage) if stage else len(STAGES)
+        assert [n for n, _ in outcome.stages] == list(STAGES[: failed + 1])
+        assert _certify_view(certify_cauchy, seq, w) == _certify_view(appended_certify_cauchy, seq, w)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=REPLAY_VALUES,
+        name=st.sampled_from(sorted(available_metrics())),
+        s=st.sampled_from([None, 1.0, 2.0]),
+        delta=st.floats(0.005, 4.0),
+        p=st.integers(1, 5),
+        lam=st.floats(0.05, 0.95),
+        n0=st.integers(1, 4),
+    )
+    def test_random(self, values, name, s, delta, p, lam, n0):
+        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        w = ShiftWitness(delta, p, lam, n0)
+        assert _certify_view(certify_cauchy, seq, w) == _certify_view(appended_certify_cauchy, seq, w)
 
 
 class TestCertifyMemory:

@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 from cauchycert.cli import main
@@ -168,8 +167,7 @@ class TestCheck:
                 "source": {"inline": [1e200, -1e200, 1e200, -1e200, 1.0, 1.0]},
             },
         )
-        with np.errstate(over="ignore"):
-            code, out, err = run_cli(["check", "--config", cfg], capsys)
+        code, out, err = run_cli(["check", "--config", cfg], capsys)
         assert code == 2
         assert out == ""
         assert "non-finite distance" in err
@@ -430,6 +428,77 @@ class TestConfigErrors:
         assert code == 2
         assert "unknown metric" in err
 
+    @pytest.mark.parametrize(
+        "command, parameters, message",
+        [
+            ("certify", '{"delta_grid": {"values": [NaN]}}', "NaN, which is not a finite float"),
+            ("certify", '{"delta_grid": {"values": [Infinity]}}', "Infinity, which is not a finite float"),
+            ("certify", '{"delta_grid": {"values": [1e999]}}', "1e999, which is not"),
+            ("certify", '{"delta_grid": {"values": [1%s]}}' % ("0" * 400), "which is not a finite"),
+            ("axioms", '{"axioms": {"box": [true, 5]}}', "must be [low, high] numbers, got [True, 5]"),
+            ("check", '{"tail": {"eps": NaN}}', "NaN, which is not a finite float"),
+            ("axioms", '{"axioms": {"box": [0, Infinity]}}', "Infinity, which is not a finite float"),
+            ("axioms", '{"axioms": {"pair_count": 1.5}}', '"parameters.axioms.pair_count" must be'),
+            ("axioms", '{"axioms": []}', '"parameters.axioms" must be an object'),
+            ("check", '{"tail": {"tau": "x"}}', "tau and eps must be numbers"),
+            (
+                "solve",
+                '{"tail": {"tau": "x"}, "contraction": {"name": "halving"},'
+                ' "solver": {"target_delta": 0.01}}',
+                "tau and eps must be numbers",
+            ),
+            ("check", '{"search": {"p_max": 2.5}}', "must be integers"),
+            ("check", '{"search": {"n0_values": ["a"]}}', "must be integers"),
+            ("certify", '{"delta_grid": {"levels": "x"}}', "an integer levels"),
+            ("certify", '{"delta_grid": {"levels": 1100}}', "delta grid underflows"),
+            ("axioms", '{"axioms": {"triple_count": "5"}}', '"parameters.axioms.triple_count" must be'),
+            ("axioms", '{"axioms": {"grid_points": 2.5}}', '"parameters.axioms.grid_points" must be'),
+            ("certify", '{"delta_grid": {"values": [true]}}', "must be positive numbers"),
+            ("axioms", '{"axioms": {"box": [0, 1e308]}}', "times 2**20 must be finite"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, command, parameters, message):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"metric": {"name": "euclid_1d"}, "source": {"inline": [1, 0.5, 0.25, 0.125, 0.0625]},'
+            f' "parameters": {parameters}}}'
+        )
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (
+                "check",
+                {"metric": {"name": "shifted_dislocated", "params": {"offset": "x"}},
+                 "source": {"inline": [1.0, 0.5]}},
+                "bad metric parameters: could not convert",
+            ),
+            (
+                "solve",
+                {"metric": {"name": "euclid_1d"},
+                 "parameters": {"contraction": {"name": "affine_1d", "params": {"a": "x", "b": 1}},
+                                "solver": {"target_delta": 0.1}}},
+                "bad contraction parameters: could not convert",
+            ),
+        ],
+    )
+    def test_unconvertible_parameter_is_config_error(self, tmp_path, capsys, command, config, message):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, config)], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("s", ["x", "2", True])
+    def test_non_numeric_metric_s_is_config_error(self, tmp_path, capsys, s):
+        cfg = write_config(
+            tmp_path, {"metric": {"name": "euclid_1d", "s": s}, "source": {"inline": [1.0, 0.5]}}
+        )
+        code, out, err = run_cli(["check", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert f'"metric.s" must be a number, got {s!r}' in err
+
     def test_bad_log_level_falls_back_quietly(self, capsys, monkeypatch):
         monkeypatch.setenv("CAUCHYCERT_LOG", "nonsense")
         code, out, _ = run_cli(["list"], capsys)
@@ -471,3 +540,16 @@ class TestSubprocess:
         proc = self._run(["certify", "--config", cfg], env_extra={"CAUCHYCERT_LOG": "error"})
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    def test_overflow_writes_only_the_error_line(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "sq_abs"},
+                "source": {"inline": [1e200, -1e200, 1e200, -1e200, 1.0, 1.0]},
+            },
+        )
+        proc = self._run(["check", "--config", cfg])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: metric 'sq_abs' produced a non-finite distance inf\n"
