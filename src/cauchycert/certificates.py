@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import CertificateFailure, DivergenceError, PrefixTooShort
-from .metrics import ETA
+from .metrics import ETA, chunk_rows
 from .sequences import (
     ConsecutiveDecayReport,
     SequencePrefix,
@@ -39,7 +39,6 @@ from .sequences import (
     TailConfig,
     check_consecutive_decay,
     check_shift_contraction,
-    chunk_rows,
     tail_diameter,
 )
 

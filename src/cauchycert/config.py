@@ -73,6 +73,44 @@ def _is_int(value) -> bool:
     return _is_number(value) and isinstance(value, int)
 
 
+def _numbers(value, where: str):
+    """``value`` unchanged, after rejecting a JSON boolean anywhere in it:
+    the metric, contraction and point constructors convert with ``float()``,
+    which would read ``true`` as 1.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f'"{where}" must be a number, got {value!r}')
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _numbers(item, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _numbers(item, f"{where}.{key}")
+    return value
+
+
+#: The keys each ``parameters`` section accepts.
+_SECTION_KEYS = {
+    "tail": ("tau", "eps"),
+    "delta_grid": ("values", "delta0", "levels"),
+    "search": ("p_max", "lambdas", "n0_values"),
+    "witness": ("p", "lambda", "n0"),
+    "axioms": ("box", "pair_count", "triple_count", "grid_points"),
+    "solver": ("target_delta", "x0", "lambda", "n0", "block", "max_iterations"),
+}
+
+#: The keys ``parameters`` accepts: the sections, and the settings of one command.
+_PARAMETER_KEYS = ("seed", *_SECTION_KEYS, "contraction", "n")
+
+
+def _reject_unknown_keys(spec: dict, keys, where: str) -> None:
+    """A misspelt key would otherwise be ignored and its default used."""
+    unknown = [key for key in spec if key not in keys]
+    if unknown:
+        raise ConfigError(
+            f'unknown key {unknown[0]!r} in "{where}"; expected one of {", ".join(keys)}'
+        )
+
+
 def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
     """One point per row, comma-separated coordinates; malformed rows are
     hard errors reported with their line number."""
@@ -124,6 +162,7 @@ class Experiment:
         s = section.get("s")
         if s is not None and not _is_number(s):
             raise ConfigError(f'"metric.s" must be a number, got {s!r}')
+        _numbers(params, "metric.params")
         try:
             return make_metric(section["name"], s=s, **params)
         except CauchyCertError as exc:
@@ -142,21 +181,22 @@ class Experiment:
         (kind, spec), = section.items()
         try:
             if kind == "inline":
-                return SequencePrefix.from_values(spec, metric)
+                return SequencePrefix.from_values(_numbers(spec, "source.inline"), metric)
             if kind == "generator":
                 if not isinstance(spec, dict) or "name" not in spec:
                     raise ConfigError('"source.generator" needs a "name"')
-                return make_sequence(spec["name"], metric, **spec.get("params", {}))
+                params = _numbers(spec.get("params", {}), "source.generator.params")
+                return make_sequence(spec["name"], metric, **params)
             if kind == "csv":
                 return SequencePrefix.from_values(read_csv_points(spec, csv_header), metric)
             if kind == "orbit":
                 if not isinstance(spec, dict):
                     raise ConfigError('"source.orbit" must be an object')
-                f = self._contraction_from(spec.get("contraction"))
+                f = self._contraction_from(spec.get("contraction"), "source.orbit.contraction")
                 n = spec.get("n")
                 if not isinstance(n, int) or n < 2:
                     raise ConfigError('"source.orbit.n" must be an integer >= 2')
-                x0 = Point(spec.get("x0", 0.0))
+                x0 = Point(_numbers(spec.get("x0", 0.0), "source.orbit.x0"))
                 return iterate(f, x0, n, metric)
         except ConfigError:
             raise
@@ -260,18 +300,19 @@ class Experiment:
         except ValueError as exc:
             raise ConfigError(f"bad axiom sampler parameters: {exc}") from exc
 
-    def _contraction_from(self, spec) -> Contraction:
+    def _contraction_from(self, spec, where: str) -> Contraction:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ConfigError('a contraction spec needs a "name"')
+        params = _numbers(spec.get("params", {}), f"{where}.params")
         try:
-            return make_contraction(spec["name"], **spec.get("params", {}))
+            return make_contraction(spec["name"], **params)
         except CauchyCertError as exc:
             raise ConfigError(str(exc)) from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad contraction parameters: {exc}") from exc
 
     def contraction(self) -> Contraction:
-        return self._contraction_from(self._params().get("contraction"))
+        return self._contraction_from(self._params().get("contraction"), "parameters.contraction")
 
     def solver(self) -> tuple[SolverConfig, Point, float]:
         """Solver settings, the seed point x0 and the target delta."""
@@ -303,7 +344,7 @@ class Experiment:
                 tail=self.tail(),
                 seed=self.seed,
             )
-            x0 = Point(spec.get("x0", 0.0))
+            x0 = Point(_numbers(spec.get("x0", 0.0), "parameters.solver.x0"))
         except (ValueError, CauchyCertError) as exc:
             raise ConfigError(str(exc)) from exc
         return cfg, x0, target_delta
@@ -313,6 +354,10 @@ def make_experiment(raw: dict, seed_override: Optional[int] = None) -> Experimen
     params = raw.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError('"parameters" must be an object')
+    _reject_unknown_keys(params, _PARAMETER_KEYS, "parameters")
+    for name, keys in _SECTION_KEYS.items():
+        if isinstance(params.get(name), dict):
+            _reject_unknown_keys(params[name], keys, f"parameters.{name}")
     seed = params.get("seed", 0)
     if seed_override is not None:
         seed = seed_override

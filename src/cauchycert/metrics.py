@@ -24,6 +24,15 @@ from .errors import MetricError, TriangleViolation
 #: Comparison tolerance used for every equality / strictness test on distances.
 ETA = 1e-9
 
+#: Elements per row chunk of a pass over a distance matrix -- its build and
+#: the scans over it; bounds the pass's temporaries independently of N.
+_CHUNK = 2**18
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk of a pass whose rows hold ``width`` elements."""
+    return max(1, _CHUNK // max(width, 1))
+
 
 class Point:
     """A point of the ground set: a fixed-length vector of finite reals.
@@ -106,8 +115,7 @@ class DbMetric:
         if self.rows_fn is None and self.fn is None:
             raise MetricError(f"metric {self.name!r} needs a rows_fn or an fn")
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Validated distances between broadcast ``(..., d)`` stacks."""
+    def _check_dims(self, a: np.ndarray, b: np.ndarray) -> None:
         for d in (a.shape[-1], b.shape[-1]):
             if self.dim is not None and d != self.dim:
                 raise MetricError(
@@ -115,33 +123,39 @@ class DbMetric:
                 )
         if a.shape[-1] != b.shape[-1]:
             raise MetricError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        # Overflow and NaN are reported by _validate, naming the first such value.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.rows_fn is not None:
-                out = np.asarray(self.rows_fn(a, b), dtype=float)
-            else:
-                a, b = np.broadcast_arrays(a, b)
-                flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
-                out = np.array([self.fn(x, y) for x, y in flat], dtype=float).reshape(shape)
-        if out.shape != shape:
+
+    def _fill(self, out: np.ndarray, a: np.ndarray, b: np.ndarray) -> Optional[float]:
+        """Write the distances between ``(..., d)`` stacks ``a`` and ``b``,
+        broadcast to ``out.shape``, into ``out``.
+
+        A non-finite distance raises at once, naming the first one in
+        row-major order.  The first distance below ``-ETA`` is returned, not
+        raised, so that a caller filling ``out`` in pieces reports a
+        non-finite value in a later piece first.  Negative round-off within
+        the tolerance is clamped to zero.  Callers run this with numpy's
+        overflow and invalid warnings off: those values are reported here.
+        """
+        if self.rows_fn is not None:
+            block = np.asarray(self.rows_fn(a, b), dtype=float)
+        else:
+            a, b = np.broadcast_arrays(a, b)
+            flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
+            block = np.array([self.fn(x, y) for x, y in flat], dtype=float).reshape(out.shape)
+        if block.shape != out.shape:
             raise MetricError(
                 f"metric {self.name!r}: rows_fn must broadcast over leading axes, "
-                f"got shape {out.shape} for stacks of shapes {a.shape} and {b.shape}"
+                f"got shape {block.shape} for stacks of shapes {a.shape} and {b.shape}"
             )
-        return self._validate(out)
-
-    def _validate(self, out: np.ndarray) -> np.ndarray:
-        """Reject NaN, infinite and negative distances; clamp negative round-off
-        within the comparison tolerance to zero.  The message names the first
-        offending value."""
-        if not np.all(np.isfinite(out)):
-            value = float(out[~np.isfinite(out)][0])
+        if not np.all(np.isfinite(block)):
+            value = float(block[~np.isfinite(block)][0])
             raise MetricError(f"metric {self.name!r} produced a non-finite distance {value}")
-        if np.any(out < -ETA):
-            value = float(out[out < -ETA][0])
+        negative = float(block[block < -ETA][0]) if np.any(block < -ETA) else None
+        np.clip(block, 0.0, None, out=out)
+        return negative
+
+    def _reject_negative(self, value: Optional[float]) -> None:
+        if value is not None:
             raise MetricError(f"metric {self.name!r} produced a negative distance {value}")
-        return np.clip(out, 0.0, None)
 
     def distance(self, x: Point, y: Point) -> float:
         """rho(x, y): the one-pair case of :meth:`rows`."""
@@ -151,19 +165,36 @@ class DbMetric:
         """Distances between aligned rows of two ``(k, d)`` stacks."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        return self._evaluate(a, b)
+        self._check_dims(a, b)
+        out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._reject_negative(self._fill(out, a, b))
+        return out
 
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Validated ``(len(a), len(b))`` matrix; entry [i, j] is rho(a_i, b_j).
 
-        The distance function is broadcast over ``a[:, None]`` and
-        ``b[None, :]``, so every entry is evaluated exactly as in
-        :meth:`rows` and the square :meth:`matrix`, and blocks of a matrix
-        built this way are bit-identical to the full build.
+        The output is allocated once and filled in row chunks of at most
+        :func:`chunk_rows` rows, so the temporaries stay bounded whatever the
+        size.  Each chunk broadcasts the distance function over
+        ``a[rows, None]`` and ``b[None, :]``, so every entry is evaluated
+        exactly as in :meth:`rows` and the square :meth:`matrix`, and blocks
+        of a matrix built this way are bit-identical to the full build.  A
+        non-finite distance anywhere is reported before a negative one
+        anywhere, each by its first value in row-major order.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        return self._evaluate(a[:, None], b[None, :])
+        self._check_dims(a, b)
+        out = np.empty((len(a), len(b)))
+        rows = chunk_rows(len(b))
+        negative = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, len(a), rows):
+                first = self._fill(out[i : i + rows], a[i : i + rows, None], b[None, :])
+                negative = first if negative is None else negative
+        self._reject_negative(negative)
+        return out
 
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """Read-only all-pairs distance matrix for an ``(N, d)`` coordinate stack."""

@@ -22,16 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MetricError, PrefixTooShort
-from .metrics import ETA, DbMetric, Point
-
-#: Elements per row chunk of a scan over the distance matrix; bounds the size
-#: of the scan's temporaries independently of N.
-_CHUNK = 2**18
-
-
-def chunk_rows(width: int) -> int:
-    """Rows per chunk of a scan whose rows hold ``width`` elements."""
-    return max(1, _CHUNK // max(width, 1))
+from .metrics import ETA, DbMetric, Point, chunk_rows
 
 
 @dataclass(frozen=True)
@@ -261,29 +252,37 @@ def check_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContra
             f"need N >= n0 + p + 2 = {w.n0 + w.p + 2} for at least one checkable pair, got N = {n}"
         )
     dm = seq.distance_matrix()
-    s = seq.metric.s
+    high = w.delta - ETA
+    bound = w.delta * w.lam / seq.metric.s - ETA
 
-    # Views, not copies: 0-based rows/cols n0 .. N - p - 1 hold 1-based n in
-    # (n0, N - p], and the same block shifted by p.
-    sub = dm[w.n0 : n - w.p, w.n0 : n - w.p]
-    shifted = dm[w.n0 + w.p :, w.n0 + w.p :]
-
-    triggered = np.triu((sub > ETA) & (sub < w.delta - ETA))
-    bad = triggered & ~(shifted < w.delta * w.lam / s - ETA)
-
-    t = sub.shape[0]
-    pairs_checked = t * (t + 1) // 2
-    pairs_triggered = int(np.count_nonzero(triggered))
-
+    # Row chunks of the upper triangle: 0-based rows/cols n0 .. N - p - 1 hold
+    # 1-based n in (n0, N - p], and the same block shifted by p.  A chunk
+    # reads only the columns at or right of its first row; the triangle's
+    # edge inside it falls in its leading square, masked by ``upper``.
+    t = n - w.n0 - w.p
+    rows = chunk_rows(t)
+    upper = np.triu(np.ones((min(rows, t),) * 2, dtype=bool))
+    pairs_triggered = 0
     violating: Optional[tuple[int, int]] = None
-    first = int(np.argmax(bad))  # row-major order = lexicographic in (n, m)
-    if bad.flat[first]:
-        i, j = divmod(first, t)
-        violating = (w.n0 + i + 1, w.n0 + j + 1)
+    for i in range(0, t, rows):
+        k = min(rows, t - i)
+        block = dm[w.n0 + i : w.n0 + i + k, w.n0 + i : w.n0 + t]
+        triggered = block > ETA
+        triggered &= block < high
+        triggered[:, :k] &= upper[:k, :k]
+        pairs_triggered += int(np.count_nonzero(triggered))
+        if violating is None:
+            shifted = dm[w.n0 + w.p + i : w.n0 + w.p + i + k, w.n0 + w.p + i :]
+            bad = shifted >= bound  # the matrix is finite, so this is ~(shifted < bound)
+            bad &= triggered
+            first = int(np.argmax(bad))  # row-major order = lexicographic in (n, m)
+            if bad.flat[first]:
+                r, c = divmod(first, t - i)
+                violating = (w.n0 + i + r + 1, w.n0 + i + c + 1)
 
     return ShiftContractionReport(
         holds=violating is None,
-        pairs_checked=pairs_checked,
+        pairs_checked=t * (t + 1) // 2,
         pairs_triggered=pairs_triggered,
         violating_pair=violating,
     )

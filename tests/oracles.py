@@ -4,7 +4,11 @@
 a time through ``SequencePrefix.distance``; ``_chain_stage`` must agree with
 them.  ``meshgrid_matrix`` is the all-pairs build that ``DbMetric.matrix``
 replaced: every pair gathered into two flat ``(N*N, d)`` stacks and passed
-through ``DbMetric.rows``.  ``argwhere_shift_contraction`` lists every
+through ``DbMetric.rows``; ``oneshot_cross`` is the build that the row-chunked
+``DbMetric.cross`` replaced: the distance function over all of
+``a[:, None]`` and ``b[None, :]`` at once, then the whole result validated and
+clamped.  ``oneshot_shift_contraction`` is the shift scan before row chunks,
+with whole-triangle masks, and ``argwhere_shift_contraction`` lists every
 violating pair with ``np.argwhere`` and keeps the first, and
 ``blockwise_solve_fixed_point`` grows the orbit point by point and reads the
 last step through the scalar ``SequencePrefix.distance``.
@@ -135,6 +139,60 @@ def meshgrid_matrix(metric: DbMetric, coords: np.ndarray) -> np.ndarray:
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     flat = metric.rows(coords[ii.ravel()], coords[jj.ravel()])
     return flat.reshape(n, n)
+
+
+def oneshot_cross(metric: DbMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``DbMetric.cross`` evaluated and validated as one ``(len(a), len(b))`` block."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))[:, None]
+    b = np.atleast_2d(np.asarray(b, dtype=float))[None, :]
+    for d in (a.shape[-1], b.shape[-1]):
+        if metric.dim is not None and d != metric.dim:
+            raise MetricError(
+                f"metric {metric.name!r} expects dimension {metric.dim}, got point of dimension {d}"
+            )
+    if a.shape[-1] != b.shape[-1]:
+        raise MetricError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric.rows_fn is not None:
+            out = np.asarray(metric.rows_fn(a, b), dtype=float)
+        else:
+            a, b = np.broadcast_arrays(a, b)
+            flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
+            out = np.array([metric.fn(x, y) for x, y in flat], dtype=float).reshape(shape)
+    if not np.all(np.isfinite(out)):
+        value = float(out[~np.isfinite(out)][0])
+        raise MetricError(f"metric {metric.name!r} produced a non-finite distance {value}")
+    if np.any(out < -ETA):
+        value = float(out[out < -ETA][0])
+        raise MetricError(f"metric {metric.name!r} produced a negative distance {value}")
+    return np.clip(out, 0.0, None)
+
+
+def oneshot_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContractionReport:
+    """``check_shift_contraction`` with T x T masks over the whole scanned block."""
+    n = len(seq)
+    if n < w.n0 + w.p + 2:
+        raise PrefixTooShort(
+            f"need N >= n0 + p + 2 = {w.n0 + w.p + 2} for at least one checkable pair, got N = {n}"
+        )
+    dm = seq.distance_matrix()
+    sub = dm[w.n0 : n - w.p, w.n0 : n - w.p]
+    shifted = dm[w.n0 + w.p :, w.n0 + w.p :]
+    triggered = np.triu((sub > ETA) & (sub < w.delta - ETA))
+    bad = triggered & ~(shifted < w.delta * w.lam / seq.metric.s - ETA)
+    t = sub.shape[0]
+    violating: Optional[tuple[int, int]] = None
+    first = int(np.argmax(bad))
+    if bad.flat[first]:
+        i, j = divmod(first, t)
+        violating = (w.n0 + i + 1, w.n0 + j + 1)
+    return ShiftContractionReport(
+        holds=violating is None,
+        pairs_checked=t * (t + 1) // 2,
+        pairs_triggered=int(np.count_nonzero(triggered)),
+        violating_pair=violating,
+    )
 
 
 def argwhere_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContractionReport:

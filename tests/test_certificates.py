@@ -23,6 +23,7 @@ from cauchycert import (
     ShiftWitness,
     certify_cauchy,
     certify_over_grid,
+    check_shift_contraction,
     delta_grid,
     diameter_bound,
     find_settling_index,
@@ -33,7 +34,7 @@ from cauchycert import (
     search_witness,
     tail_diameter,
 )
-from cauchycert import sequences
+from cauchycert import metrics
 from cauchycert.certificates import _chain_stage, _pair_scan
 from cauchycert.metrics import available_metrics
 from oracles import (
@@ -340,7 +341,7 @@ SCAN_ARGS = dict(
     lam=st.floats(0.05, 0.95),
     n0=st.integers(1, 10),
     cut=st.integers(0, 12),
-    chunk=st.sampled_from([7, sequences._CHUNK]),
+    chunk=st.sampled_from([7, metrics._CHUNK]),
 )
 
 
@@ -360,7 +361,7 @@ class TestResidueScansMatchOracles:
     def test_block_induction(self, values, name, s, delta, p, lam, n0, cut, chunk):
         seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sequences, "_CHUNK", chunk)
+            mp.setattr(metrics, "_CHUNK", chunk)
             got = _result(run_block_induction, seq, w, cut)
         assert got == _result(loop_block_induction, seq, w, cut)
 
@@ -371,7 +372,7 @@ class TestResidueScansMatchOracles:
     def test_pair_scan(self, values, name, s, delta, p, lam, n0, cut, chunk):
         seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sequences, "_CHUNK", chunk)
+            mp.setattr(metrics, "_CHUNK", chunk)
             got = _result(_pair_scan, seq, w, cut)
         assert got == _result(triu_pair_scan, seq, w, cut)
 
@@ -446,22 +447,43 @@ class TestCertifyMatchesOracle:
         assert _certify_view(certify_cauchy, seq, w) == _certify_view(appended_certify_cauchy, seq, w)
 
 
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestCertifyMemory:
-    def test_replay_temporaries_stay_below_half_the_matrix(self):
-        # With the matrix built, the replay allocates only masks and chunked
-        # temporaries: no stage may hold an N x N float array.
+    @pytest.fixture(scope="class")
+    def orbit(self):
         seq = iterate(make_contraction("affine_1d", a=0.9, b=1.0), Point(0.0), 3000,
                       make_metric("euclid_1d"))
-        limit = seq.distance_matrix().nbytes // 2
-        tracemalloc.start()
-        try:
-            outcome = certify_cauchy(seq, ShiftWitness(0.1, 1, 0.95, 1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        seq.distance_matrix()
+        return seq
+
+    def test_replay_temporaries_stay_below_half_the_matrix(self, orbit):
+        # With the matrix built, the replay allocates only masks and chunked
+        # temporaries: no stage may hold an N x N float array.
+        outcome, peak = _traced_peak(certify_cauchy, orbit, ShiftWitness(0.1, 1, 0.95, 1))
         assert outcome.certified
         assert outcome.certificate.length - outcome.certificate.range_start > 2900
-        assert peak < limit
+        assert peak < orbit.distance_matrix().nbytes // 2
+
+    def test_matrix_build_allocates_little_beside_the_matrix(self, orbit):
+        # The output is allocated once and filled in row chunks.
+        matrix, peak = _traced_peak(orbit.metric.matrix, orbit.coords)
+        assert peak < 1.1 * matrix.nbytes
+
+    def test_shift_scan_temporaries_stay_below_a_sixteenth_of_the_matrix(self, orbit):
+        # A holding witness: every row chunk runs the shifted comparison.
+        report, peak = _traced_peak(check_shift_contraction, orbit, ShiftWitness(0.1, 1, 0.95, 1))
+        assert report.holds and report.pairs_triggered > 0
+        assert peak < orbit.distance_matrix().nbytes / 16
 
 
 class TestCertifyPipeline:

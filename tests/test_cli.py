@@ -455,6 +455,17 @@ class TestConfigErrors:
             ("axioms", '{"axioms": {"grid_points": 2.5}}', '"parameters.axioms.grid_points" must be'),
             ("certify", '{"delta_grid": {"values": [true]}}', "must be positive numbers"),
             ("axioms", '{"axioms": {"box": [0, 1e308]}}', "times 2**20 must be finite"),
+            # A misspelt key would silently fall back to the default.
+            ("certify", '{"delta_grid": {"value": [0.3]}}',
+             'unknown key \'value\' in "parameters.delta_grid"'),
+            ("check", '{"tail": {"tua": 0.5}}', 'unknown key \'tua\' in "parameters.tail"'),
+            ("check", '{"search": {"pmax": 2}}', 'unknown key \'pmax\' in "parameters.search"'),
+            ("certify", '{"witness": {"p": 1, "lam": 0.5}}',
+             'unknown key \'lam\' in "parameters.witness"'),
+            ("axioms", '{"axioms": {"pairs": 5}}', 'unknown key \'pairs\' in "parameters.axioms"'),
+            ("solve", '{"contraction": {"name": "halving"}, "solver": {"target_delta": 0.1, "blocks": 8}}',
+             'unknown key \'blocks\' in "parameters.solver"'),
+            ("counterexample", '{"deltas": ["a"]}', 'unknown key \'deltas\' in "parameters"'),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, parameters, message):
@@ -483,11 +494,39 @@ class TestConfigErrors:
                                 "solver": {"target_delta": 0.1}}},
                 "bad contraction parameters: could not convert",
             ),
+            # float(True) is 1.0: a boolean must not pass for a number.
+            (
+                "check",
+                {"metric": {"name": "shifted_dislocated", "params": {"offset": True}},
+                 "source": {"inline": [1.0, 0.5]}},
+                '"metric.params.offset" must be a number, got True',
+            ),
+            (
+                "solve",
+                {"metric": {"name": "euclid_1d"},
+                 "parameters": {"contraction": {"name": "affine_1d", "params": {"a": 0.5, "b": True}},
+                                "solver": {"target_delta": 0.1}}},
+                '"parameters.contraction.params.b" must be a number, got True',
+            ),
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"},
+                 "source": {"orbit": {"contraction": {"name": "halving"}, "n": 20, "x0": True}}},
+                '"source.orbit.x0" must be a number, got True',
+            ),
+            (
+                "solve",
+                {"metric": {"name": "euclid_nd"},
+                 "parameters": {"contraction": {"name": "halving"},
+                                "solver": {"target_delta": 0.1, "x0": [0.5, False]}}},
+                '"parameters.solver.x0[1]" must be a number, got False',
+            ),
         ],
     )
     def test_unconvertible_parameter_is_config_error(self, tmp_path, capsys, command, config, message):
         code, out, err = run_cli([command, "--config", write_config(tmp_path, config)], capsys)
         assert (code, out) == (2, "")
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
 
     @pytest.mark.parametrize("s", ["x", "2", True])

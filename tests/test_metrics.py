@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cauchycert import (
     ETA,
@@ -22,6 +22,7 @@ from cauchycert import (
     make_metric,
     run_axiom_report,
 )
+from cauchycert import metrics
 from cauchycert.metrics import (
     METRIC_BUILDERS,
     available_metrics,
@@ -36,6 +37,7 @@ from oracles import (
     loop_check_zero_identity,
     loop_estimate_minimal_s,
     meshgrid_matrix,
+    oneshot_cross,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
@@ -404,6 +406,64 @@ def test_broadcast_matrix_is_bit_identical_to_meshgrid_build(case):
     got = metric.matrix(coords)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+#: A signed difference below x = 5 and its square root from there on: an
+#: early row yields negative distances and a later one NaN (or inf, once the
+#: difference overflows), which pins the order of the two errors across chunks.
+PRECEDENCE = DbMetric(
+    name="precedence",
+    s=1.0,
+    dim=1,
+    rows_fn=lambda a, b: np.where(
+        a[..., 0] < 5.0, a[..., 0] - b[..., 0], np.sqrt(a[..., 0] - b[..., 0])
+    ),
+)
+
+
+def _build_outcome(build):
+    """What a caller sees of one build: the matrix bytes, or the error."""
+    try:
+        out = build()
+    except MetricError as exc:
+        return type(exc), str(exc)
+    return out.shape, out.tobytes()
+
+
+@st.composite
+def metric_and_cross_stacks(draw):
+    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab", "precedence"]))
+    metric = {"taxicab": TAXICAB, "precedence": PRECEDENCE}.get(name) or make_metric(name)
+    dim = metric.dim or draw(st.integers(1, 4))
+    # Values near the float range overflow sq_abs, euclid_nd and the signed
+    # difference; negative ones make max_dislocated and PRECEDENCE negative.
+    unit = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1e308, 1e308, 1e160]))
+    stacks = []
+    for _ in range(2):
+        n = draw(st.integers(1, 24))
+        flat = draw(st.lists(unit, min_size=n * dim, max_size=n * dim))
+        stacks.append(np.array(flat).reshape(n, dim))
+    return metric, *stacks
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=metric_and_cross_stacks(), chunk=st.sampled_from([7, 64, metrics._CHUNK]))
+# Chunks of 7 // 3 = 2 rows: negatives in row 0, NaN in row 4 and inf in row 5.
+@example(
+    case=(PRECEDENCE, np.array([[0.0], [1.0], [2.0], [3.0], [6.0], [1e308]]),
+          np.array([[1.0], [8.0], [-1e308]])),
+    chunk=7,
+)
+def test_chunked_cross_equals_the_oneshot_build(case, chunk):
+    metric, a, b = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_CHUNK", chunk)
+        assert _build_outcome(lambda: metric.cross(a, b)) == _build_outcome(
+            lambda: oneshot_cross(metric, a, b)
+        )
+        assert _build_outcome(lambda: metric.matrix(a)) == _build_outcome(
+            lambda: oneshot_cross(metric, a, a)
+        )
 
 
 @st.composite

@@ -23,7 +23,7 @@ from cauchycert import (
     search_witness,
     tail_diameter,
 )
-from cauchycert import sequences
+from cauchycert import metrics
 from cauchycert.metrics import available_metrics
 from cauchycert.sequences import (
     arithmetic_sequence,
@@ -33,7 +33,15 @@ from cauchycert.sequences import (
     geometric_sequence,
     make_sequence,
 )
-from oracles import argwhere_shift_contraction
+from oracles import argwhere_shift_contraction, oneshot_shift_contraction
+
+
+def _outcome(scan, seq, w):
+    """The report, or the message of the ``PrefixTooShort`` raised."""
+    try:
+        return scan(seq, w)
+    except PrefixTooShort as exc:
+        return str(exc)
 
 
 class TestSequencePrefix:
@@ -283,27 +291,33 @@ class TestShiftContraction:
         assert report.violating_pair == violating
         assert report.holds == (violating is None)
 
-    @settings(max_examples=400)
+    @settings(max_examples=600, deadline=None)
     @given(
-        values=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=30),
-        name=st.sampled_from(["euclid_1d", "sq_abs", "max_dislocated", "shifted_dislocated"]),
+        values=st.one_of(
+            st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
+            # Ties and distances on the band edges.
+            st.lists(
+                st.sampled_from([0.0, ETA, 2 * ETA, 0.125, 0.25, 0.5, 1.0]), min_size=2, max_size=40
+            ),
+        ),
+        name=st.sampled_from(sorted(available_metrics())),
         s=st.sampled_from([1.0, 2.0]),
         delta=st.floats(0.01, 3.0),
         p=st.integers(1, 6),
         lam=st.floats(0.05, 0.95),
         n0=st.integers(1, 8),
+        chunk=st.sampled_from([7, 64, metrics._CHUNK]),
     )
-    def test_matches_argwhere_oracle(self, values, name, s, delta, p, lam, n0):
+    def test_matches_argwhere_oracle(self, values, name, s, delta, p, lam, n0, chunk):
+        # The row-chunked scan equals the whole-triangle scan it replaced and
+        # the argwhere listing, report for report and message for message.
         seq = SequencePrefix.from_values(values, make_metric(name, s=s))
         w = ShiftWitness(delta, p, lam, n0)
-        try:
-            expected = argwhere_shift_contraction(seq, w)
-        except PrefixTooShort as exc:
-            with pytest.raises(PrefixTooShort) as raised:
-                check_shift_contraction(seq, w)
-            assert str(raised.value) == str(exc)
-            return
-        assert check_shift_contraction(seq, w) == expected
+        expected = _outcome(oneshot_shift_contraction, seq, w)
+        assert _outcome(argwhere_shift_contraction, seq, w) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            assert _outcome(check_shift_contraction, seq, w) == expected
 
 
 class TestTailDiameter:
@@ -348,7 +362,7 @@ class TestTailDiameter:
         n0 = min(n0, len(seq) - 1)
         whole = float(np.max(np.triu(seq.distance_matrix()[n0 - 1 :, n0 - 1 :])))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sequences, "_CHUNK", 7)
+            mp.setattr(metrics, "_CHUNK", 7)
             assert tail_diameter(seq, n0) == whole
 
     @pytest.mark.parametrize("bad", [0, 60, 61])
