@@ -98,17 +98,32 @@ _SECTION_KEYS = {
     "solver": ("target_delta", "x0", "lambda", "n0", "block", "max_iterations"),
 }
 
-#: The keys ``parameters`` accepts: the sections, and the settings of one command.
-_PARAMETER_KEYS = ("seed", *_SECTION_KEYS, "contraction", "n")
+#: The keys each object of a config accepts, by its path from the top; a
+#: ``parameters`` key that is not a section holds the setting of one command.
+_KEYS = {
+    (): ("metric", "source", "parameters"),
+    ("metric",): ("name", "s", "params"),
+    ("source", "generator"): ("name", "params"),
+    ("source", "orbit"): ("contraction", "n", "x0"),
+    ("source", "orbit", "contraction"): ("name", "params"),
+    ("parameters",): ("seed", *_SECTION_KEYS, "contraction", "n"),
+    ("parameters", "contraction"): ("name", "params"),
+    **{("parameters", name): keys for name, keys in _SECTION_KEYS.items()},
+}
 
 
-def _reject_unknown_keys(spec: dict, keys, where: str) -> None:
+def _reject_unknown_keys(raw: dict) -> None:
     """A misspelt key would otherwise be ignored and its default used."""
-    unknown = [key for key in spec if key not in keys]
-    if unknown:
-        raise ConfigError(
-            f'unknown key {unknown[0]!r} in "{where}"; expected one of {", ".join(keys)}'
-        )
+    for path, keys in _KEYS.items():
+        spec = raw
+        for name in path:
+            spec = spec.get(name) if isinstance(spec, dict) else None
+        unknown = [key for key in spec if key not in keys] if isinstance(spec, dict) else []
+        if unknown:
+            where = f'"{".".join(path)}"' if path else "the config"
+            raise ConfigError(
+                f"unknown key {unknown[0]!r} in {where}; expected one of {', '.join(keys)}"
+            )
 
 
 def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
@@ -354,10 +369,7 @@ def make_experiment(raw: dict, seed_override: Optional[int] = None) -> Experimen
     params = raw.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError('"parameters" must be an object')
-    _reject_unknown_keys(params, _PARAMETER_KEYS, "parameters")
-    for name, keys in _SECTION_KEYS.items():
-        if isinstance(params.get(name), dict):
-            _reject_unknown_keys(params[name], keys, f"parameters.{name}")
+    _reject_unknown_keys(raw)
     seed = params.get("seed", 0)
     if seed_override is not None:
         seed = seed_override

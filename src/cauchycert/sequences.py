@@ -85,7 +85,8 @@ class SequencePrefix:
     ``coords``, validated at construction (finiteness, one dimension, the
     metric's dimension).  A prefix is immutable, so its distance matrix is
     built on first use and kept for every later scan; a prefix grown by
-    :meth:`extend` builds it from the shorter prefix's matrix.
+    :meth:`extend` builds it from the shorter prefix's matrix.  It keeps the
+    shift profile of the last (delta, p) scanned the same way, in one slot.
     """
 
     def __init__(self, points: Sequence, metric: DbMetric):
@@ -111,6 +112,7 @@ class SequencePrefix:
         self.metric = metric
         self._matrix: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None  # matrix of a leading sub-prefix
+        self._profile: Optional[tuple] = None  # the last shift profile, see _shift_profile
 
     @classmethod
     def from_values(cls, values: Sequence, metric: DbMetric) -> "SequencePrefix":
@@ -245,47 +247,83 @@ def check_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContra
     includes the diagonal n = m, so positive self-distances participate.  The
     report carries the lexicographically smallest violating pair, if any; a
     vacuously true condition is visible through ``pairs_triggered == 0``.
+
+    The pairs are read through the prefix's shift profile for (delta, p), so
+    witnesses that differ only in ``lam`` and ``n0`` share one O(N^2) pass
+    and each is answered in O(N).
     """
     n = len(seq)
     if n < w.n0 + w.p + 2:
         raise PrefixTooShort(
             f"need N >= n0 + p + 2 = {w.n0 + w.p + 2} for at least one checkable pair, got N = {n}"
         )
-    dm = seq.distance_matrix()
-    high = w.delta - ETA
+    start, count, rowmax = _shift_profile(seq, w.delta, w.p, w.n0)
     bound = w.delta * w.lam / seq.metric.s - ETA
+    tail = slice(w.n0 - start, None)  # the profile rows past this cutoff
 
+    # "every x < bound" is "max x < bound" in floats, and the matrix is finite.
+    bad = rowmax[tail] >= bound
+    violating: Optional[tuple[int, int]] = None
+    first = int(np.argmax(bad))
+    if bad[first]:
+        r = w.n0 + first  # 0-based row of the first violating pair
+        dm = seq.distance_matrix()
+        base = dm[r, r : n - w.p]
+        hit = (base > ETA) & (base < w.delta - ETA) & (dm[r + w.p, r + w.p :] >= bound)
+        violating = (r + 1, r + int(np.argmax(hit)) + 1)
+
+    t = n - w.n0 - w.p
+    return ShiftContractionReport(
+        holds=violating is None,
+        pairs_checked=t * (t + 1) // 2,
+        pairs_triggered=int(count[tail].sum()),
+        violating_pair=violating,
+    )
+
+
+def _shift_profile(
+    seq: SequencePrefix, delta: float, p: int, n0: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(start, count, rowmax)`` over the 0-based rows r in [start, N - p).
+
+    ``count[r - start]`` is the number of triggered pairs (r, j) with
+    r <= j < N - p, and ``rowmax[r - start]`` the largest shifted distance
+    dm[r + p, j + p] over them (-inf when there is none).  A row covers the
+    same columns for every cutoff, so a profile built from ``start`` answers
+    every n0 >= start.  The prefix keeps the last profile built; a call with
+    another (delta, p), or with n0 < start, replaces it.
+    """
+    slot = seq._profile
+    if slot is not None and slot[:2] == (delta, p) and slot[2] <= n0:
+        return slot[2:]
+
+    dm = seq.distance_matrix()
+    t = len(seq) - n0 - p
+    high = delta - ETA
+    count = np.empty(t, dtype=np.int64)
+    rowmax = np.empty(t)
     # Row chunks of the upper triangle: 0-based rows/cols n0 .. N - p - 1 hold
     # 1-based n in (n0, N - p], and the same block shifted by p.  A chunk
     # reads only the columns at or right of its first row; the triangle's
     # edge inside it falls in its leading square, masked by ``upper``.
-    t = n - w.n0 - w.p
     rows = chunk_rows(t)
     upper = np.triu(np.ones((min(rows, t),) * 2, dtype=bool))
-    pairs_triggered = 0
-    violating: Optional[tuple[int, int]] = None
+    # Summing the mask's bytes into the narrowest type that holds a row's
+    # count is several times faster than ``np.count_nonzero(..., axis=1)``.
+    counter = np.min_scalar_type(t)
     for i in range(0, t, rows):
         k = min(rows, t - i)
-        block = dm[w.n0 + i : w.n0 + i + k, w.n0 + i : w.n0 + t]
+        block = dm[n0 + i : n0 + i + k, n0 + i : n0 + t]
         triggered = block > ETA
         triggered &= block < high
         triggered[:, :k] &= upper[:k, :k]
-        pairs_triggered += int(np.count_nonzero(triggered))
-        if violating is None:
-            shifted = dm[w.n0 + w.p + i : w.n0 + w.p + i + k, w.n0 + w.p + i :]
-            bad = shifted >= bound  # the matrix is finite, so this is ~(shifted < bound)
-            bad &= triggered
-            first = int(np.argmax(bad))  # row-major order = lexicographic in (n, m)
-            if bad.flat[first]:
-                r, c = divmod(first, t - i)
-                violating = (w.n0 + i + r + 1, w.n0 + i + c + 1)
-
-    return ShiftContractionReport(
-        holds=violating is None,
-        pairs_checked=t * (t + 1) // 2,
-        pairs_triggered=pairs_triggered,
-        violating_pair=violating,
-    )
+        count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
+        shifted = dm[n0 + p + i : n0 + p + i + k, n0 + p + i :]
+        np.max(shifted, axis=1, where=triggered, initial=-np.inf, out=rowmax[i : i + k])
+    count.setflags(write=False)
+    rowmax.setflags(write=False)
+    seq._profile = (delta, p, n0, count, rowmax)
+    return n0, count, rowmax
 
 
 def tail_diameter(seq: SequencePrefix, n0: int) -> float:

@@ -8,8 +8,11 @@ through ``DbMetric.rows``; ``oneshot_cross`` is the build that the row-chunked
 ``DbMetric.cross`` replaced: the distance function over all of
 ``a[:, None]`` and ``b[None, :]`` at once, then the whole result validated and
 clamped.  ``oneshot_shift_contraction`` is the shift scan before row chunks,
-with whole-triangle masks, and ``argwhere_shift_contraction`` lists every
-violating pair with ``np.argwhere`` and keeps the first, and
+with whole-triangle masks, ``chunked_shift_contraction`` the row-chunked scan
+that the shift profile replaced (one full pass per witness), and
+``argwhere_shift_contraction`` lists every violating pair with ``np.argwhere``
+and keeps the first; ``loop_search_witness`` is the witness search over
+``chunked_shift_contraction``, and
 ``blockwise_solve_fixed_point`` grows the orbit point by point and reads the
 last step through the scalar ``SequencePrefix.distance``.
 ``loop_block_induction`` checks the blocks of one n per Python iteration, and
@@ -49,6 +52,7 @@ from cauchycert import (
     MetricError,
     Point,
     PrefixTooShort,
+    SearchConfig,
     SequencePrefix,
     ShiftContractionReport,
     ShiftWitness,
@@ -57,6 +61,7 @@ from cauchycert import (
     SolveResult,
     TailConfig,
     TriangleViolation,
+    WitnessSearch,
     certify_cauchy,
     check_consecutive_decay,
     check_shift_contraction,
@@ -68,7 +73,8 @@ from cauchycert import (
 )
 from cauchycert.certificates import _chain_stage, _pair_scan
 from cauchycert.contractions import Contraction, ContractionEstimate
-from cauchycert.metrics import PairCheck, SamplerConfig, TriangleEstimate, _rng_points
+from cauchycert.metrics import PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows
+from cauchycert.sequences import default_n0_grid
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,70 @@ def oneshot_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftCont
         pairs_triggered=int(np.count_nonzero(triggered)),
         violating_pair=violating,
     )
+
+
+def chunked_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContractionReport:
+    """``check_shift_contraction`` as one row-chunked pass per call, which
+    stops comparing shifted distances after the first violating chunk."""
+    n = len(seq)
+    if n < w.n0 + w.p + 2:
+        raise PrefixTooShort(
+            f"need N >= n0 + p + 2 = {w.n0 + w.p + 2} for at least one checkable pair, got N = {n}"
+        )
+    dm = seq.distance_matrix()
+    high = w.delta - ETA
+    bound = w.delta * w.lam / seq.metric.s - ETA
+    t = n - w.n0 - w.p
+    rows = chunk_rows(t)
+    upper = np.triu(np.ones((min(rows, t),) * 2, dtype=bool))
+    pairs_triggered = 0
+    violating: Optional[tuple[int, int]] = None
+    for i in range(0, t, rows):
+        k = min(rows, t - i)
+        block = dm[w.n0 + i : w.n0 + i + k, w.n0 + i : w.n0 + t]
+        triggered = block > ETA
+        triggered &= block < high
+        triggered[:, :k] &= upper[:k, :k]
+        pairs_triggered += int(np.count_nonzero(triggered))
+        if violating is None:
+            shifted = dm[w.n0 + w.p + i : w.n0 + w.p + i + k, w.n0 + w.p + i :]
+            bad = shifted >= bound  # the matrix is finite, so this is ~(shifted < bound)
+            bad &= triggered
+            first = int(np.argmax(bad))  # row-major order = lexicographic in (n, m)
+            if bad.flat[first]:
+                r, c = divmod(first, t - i)
+                violating = (w.n0 + i + r + 1, w.n0 + i + c + 1)
+    return ShiftContractionReport(
+        holds=violating is None,
+        pairs_checked=t * (t + 1) // 2,
+        pairs_triggered=pairs_triggered,
+        violating_pair=violating,
+    )
+
+
+def loop_search_witness(
+    seq: SequencePrefix, delta: float, cfg: SearchConfig = SearchConfig()
+) -> WitnessSearch:
+    """``search_witness`` with every candidate scanned by
+    :func:`chunked_shift_contraction`."""
+    n = len(seq)
+    n0s = cfg.n0_values if cfg.n0_values is not None else default_n0_grid(n)
+    p_cap = n - min(n0s) - 2
+    p_max_used = min(cfg.p_max, max(p_cap, 0))
+    truncated = p_max_used < cfg.p_max
+    if p_max_used < 1:
+        raise PrefixTooShort(f"prefix of length {n} is too short for any shift with n0 grid {n0s}")
+    for p in range(1, p_max_used + 1):
+        for lam in cfg.lambdas:
+            for n0 in n0s:
+                if n < n0 + p + 2:
+                    truncated = True
+                    continue
+                w = ShiftWitness(delta=delta, p=p, lam=lam, n0=n0)
+                report = chunked_shift_contraction(seq, w)
+                if report.holds:
+                    return WitnessSearch(w, report, p_max_used, truncated)
+    return WitnessSearch(None, None, p_max_used, truncated)
 
 
 def argwhere_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContractionReport:

@@ -480,9 +480,19 @@ class TestCertifyMemory:
         assert peak < 1.1 * matrix.nbytes
 
     def test_shift_scan_temporaries_stay_below_a_sixteenth_of_the_matrix(self, orbit):
-        # A holding witness: every row chunk runs the shifted comparison.
-        report, peak = _traced_peak(check_shift_contraction, orbit, ShiftWitness(0.1, 1, 0.95, 1))
+        # A delta no other test here scans, so the call builds its shift
+        # profile instead of reading one an earlier test left on the orbit.
+        report, peak = _traced_peak(check_shift_contraction, orbit, ShiftWitness(0.15, 1, 0.95, 1))
         assert report.holds and report.pairs_triggered > 0
+        assert peak < orbit.distance_matrix().nbytes / 16
+
+    def test_search_keeps_one_shift_profile(self, orbit):
+        # No witness within p <= 150, so the search builds 150 profiles of
+        # 16 bytes a row; kept one per (delta, p), they would pass the limit.
+        cfg = SearchConfig(p_max=150, lambdas=(1e-8,), n0_values=(1,))
+        found, peak = _traced_peak(search_witness, orbit, 0.3, cfg)
+        assert found.witness is None and found.p_max_used == 150
+        assert 150 * 16 * (len(orbit) - 152) > orbit.distance_matrix().nbytes / 16
         assert peak < orbit.distance_matrix().nbytes / 16
 
 

@@ -529,6 +529,56 @@ class TestConfigErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            # Each misspelt key below used to be dropped and its default run.
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"}, "source": {"inline": [1.0, 0.5]},
+                 "paramters": {"tail": {"eps": 0.1}}},
+                "unknown key 'paramters' in the config; expected one of metric, source, parameters",
+            ),
+            (
+                "check",
+                {"metric": {"name": "shifted_dislocated", "param": {"offset": 0.5}},
+                 "source": {"inline": [1.0, 0.5]}},
+                "unknown key 'param' in \"metric\"; expected one of name, s, params",
+            ),
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"},
+                 "source": {"generator": {"name": "geometric", "parms": {"n": 5}}}},
+                "unknown key 'parms' in \"source.generator\"",
+            ),
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"},
+                 "source": {"orbit": {"contraction": {"name": "halving"}, "n": 20, "x_0": 5.0}}},
+                "unknown key 'x_0' in \"source.orbit\"; expected one of contraction, n, x0",
+            ),
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"},
+                 "source": {"orbit": {"contraction": {"name": "affine_1d", "a": 0.5}, "n": 20}}},
+                "unknown key 'a' in \"source.orbit.contraction\"; expected one of name, params",
+            ),
+            (
+                "solve",
+                {"metric": {"name": "euclid_1d"},
+                 "parameters": {"contraction": {"name": "affine_1d", "param": {"a": 0.5}},
+                                "solver": {"target_delta": 0.1}}},
+                "unknown key 'param' in \"parameters.contraction\"",
+            ),
+        ],
+    )
+    def test_unknown_key_outside_parameters_is_config_error(
+        self, tmp_path, capsys, command, config, message
+    ):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, config)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and message in err
+
     @pytest.mark.parametrize("s", ["x", "2", True])
     def test_non_numeric_metric_s_is_config_error(self, tmp_path, capsys, s):
         cfg = write_config(

@@ -33,7 +33,12 @@ from cauchycert.sequences import (
     geometric_sequence,
     make_sequence,
 )
-from oracles import argwhere_shift_contraction, oneshot_shift_contraction
+from oracles import (
+    argwhere_shift_contraction,
+    chunked_shift_contraction,
+    loop_search_witness,
+    oneshot_shift_contraction,
+)
 
 
 def _outcome(scan, seq, w):
@@ -42,6 +47,14 @@ def _outcome(scan, seq, w):
         return scan(seq, w)
     except PrefixTooShort as exc:
         return str(exc)
+
+
+def _search_outcome(search, seq, delta, cfg):
+    """The search's ``to_dict()``, or the type and message of its exception."""
+    try:
+        return search(seq, delta, cfg).to_dict()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestSequencePrefix:
@@ -267,6 +280,16 @@ class TestShiftContraction:
         assert report.violating_pair == (2, 2)
         assert report.pairs_triggered == 6
 
+    def test_shifted_distance_on_the_bound_violates(self, euclid):
+        # The shifted distance of (2, 3) is exactly delta * lam - eta, and the
+        # condition asks for strictly less.
+        seq = SequencePrefix.from_values([0.0, 0.25, 0.0, 0.5 - ETA], euclid)
+        report = check_shift_contraction(seq, ShiftWitness(1.0, 1, 0.5, 1))
+        assert seq.distance(3, 4) == 1.0 * 0.5 - ETA
+        assert not report.holds
+        assert report.violating_pair == (2, 3)
+        assert report.pairs_triggered == 1
+
     def test_prefix_too_short(self, euclid):
         seq = SequencePrefix.from_values([1.0, 0.5, 0.25], euclid)
         with pytest.raises(PrefixTooShort):
@@ -309,15 +332,56 @@ class TestShiftContraction:
         chunk=st.sampled_from([7, 64, metrics._CHUNK]),
     )
     def test_matches_argwhere_oracle(self, values, name, s, delta, p, lam, n0, chunk):
-        # The row-chunked scan equals the whole-triangle scan it replaced and
-        # the argwhere listing, report for report and message for message.
+        # The profile scan equals the row-chunked and whole-triangle scans it
+        # replaced and the argwhere listing, report for report and message
+        # for message.
         seq = SequencePrefix.from_values(values, make_metric(name, s=s))
         w = ShiftWitness(delta, p, lam, n0)
         expected = _outcome(oneshot_shift_contraction, seq, w)
         assert _outcome(argwhere_shift_contraction, seq, w) == expected
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
+            assert _outcome(chunked_shift_contraction, seq, w) == expected
             assert _outcome(check_shift_contraction, seq, w) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            # Distances inside the tiny band (ETA, 3 ETA) trigger at delta =
+            # 4 ETA, where lam <= 0.25 puts the bound at or below zero.
+            st.sampled_from([0.0, 1.5 * ETA, 3 * ETA, 0.125, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0),
+            min_size=2,
+            max_size=40,
+        ),
+        name=st.sampled_from(sorted(available_metrics())),
+        s=st.sampled_from([1.0, 2.0]),
+        candidates=st.lists(
+            st.tuples(
+                st.sampled_from([4 * ETA, 0.05, 0.3, 1.0]),
+                st.integers(1, 4),
+                st.sampled_from([0.1, 0.25, 0.5, 0.9]),
+                st.integers(1, 8),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        n0_walk=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+        chunk=st.sampled_from([7, 64, metrics._CHUNK]),
+    )
+    def test_one_prefix_answers_many_witnesses(self, values, name, s, candidates, n0_walk, chunk):
+        # Every witness is sent to the same prefix, so later calls read the
+        # profile an earlier call left (or replace it): a repeated (delta, p),
+        # cutoffs rising and falling, and a bound at or below zero.
+        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        delta, p, lam, n0 = candidates[0]
+        walk = [(delta, p, lam, m) for m in (n0, *n0_walk, n0 + 2, n0, 1, n0 + 1)]
+        tiny = [(4 * ETA, p, 0.1, m) for m in (2, 1, 3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            for candidate in [*candidates, *walk, *tiny, *candidates]:
+                w = ShiftWitness(*candidate)
+                expected = _outcome(chunked_shift_contraction, seq, w)
+                assert _outcome(check_shift_contraction, seq, w) == expected, candidate
 
 
 class TestTailDiameter:
@@ -424,6 +488,37 @@ class TestWitnessSearch:
         cfg = SearchConfig(p_max=2, lambdas=(0.5,), n0_values=(1,))
         found = search_witness(halving_orbit, 0.1, cfg)
         assert found.witness == ShiftWitness(0.1, 1, 0.5, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
+            st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]), min_size=2, max_size=40),
+            # Geometric decay, so that some searches find a witness.
+            st.builds(lambda n, r: [r**k for k in range(n)], st.integers(2, 40), st.floats(0.3, 0.9)),
+        ),
+        name=st.sampled_from(sorted(available_metrics())),
+        delta=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
+        cfg=st.sampled_from(
+            [
+                SearchConfig(),
+                SearchConfig(p_max=3, lambdas=(0.5, 0.9)),
+                SearchConfig(p_max=4, lambdas=(0.3, 0.7), n0_values=(5, 1, 3)),
+                SearchConfig(p_max=2, n0_values=(9, 2)),
+            ]
+        ),
+        chunk=st.sampled_from([7, metrics._CHUNK]),
+    )
+    def test_matches_loop_search_over_oracle_scan(self, values, name, delta, cfg, chunk):
+        # Searches at two deltas on one prefix, so the second starts from
+        # the profile the first left behind.
+        seq = SequencePrefix.from_values(values, make_metric(name))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            for d in (delta, delta / 2, delta):
+                assert _search_outcome(search_witness, seq, d, cfg) == _search_outcome(
+                    loop_search_witness, seq, d, cfg
+                )
 
 
 class TestGenerators:
