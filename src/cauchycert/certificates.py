@@ -147,10 +147,6 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     n_low = max(settling, w.n0)
     delta, lam, p = w.delta, w.lam, w.p
 
-    split = delta * lam + delta * (1.0 - lam)
-    if abs(split - delta) > ETA:
-        raise DivergenceError(f"band split {split} deviates from delta {delta}")
-
     d = dm[n_low:, n_low:]
     t = d.shape[0]
     first: Optional[tuple[int, int]] = None  # smallest offending (u, k)

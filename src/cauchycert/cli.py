@@ -125,7 +125,7 @@ def cmd_check(args) -> tuple[dict, dict, int]:
         "tail_diameter": {
             "from_start": tail_diameter(seq, 1),
             "midpoint": midpoint,
-            "from_midpoint": tail_diameter(seq, midpoint) if midpoint < n else None,
+            "from_midpoint": tail_diameter(seq, midpoint),
         },
     }
     return exp.raw, results, 0
@@ -203,7 +203,7 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
     deltas = exp.deltas() if override_mode else list(COUNTEREXAMPLE_DELTAS)
 
     metric = make_metric("euclid_1d")
-    seq = SequencePrefix.from_values(arithmetic_sequence(n), metric)
+    seq = SequencePrefix(arithmetic_sequence(n), metric)
 
     per_delta = []
     vacuous = True
@@ -215,7 +215,7 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
     decay = check_consecutive_decay(seq)
     half = math.ceil(n / 2)
     diam_full = tail_diameter(seq, 1)
-    half_seq = SequencePrefix.from_values(arithmetic_sequence(half), metric)
+    half_seq = SequencePrefix(arithmetic_sequence(half), metric)
     diam_half = tail_diameter(half_seq, 1)
 
     assertions = {

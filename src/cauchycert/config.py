@@ -196,14 +196,14 @@ class Experiment:
         (kind, spec), = section.items()
         try:
             if kind == "inline":
-                return SequencePrefix.from_values(_numbers(spec, "source.inline"), metric)
+                return SequencePrefix(_numbers(spec, "source.inline"), metric)
             if kind == "generator":
                 if not isinstance(spec, dict) or "name" not in spec:
                     raise ConfigError('"source.generator" needs a "name"')
                 params = _numbers(spec.get("params", {}), "source.generator.params")
                 return make_sequence(spec["name"], metric, **params)
             if kind == "csv":
-                return SequencePrefix.from_values(read_csv_points(spec, csv_header), metric)
+                return SequencePrefix(read_csv_points(spec, csv_header), metric)
             if kind == "orbit":
                 if not isinstance(spec, dict):
                     raise ConfigError('"source.orbit" must be an object')

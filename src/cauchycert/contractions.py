@@ -22,7 +22,7 @@ import numpy as np
 from .certificates import CauchyCertificate, certify_cauchy
 from .errors import ContractionError, SolverError
 from .metrics import ETA, DbMetric, Pairs, Point
-from .sequences import SequencePrefix, ShiftWitness, TailConfig
+from .sequences import SequencePrefix, ShiftWitness, TailConfig, consecutive_distances
 
 #: Hard cap for the derived shift; beyond this the witness is unsatisfiable.
 SHIFT_CAP = 1000
@@ -233,7 +233,7 @@ def solve_fixed_point(
     while seq is not None:
         # Mid-run hypothesis check: consecutive step ratios are image/base
         # ratios of the map, so they must also respect the declared c.
-        steps = metric.rows(seq.coords[1:], seq.coords[:-1])
+        steps = consecutive_distances(seq)
         nz = steps[:-1] > ETA
         if np.any(nz):
             ratios = steps[1:][nz] / steps[:-1][nz]

@@ -72,7 +72,7 @@ class Point:
 
     def __repr__(self) -> str:
         if self.dim == 1:
-            return f"Point({self.coords[0]!r})"
+            return f"Point({self.coords.item()!r})"
         return f"Point({self.coords.tolist()!r})"
 
 

@@ -114,10 +114,6 @@ class SequencePrefix:
         self._base: Optional[np.ndarray] = None  # matrix of a leading sub-prefix
         self._profile: Optional[tuple] = None  # the last shift profile, see _shift_profile
 
-    @classmethod
-    def from_values(cls, values: Sequence, metric: DbMetric) -> "SequencePrefix":
-        return cls(values, metric)
-
     def __len__(self) -> int:
         return self.coords.shape[0]
 
@@ -126,9 +122,6 @@ class SequencePrefix:
         if not (1 <= n <= len(self)):
             raise IndexError(f"index {n} outside 1..{len(self)}")
         return Point(self.coords[n - 1])
-
-    def distance(self, n: int, m: int) -> float:
-        return self.metric.distance(self.point(n), self.point(m))
 
     def extend(self, points: Sequence) -> "SequencePrefix":
         """This prefix followed by ``points``, validated like a new prefix.
@@ -161,9 +154,9 @@ class SequencePrefix:
         return self._matrix
 
 
-def consecutive_distances(seq: SequencePrefix) -> list[float]:
+def consecutive_distances(seq: SequencePrefix) -> np.ndarray:
     """[rho(x_2, x_1), rho(x_3, x_2), ...]; length N - 1."""
-    return seq.metric.rows(seq.coords[1:], seq.coords[:-1]).tolist()
+    return seq.metric.rows(seq.coords[1:], seq.coords[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +193,16 @@ def check_consecutive_decay(
     """
     steps = consecutive_distances(seq)
     count = len(steps)
+    # tau <= 1 and N >= 2 keep the window start at or before the last step.
     window_start = max(1, math.ceil(tail.tau * count))
-    if window_start > count:
-        raise PrefixTooShort(f"window start {window_start} beyond last step index {count}")
-    tail_max = max(steps[window_start - 1 :])
-
-    first_good: Optional[int] = None
-    for n in range(count, 0, -1):
-        if steps[n - 1] <= tail.eps:
-            first_good = n
-        else:
-            break
+    tail_max = float(np.max(steps[window_start - 1 :]))
+    above = np.flatnonzero(steps > tail.eps)
+    first_good = int(above[-1]) + 2 if above.size else 1  # the step after the last one above eps
 
     return ConsecutiveDecayReport(
         holds=tail_max <= tail.eps,
         tail_max=tail_max,
-        first_good_index=first_good,
+        first_good_index=first_good if first_good <= count else None,
         window_start=window_start,
         eps=tail.eps,
     )
@@ -362,6 +349,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.p_max < 1:
             raise ValueError("p_max must be >= 1")
+        if not self.lambdas or (self.n0_values is not None and not self.n0_values):
+            raise ValueError("the lambda and n0 grids must not be empty")
         for lam in self.lambdas:
             if not (0.0 < lam < 1.0):
                 raise ValueError(f"lambda grid entries must lie in (0, 1), got {lam}")
@@ -464,7 +453,7 @@ def make_sequence(name: str, metric: DbMetric, **params) -> SequencePrefix:
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
     factory, _ = GENERATORS[name]
-    return SequencePrefix.from_values(factory(**params), metric)
+    return SequencePrefix(factory(**params), metric)
 
 
 def available_generators() -> dict[str, dict[str, str]]:

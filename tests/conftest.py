@@ -47,4 +47,4 @@ def halving_orbit(euclid):
 @pytest.fixture(scope="session")
 def linear_prefix(euclid):
     """x_n = n for n = 1..50: steps never decay, diameter grows with N."""
-    return SequencePrefix.from_values([float(k) for k in range(1, 51)], euclid)
+    return SequencePrefix([float(k) for k in range(1, 51)], euclid)

@@ -1,8 +1,12 @@
 """Reference versions of library code, kept as test oracles.
 
-``chain_bound`` and ``self_distance_bound`` evaluate one telescoped bound at
-a time through ``SequencePrefix.distance``; ``_chain_stage`` must agree with
-them.  ``meshgrid_matrix`` is the all-pairs build that ``DbMetric.matrix``
+``pair_distance`` is the scalar pair accessor ``SequencePrefix.distance`` that
+the prefix no longer has: one ``DbMetric.distance`` call on two ``Point``s,
+computed apart from the distance matrix.  ``loop_consecutive_decay`` is the
+consecutive-decay check over a list of steps, with its suffix walked in a
+Python loop.  ``chain_bound`` and ``self_distance_bound`` evaluate one
+telescoped bound at a time through ``pair_distance``; ``_chain_stage`` must
+agree with them.  ``meshgrid_matrix`` is the all-pairs build that ``DbMetric.matrix``
 replaced: every pair gathered into two flat ``(N*N, d)`` stacks and passed
 through ``DbMetric.rows``; ``oneshot_cross`` is the build that the row-chunked
 ``DbMetric.cross`` replaced: the distance function over all of
@@ -14,7 +18,7 @@ that the shift profile replaced (one full pass per witness), and
 and keeps the first; ``loop_search_witness`` is the witness search over
 ``chunked_shift_contraction``, and
 ``blockwise_solve_fixed_point`` grows the orbit point by point and reads the
-last step through the scalar ``SequencePrefix.distance``.
+last step through the scalar ``pair_distance``.
 ``loop_block_induction`` checks the blocks of one n per Python iteration, and
 ``triu_pair_scan`` gathers every tail pair through ``np.triu_indices``; both
 replay the same float expressions as the residue-class scans in
@@ -74,7 +78,40 @@ from cauchycert import (
 from cauchycert.certificates import _chain_stage, _pair_scan
 from cauchycert.contractions import Contraction, ContractionEstimate
 from cauchycert.metrics import PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows
-from cauchycert.sequences import default_n0_grid
+from cauchycert.sequences import consecutive_distances, default_n0_grid
+
+
+def pair_distance(seq: SequencePrefix, n: int, m: int) -> float:
+    """rho(x_n, x_m) for 1-based n and m, evaluated on its own."""
+    return seq.metric.distance(seq.point(n), seq.point(m))
+
+
+def loop_consecutive_decay(
+    seq: SequencePrefix, tail: TailConfig = TailConfig()
+) -> ConsecutiveDecayReport:
+    """``check_consecutive_decay`` over a list of steps, with the all-good
+    suffix found by walking back from the last step."""
+    steps = consecutive_distances(seq).tolist()
+    count = len(steps)
+    window_start = max(1, math.ceil(tail.tau * count))
+    if window_start > count:
+        raise PrefixTooShort(f"window start {window_start} beyond last step index {count}")
+    tail_max = max(steps[window_start - 1 :])
+
+    first_good: Optional[int] = None
+    for n in range(count, 0, -1):
+        if steps[n - 1] <= tail.eps:
+            first_good = n
+        else:
+            break
+
+    return ConsecutiveDecayReport(
+        holds=tail_max <= tail.eps,
+        tail_max=tail_max,
+        first_good_index=first_good,
+        window_start=window_start,
+        eps=tail.eps,
+    )
 
 
 @dataclass(frozen=True)
@@ -106,10 +143,10 @@ def chain_bound(seq: SequencePrefix, n: int, q: int) -> ChainBound:
         raise IndexError(f"chain {n}..{n + q} outside prefix of length {len(seq)}")
     s = seq.metric.s
     terms = tuple(
-        s ** min(j, q - 1) * seq.distance(n + j - 1, n + j) for j in range(1, q + 1)
+        s ** min(j, q - 1) * pair_distance(seq, n + j - 1, n + j) for j in range(1, q + 1)
     )
     total = float(sum(terms))
-    direct = seq.distance(n, n + q)
+    direct = pair_distance(seq, n, n + q)
     if direct > total + ETA:
         raise MetricError(
             f"chain bound violated at n={n}, q={q}: direct {direct} > telescoped {total}; "
@@ -128,8 +165,8 @@ def self_distance_bound(seq: SequencePrefix, n: int) -> float:
     if not (1 <= n < len(seq)):
         raise IndexError(f"need n + 1 <= N, got n={n}, N={len(seq)}")
     s = seq.metric.s
-    bound = 2.0 * s * seq.distance(n + 1, n)
-    direct = seq.distance(n, n)
+    bound = 2.0 * s * pair_distance(seq, n + 1, n)
+    direct = pair_distance(seq, n, n)
     if direct > bound + ETA:
         raise MetricError(
             f"self-distance bound violated at n={n}: rho(x_n, x_n) = {direct} > {bound}; "
@@ -303,7 +340,7 @@ def blockwise_solve_fixed_point(
 ) -> SolveResult:
     """``solve_fixed_point`` with its own orbit loop, 32 verification pairs,
     certification at the default tail, and the stopping step evaluated once
-    more through the scalar ``SequencePrefix.distance``."""
+    more through the scalar ``pair_distance``."""
     if target_delta <= 0.0:
         raise ValueError(f"target delta must be positive, got {target_delta}")
     rng = np.random.default_rng(cfg.seed)
@@ -344,7 +381,7 @@ def blockwise_solve_fixed_point(
                 )
 
         outcome = certify_cauchy(seq, witness)
-        last_step = seq.distance(len(pts) - 1, len(pts))
+        last_step = pair_distance(seq, len(pts) - 1, len(pts))
         if outcome.certified and last_step <= cfg.tail.eps:
             x_star = pts[-1]
             fx = f.apply(x_star)
@@ -380,10 +417,6 @@ def loop_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) ->
     s = seq.metric.s
     n_low = max(settling, w.n0)
     delta, lam, p = w.delta, w.lam, w.p
-
-    split = delta * lam + delta * (1.0 - lam)
-    if abs(split - delta) > ETA:
-        raise DivergenceError(f"band split {split} deviates from delta {delta}")
 
     depth = 0
     zero_steps = 0

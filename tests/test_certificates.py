@@ -41,6 +41,7 @@ from oracles import (
     appended_certify_cauchy,
     chain_bound,
     loop_block_induction,
+    pair_distance,
     self_distance_bound,
     triu_pair_scan,
 )
@@ -81,7 +82,7 @@ class TestDeltaGrid:
 
 class TestChainBound:
     def test_telescoping_is_tight_for_euclid(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5, 0.25, 0.125], euclid)
+        seq = SequencePrefix([1.0, 0.5, 0.25, 0.125], euclid)
         cb = chain_bound(seq, 1, 3)
         assert cb.terms == (0.5, 0.25, 0.125)
         assert cb.total == 0.875
@@ -90,19 +91,19 @@ class TestChainBound:
     def test_coefficients_double_then_plateau(self):
         # s = 2: weights are s**min(j, q-1), so the last two steps share the
         # top coefficient instead of growing another factor of s.
-        seq = SequencePrefix.from_values([0.0, 1.0, 3.0, 4.0], make_metric("sq_abs"))
+        seq = SequencePrefix([0.0, 1.0, 3.0, 4.0], make_metric("sq_abs"))
         cb = chain_bound(seq, 1, 3)
         assert cb.terms == (2.0, 16.0, 4.0)
         assert cb.total == 22.0
         assert cb.direct == 16.0
 
     def test_understated_s_detected(self):
-        seq = SequencePrefix.from_values([0.0, 1.0, 2.0], make_metric("sq_abs", s=1.0))
+        seq = SequencePrefix([0.0, 1.0, 2.0], make_metric("sq_abs", s=1.0))
         with pytest.raises(MetricError):
             chain_bound(seq, 1, 2)  # direct 4 > 1 + 1 under the claimed s = 1
 
     def test_argument_validation(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5, 0.25], euclid)
+        seq = SequencePrefix([1.0, 0.5, 0.25], euclid)
         with pytest.raises(ValueError):
             chain_bound(seq, 1, 1)
         with pytest.raises(IndexError):
@@ -118,7 +119,7 @@ class TestChainBound:
     def test_never_violated_for_euclid(self, values):
         # |x_n - x_{n+q}| telescopes exactly at s = 1, so the bound must hold
         # for every admissible (n, q).
-        seq = SequencePrefix.from_values(values, make_metric("euclid_1d"))
+        seq = SequencePrefix(values, make_metric("euclid_1d"))
         n_len = len(seq)
         for q in range(2, n_len):
             for n in range(1, n_len - q + 1):
@@ -128,11 +129,11 @@ class TestChainBound:
 
 class TestSelfDistanceBound:
     def test_max_dislocated(self):
-        seq = SequencePrefix.from_values([3.0, 2.0], make_metric("max_dislocated"))
+        seq = SequencePrefix([3.0, 2.0], make_metric("max_dislocated"))
         assert self_distance_bound(seq, 1) == 6.0  # 2 * 1 * max(3, 2)
 
     def test_shifted(self):
-        seq = SequencePrefix.from_values([5.0, 5.0], make_metric("shifted_dislocated", offset=1.0))
+        seq = SequencePrefix([5.0, 5.0], make_metric("shifted_dislocated", offset=1.0))
         assert self_distance_bound(seq, 1) == 2.0
 
     def test_violation_detected(self):
@@ -145,12 +146,12 @@ class TestSelfDistanceBound:
             fn=lambda x, y: abs(float(x[0] - y[0])) + (10.0 if x[0] == y[0] else 0.0),
             dim=1,
         )
-        seq = SequencePrefix.from_values([0.0, 1.0], bad)
+        seq = SequencePrefix([0.0, 1.0], bad)
         with pytest.raises(MetricError):
             self_distance_bound(seq, 1)
 
     def test_index_validation(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 2.0], euclid)
+        seq = SequencePrefix([1.0, 2.0], euclid)
         with pytest.raises(IndexError):
             self_distance_bound(seq, 2)
 
@@ -173,7 +174,7 @@ def scalar_chain_stage(seq: SequencePrefix, p: int, n_low: int):
                 if q == 0:
                     bounds.append(self_distance_bound(seq, n))
                 elif q == 1:
-                    bounds.append(seq.distance(n, n + 1))
+                    bounds.append(pair_distance(seq, n, n + 1))
                 else:
                     bounds.append(chain_bound(seq, n, q).total)
             except MetricError:
@@ -195,7 +196,7 @@ class TestChainStage:
         n_low=st.integers(0, 6),
     )
     def test_matches_scalar_oracles(self, values, name, s, p, n_low):
-        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        seq = SequencePrefix(values, make_metric(name, s=s))
         w = ShiftWitness(0.5, p, 0.5, 1)
         try:
             expected = scalar_chain_stage(seq, p, n_low)
@@ -220,9 +221,9 @@ class TestSettlingIndex:
         hi = len(halving_orbit) - w.p
         for n in range(m0 + 1, hi + 1):
             for q in range(w.p + 1):
-                assert halving_orbit.distance(n, n + q) < threshold
+                assert pair_distance(halving_orbit, n, n + q) < threshold
         assert any(
-            not (halving_orbit.distance(m0, m0 + q) < threshold) for q in range(w.p + 1)
+            not (pair_distance(halving_orbit, m0, m0 + q) < threshold) for q in range(w.p + 1)
         )
 
     def test_linear_never_settles(self, linear_prefix):
@@ -236,7 +237,7 @@ class TestSettlingIndex:
         assert find_settling_index(halving_orbit, w) == 8
 
     def test_prefix_too_short(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5], euclid)
+        seq = SequencePrefix([1.0, 0.5], euclid)
         with pytest.raises(PrefixTooShort):
             find_settling_index(seq, ShiftWitness(0.1, 1, 0.5, 1))
 
@@ -253,7 +254,7 @@ class TestBlockInduction:
         assert sum((60 - n) // 2 for n in range(4, 61)) == 784
 
     def test_genuine_metric_constant_all_zero_branch(self, euclid):
-        seq = SequencePrefix.from_values([1.0] * 10, euclid)
+        seq = SequencePrefix([1.0] * 10, euclid)
         trace = run_block_induction(seq, ShiftWitness(1.0, 1, 0.5, 1), settling=1)
         assert trace.depth == 8
         assert trace.zero_branch_steps == 36
@@ -263,7 +264,7 @@ class TestBlockInduction:
         # Positive self-distance keeps every previous block in the open band,
         # so every step must be justified through a shift-contraction pair.
         m = make_metric("shifted_dislocated", offset=0.3)
-        seq = SequencePrefix.from_values([1.0] * 10, m)
+        seq = SequencePrefix([1.0] * 10, m)
         trace = run_block_induction(seq, ShiftWitness(1.0, 1, 0.5, 1), settling=1)
         assert trace.depth == 8
         assert trace.zero_branch_steps == 0
@@ -271,7 +272,7 @@ class TestBlockInduction:
 
     def test_previous_block_at_tolerance_takes_zero_branch(self, euclid):
         # Every previous block is exactly 0 or ETA apart: both count as zero.
-        seq = SequencePrefix.from_values([0.0, ETA, 0.0, ETA, 0.0], euclid)
+        seq = SequencePrefix([0.0, ETA, 0.0, ETA, 0.0], euclid)
         trace = run_block_induction(seq, ShiftWitness(1.0, 1, 0.5, 1), settling=0)
         assert trace == InductionTrace(depth=3, zero_branch_steps=6, band_branch_steps=0)
 
@@ -286,7 +287,7 @@ class TestBlockInduction:
     def test_wrong_settling_index_surfaces_as_divergence(self, euclid):
         # With an honest settling index the justification cannot fail after
         # the direct bound passes; feeding a wrong one must not be accepted.
-        seq = SequencePrefix.from_values([9.0, 1.5, 0.4, 1.0], euclid)
+        seq = SequencePrefix([9.0, 1.5, 0.4, 1.0], euclid)
         with pytest.raises(DivergenceError):
             run_block_induction(seq, ShiftWitness(2.0, 1, 0.5, 1), settling=1)
 
@@ -316,7 +317,7 @@ SCAN_VALUES = st.one_of(
 
 
 def _scan_setup(values, name, s, delta, p, lam, n0):
-    seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+    seq = SequencePrefix(values, make_metric(name, s=s))
     try:
         seq.distance_matrix()
     except MetricError:  # e.g. max_dislocated on negative values
@@ -422,7 +423,7 @@ class TestCertifyMatchesOracle:
 
     @pytest.mark.parametrize("stage, values, name, s, delta, p, lam, n0", PINNED_REPLAYS)
     def test_pinned(self, stage, values, name, s, delta, p, lam, n0):
-        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        seq = SequencePrefix(values, make_metric(name, s=s))
         w = ShiftWitness(delta, p, lam, n0)
         outcome = certify_cauchy(seq, w)
         assert outcome.failure_stage == stage
@@ -442,7 +443,7 @@ class TestCertifyMatchesOracle:
         n0=st.integers(1, 4),
     )
     def test_random(self, values, name, s, delta, p, lam, n0):
-        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        seq = SequencePrefix(values, make_metric(name, s=s))
         w = ShiftWitness(delta, p, lam, n0)
         assert _certify_view(certify_cauchy, seq, w) == _certify_view(appended_certify_cauchy, seq, w)
 
@@ -552,7 +553,7 @@ class TestCertifyPipeline:
         assert not outcome.decay.holds
 
     def test_understated_s_fails_chain_stage(self):
-        seq = SequencePrefix.from_values(
+        seq = SequencePrefix(
             [2.0**-k for k in range(12)], make_metric("sq_abs", s=1.0)
         )
         outcome = certify_cauchy(seq, ShiftWitness(0.1, 2, 0.5, 1))
@@ -561,7 +562,7 @@ class TestCertifyPipeline:
         assert "n=3, q=2" in outcome.failure_detail
 
     def test_correct_s_certifies_same_data(self):
-        seq = SequencePrefix.from_values([2.0**-k for k in range(12)], make_metric("sq_abs"))
+        seq = SequencePrefix([2.0**-k for k in range(12)], make_metric("sq_abs"))
         outcome = certify_cauchy(seq, ShiftWitness(0.1, 2, 0.5, 1))
         assert outcome.certified
         assert outcome.certificate.settling_index == 3
@@ -570,7 +571,7 @@ class TestCertifyPipeline:
         # The last p - 1 indices are outside the settling scan; a spread that
         # hides there passes every earlier stage and must still be caught.
         values = [0.5, 0.25, 0.125, 0.0625, 0.03, 0.01, 0.0, 0.0, 0.0, -0.03, 0.0, 0.03]
-        seq = SequencePrefix.from_values(values, euclid)
+        seq = SequencePrefix(values, euclid)
         outcome = certify_cauchy(seq, ShiftWitness(0.1, 3, 0.5, 1))
         assert not outcome.certified
         assert outcome.failure_stage == "pair_scan"
@@ -581,7 +582,7 @@ class TestCertifyPipeline:
         # Decaying towards 0 under max(x, y): self-distances shrink with the
         # points, so the dislocated instance still certifies.
         m = make_metric("max_dislocated")
-        seq = SequencePrefix.from_values([2.0**-k for k in range(1, 41)], m)
+        seq = SequencePrefix([2.0**-k for k in range(1, 41)], m)
         delta = 0.1
         found = search_witness(seq, delta)
         assert found.witness is not None
@@ -590,7 +591,7 @@ class TestCertifyPipeline:
         assert outcome.certificate.oracle_tail_diameter < outcome.certificate.diameter_bound
 
     def test_short_prefix_propagates(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5, 0.25], euclid)
+        seq = SequencePrefix([1.0, 0.5, 0.25], euclid)
         with pytest.raises(PrefixTooShort):
             certify_cauchy(seq, ShiftWitness(0.1, 1, 0.5, 1))
 
@@ -627,7 +628,7 @@ class TestCertifyOverGrid:
         assert {e.outcome.failure_stage for e in results} == {"settling_index"}
 
     def test_short_prefix_is_a_note_on_both_paths(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5, 0.25, 0.125, 0.0625], euclid)
+        seq = SequencePrefix([1.0, 0.5, 0.25, 0.125, 0.0625], euclid)
         tight = SearchConfig(n0_values=(4,))  # no shift fits: the search itself raises
 
         explicit = certify_over_grid(seq, [0.1, 0.05], lambda d: ShiftWitness(d, 8, 0.5, 1))

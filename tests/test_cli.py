@@ -12,8 +12,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from cauchycert import STAGES
 from cauchycert.cli import main
-from cauchycert.reports import validate_report
+from cauchycert.reports import load_schema, validate_report
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -99,6 +100,12 @@ class TestEnvelope:
         assert out == ""
         parse_report(target.read_text())
 
+    def test_schema_stage_names_are_the_stages(self):
+        assert tuple(load_schema()["$defs"]["stage"]["enum"]) == STAGES
+
+    def test_schema_is_a_valid_schema(self):
+        jsonschema.Draft202012Validator.check_schema(load_schema())
+
 
 class TestAxioms:
     def test_relaxed_triangle_constant_from_stdin(self, capsys, monkeypatch):
@@ -141,6 +148,38 @@ class TestCheck:
             "from_midpoint": 1.9073468138230965e-06,
         }
         assert len(results["per_delta"]) == 7
+
+    def test_prefix_too_short_for_search_is_a_note(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"metric": {"name": "euclid_1d"}, "source": {"inline": [1.0, 0.5, 0.25]}}
+        )
+        code, out, _ = run_cli(["check", "--config", cfg], capsys)
+        assert code == 0
+        results = parse_report(out)["results"]
+        assert results["tail_diameter"] == {"from_start": 0.75, "midpoint": 2, "from_midpoint": 0.25}
+        for entry in results["per_delta"]:
+            assert entry["search"] is None
+            assert entry["note"] == "prefix of length 3 is too short for any shift with n0 grid (1,)"
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("consecutive_decay", "first_good_index"),
+            ("per_delta", 0, "search", "p_max_used"),
+            ("per_delta", 0, "search", "report", "violating_pair"),
+            ("tail_diameter", "from_midpoint"),
+        ],
+    )
+    def test_report_validates_results(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path, GEOMETRIC_CHECK_CONFIG)
+        _, out, _ = run_cli(["check", "--config", cfg, "--no-timestamp"], capsys)
+        report = parse_report(out)
+        holder = report["results"]
+        for key in path[:-1]:
+            holder = holder[key]
+        del holder[path[-1]]
+        with pytest.raises(jsonschema.ValidationError, match=path[-1]):
+            validate_report(report)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, GEOMETRIC_CHECK_CONFIG)
@@ -276,6 +315,35 @@ class TestCertify:
         with pytest.raises(jsonschema.ValidationError, match="oracle_tail_diameter"):
             validate_report(report)
 
+    @pytest.mark.parametrize("field", ["failure", "stages", "shift_contraction"])
+    def test_report_validates_outcomes(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, HALVING_ORBIT_CONFIG)
+        _, out, _ = run_cli(["certify", "--config", cfg, "--no-timestamp"], capsys)
+        report = parse_report(out)
+        del report["results"]["per_delta"][0]["outcome"][field]
+        with pytest.raises(jsonschema.ValidationError, match=field):
+            validate_report(report)
+
+    def test_large_delta_certifies(self, tmp_path, capsys):
+        # delta * lam + delta * (1 - lam) rounds away from delta = 1e9 at
+        # lam = 0.32; that round-off is no reason to refuse the input.
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "euclid_1d"},
+                "source": {"orbit": {"contraction": {"name": "halving"}, "n": 40, "x0": 1.0}},
+                "parameters": {
+                    "witness": {"p": 1, "lambda": 0.32, "n0": 1},
+                    "delta_grid": {"values": [1e9, 0.5]},
+                },
+            },
+        )
+        code, out, err = run_cli(["certify", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        results = parse_report(out)["results"]
+        assert results["all_certified"] is True
+        assert [e["outcome"]["certified"] for e in results["per_delta"]] == [True, True]
+
 
 class TestSolve:
     def test_affine_fixed_point(self, tmp_path, capsys):
@@ -319,6 +387,25 @@ class TestSolve:
         results = parse_report(out)["results"]
         assert results["solved"] is False
         assert "within 8 iterations" in results["error"]
+
+    def test_understated_constant_error_names_plain_floats(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "euclid_nd"},
+                "parameters": {
+                    "contraction": {
+                        "name": "affine_nd",
+                        "params": {"matrix": [[0.9]], "offset": [0.0], "c": 0.5},
+                    },
+                    "solver": {"target_delta": 0.01, "x0": [1.0]},
+                },
+            },
+        )
+        code, out, _ = run_cli(["solve", "--config", cfg, "--no-timestamp"], capsys)
+        assert code == 0
+        error = parse_report(out)["results"]["error"]
+        assert "at pair (Point(5.436249914654229), Point(5.715298307297609))" in error
 
     def test_missing_target_delta(self, tmp_path, capsys):
         cfg = write_config(
@@ -449,6 +536,10 @@ class TestConfigErrors:
             ),
             ("check", '{"search": {"p_max": 2.5}}', "must be integers"),
             ("check", '{"search": {"n0_values": ["a"]}}', "must be integers"),
+            ("check", '{"search": {"n0_values": []}}', "grids must not be empty"),
+            ("certify", '{"search": {"n0_values": []}}', "grids must not be empty"),
+            ("check", '{"search": {"lambdas": []}}', "grids must not be empty"),
+            ("certify", '{"search": {"lambdas": []}}', "grids must not be empty"),
             ("certify", '{"delta_grid": {"levels": "x"}}', "an integer levels"),
             ("certify", '{"delta_grid": {"levels": 1100}}', "delta grid underflows"),
             ("axioms", '{"axioms": {"triple_count": "5"}}', '"parameters.axioms.triple_count" must be'),

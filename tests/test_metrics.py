@@ -54,6 +54,11 @@ class TestPoint:
         assert p.dim == 3
         assert p.tolist() == [1.0, 2.0, 3.0]
 
+    def test_repr_is_numpy_independent(self):
+        # numpy 2 reprs a float64 scalar as np.float64(...); reports must not.
+        assert repr(Point(np.float64(1.5))) == "Point(1.5)"
+        assert repr(Point([1.0, 2.0])) == "Point([1.0, 2.0])"
+
     def test_coords_frozen(self):
         p = Point([1.0, 2.0])
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cauchycert import (
     ETA,
@@ -36,8 +36,10 @@ from cauchycert.sequences import (
 from oracles import (
     argwhere_shift_contraction,
     chunked_shift_contraction,
+    loop_consecutive_decay,
     loop_search_witness,
     oneshot_shift_contraction,
+    pair_distance,
 )
 
 
@@ -60,28 +62,28 @@ def _search_outcome(search, seq, delta, cfg):
 class TestSequencePrefix:
     def test_needs_two_points(self, euclid):
         with pytest.raises(PrefixTooShort):
-            SequencePrefix.from_values([1.0], euclid)
+            SequencePrefix([1.0], euclid)
 
     def test_dimensions_must_agree(self):
         m = make_metric("euclid_nd")
         with pytest.raises(ValueError):
-            SequencePrefix.from_values([[1.0], [1.0, 2.0]], m)
+            SequencePrefix([[1.0], [1.0, 2.0]], m)
 
     def test_one_based_indexing(self, euclid):
-        seq = SequencePrefix.from_values([10.0, 20.0, 30.0], euclid)
+        seq = SequencePrefix([10.0, 20.0, 30.0], euclid)
         assert seq.point(1).tolist() == [10.0]
         assert seq.point(3).tolist() == [30.0]
-        assert seq.distance(1, 3) == 20.0
+        assert pair_distance(seq, 1, 3) == 20.0
         for bad in (0, 4):
             with pytest.raises(IndexError):
                 seq.point(bad)
 
     def test_distance_matrix_matches_pairwise(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 4.0, 9.0], euclid)
+        seq = SequencePrefix([1.0, 4.0, 9.0], euclid)
         dm = seq.distance_matrix()
         for n in range(1, 4):
             for m in range(1, 4):
-                assert dm[n - 1, m - 1] == seq.distance(n, m)
+                assert dm[n - 1, m - 1] == pair_distance(seq, n, m)
         assert np.array_equal(dm, dm.T)
 
     def test_matrix_built_once_per_prefix(self, monkeypatch):
@@ -93,7 +95,7 @@ class TestSequencePrefix:
             return build(metric, coords)
 
         monkeypatch.setattr(DbMetric, "matrix", counted)
-        seq = SequencePrefix.from_values([2.0**-k for k in range(1, 61)], make_metric("euclid_1d"))
+        seq = SequencePrefix([2.0**-k for k in range(1, 61)], make_metric("euclid_1d"))
         found = search_witness(seq, 0.1)
         outcome = certify_cauchy(seq, found.witness)
         assert outcome.certified
@@ -101,7 +103,7 @@ class TestSequencePrefix:
         assert calls == [60]
 
     def test_matrix_is_read_only(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 4.0, 9.0], euclid)
+        seq = SequencePrefix([1.0, 4.0, 9.0], euclid)
         dm = seq.distance_matrix()
         with pytest.raises(ValueError):
             dm[0, 1] = 0.0
@@ -112,8 +114,8 @@ class TestSequencePrefix:
 
     def test_consecutive_distances(self, linear_prefix):
         steps = consecutive_distances(linear_prefix)
-        assert len(steps) == 49
-        assert steps == [1.0] * 49
+        assert isinstance(steps, np.ndarray)
+        assert steps.tolist() == [1.0] * 49
 
 
 #: A metric with ``fn`` only, asymmetric so that rows and columns differ.
@@ -157,7 +159,7 @@ class TestExtend:
             return build(metric, coords)
 
         monkeypatch.setattr(DbMetric, "matrix", counted)
-        seq = SequencePrefix.from_values([1.0, 2.0, 4.0], make_metric("euclid_1d"))
+        seq = SequencePrefix([1.0, 2.0, 4.0], make_metric("euclid_1d"))
         seq.distance_matrix()
         for block in ([8.0], [16.0, 32.0]):
             seq = seq.extend(block)
@@ -165,12 +167,12 @@ class TestExtend:
         assert calls == [3]
         assert seq.distance_matrix()[0, 5] == 31.0
         # A prefix extended before building its matrix builds the longer one in full.
-        seq = SequencePrefix.from_values([1.0, 2.0], make_metric("euclid_1d")).extend([4.0])
+        seq = SequencePrefix([1.0, 2.0], make_metric("euclid_1d")).extend([4.0])
         seq.distance_matrix()
         assert calls == [3, 3]
 
     def test_new_points_are_validated(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 2.0], euclid)
+        seq = SequencePrefix([1.0, 2.0], euclid)
         with pytest.raises(MetricError, match="x_4"):
             seq.extend([3.0, float("inf")])
         assert seq.extend([]) is seq
@@ -224,7 +226,7 @@ class TestConsecutiveDecay:
         assert report.first_good_index is None
 
     def test_constant_sequence_trivially_holds(self, euclid):
-        seq = SequencePrefix.from_values([5.0] * 10, euclid)
+        seq = SequencePrefix([5.0] * 10, euclid)
         report = check_consecutive_decay(seq)
         assert report.holds
         assert report.tail_max == 0.0
@@ -233,7 +235,7 @@ class TestConsecutiveDecay:
     def test_dislocated_constant_fails(self):
         # Self-distance never decays under max(x, y), and the check sees it.
         m = make_metric("max_dislocated")
-        seq = SequencePrefix.from_values([1.0] * 10, m)
+        seq = SequencePrefix([1.0] * 10, m)
         report = check_consecutive_decay(seq)
         assert not report.holds
         assert report.tail_max == 1.0
@@ -242,6 +244,38 @@ class TestConsecutiveDecay:
         report = check_consecutive_decay(halving_orbit, TailConfig(tau=1.0))
         assert report.window_start == 59
         assert report.tail_max == 2.0**-60
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats(0.0, 2.0), min_size=2, max_size=3),
+            st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
+            st.lists(st.sampled_from([0.0, 1e-6, 2e-6, 0.5, 1.0]), min_size=2, max_size=40),
+            st.builds(lambda n, r: [r**k for k in range(n)], st.integers(2, 40), st.floats(0.01, 0.9)),
+        ),
+        name=st.sampled_from(sorted(available_metrics())),
+        tau=st.sampled_from([1e-300, 1e-9, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+        eps_from=st.sampled_from(["a step", "every step", "below every step", "free"]),
+        pick=st.integers(0, 100),
+        free=st.floats(0.0, 2.0),
+    )
+    @example(values=[1.0, 0.5], name="euclid_1d", tau=1.0, eps_from="a step", pick=0, free=0.0)
+    @example(values=[1.0, 3.0], name="broken_asym", tau=1e-300, eps_from="free", pick=0, free=0.5)
+    def test_matches_loop_oracle(self, values, name, tau, eps_from, pick, free):
+        # Steps equal to eps, all steps good, all steps bad, and any eps.
+        seq = SequencePrefix(values, make_metric(name))
+        steps = consecutive_distances(seq)
+        eps = {
+            "a step": float(steps[pick % len(steps)]),
+            "every step": float(np.max(steps)),
+            "below every step": max(float(np.nextafter(np.min(steps), -np.inf)), 0.0),
+            "free": free,
+        }[eps_from]
+        tail = TailConfig(tau=tau, eps=eps)
+        got = check_consecutive_decay(seq, tail).to_dict()
+        expected = loop_consecutive_decay(seq, tail).to_dict()
+        assert got == expected
+        assert repr(got) == repr(expected)  # the same Python types, so the same JSON
 
 
 class TestShiftContraction:
@@ -259,8 +293,8 @@ class TestShiftContraction:
         assert report.pairs_triggered == 1106
         assert report.violating_pair == (3, 5)
         # The reported pair really is a violation: in band, shifted too large.
-        base = halving_orbit.distance(3, 5)
-        shifted = halving_orbit.distance(4, 6)
+        base = pair_distance(halving_orbit, 3, 5)
+        shifted = pair_distance(halving_orbit, 4, 6)
         assert ETA < base < 0.1 - ETA
         assert not (shifted < 0.1 * 0.4 - ETA)
 
@@ -274,7 +308,7 @@ class TestShiftContraction:
         # Constant sequence at offset 1: every pair (including n = m) sits in
         # the band (0, 2), and shifting cannot contract a fixed self-distance.
         m = make_metric("shifted_dislocated", offset=1.0)
-        seq = SequencePrefix.from_values([1.0] * 5, m)
+        seq = SequencePrefix([1.0] * 5, m)
         report = check_shift_contraction(seq, ShiftWitness(2.0, 1, 0.5, 1))
         assert not report.holds
         assert report.violating_pair == (2, 2)
@@ -283,15 +317,15 @@ class TestShiftContraction:
     def test_shifted_distance_on_the_bound_violates(self, euclid):
         # The shifted distance of (2, 3) is exactly delta * lam - eta, and the
         # condition asks for strictly less.
-        seq = SequencePrefix.from_values([0.0, 0.25, 0.0, 0.5 - ETA], euclid)
+        seq = SequencePrefix([0.0, 0.25, 0.0, 0.5 - ETA], euclid)
         report = check_shift_contraction(seq, ShiftWitness(1.0, 1, 0.5, 1))
-        assert seq.distance(3, 4) == 1.0 * 0.5 - ETA
+        assert pair_distance(seq, 3, 4) == 1.0 * 0.5 - ETA
         assert not report.holds
         assert report.violating_pair == (2, 3)
         assert report.pairs_triggered == 1
 
     def test_prefix_too_short(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5, 0.25], euclid)
+        seq = SequencePrefix([1.0, 0.5, 0.25], euclid)
         with pytest.raises(PrefixTooShort):
             check_shift_contraction(seq, ShiftWitness(0.1, 1, 0.5, 1))
 
@@ -303,10 +337,10 @@ class TestShiftContraction:
         violating = None
         for i in range(w.n0 + 1, n - w.p + 1):
             for j in range(i, n - w.p + 1):
-                base = halving_orbit.distance(i, j)
+                base = pair_distance(halving_orbit, i, j)
                 if ETA < base < w.delta - ETA:
                     triggered += 1
-                    shifted = halving_orbit.distance(i + w.p, j + w.p)
+                    shifted = pair_distance(halving_orbit, i + w.p, j + w.p)
                     if not (shifted < w.delta * w.lam - ETA) and violating is None:
                         violating = (i, j)
         report = check_shift_contraction(halving_orbit, w)
@@ -335,7 +369,7 @@ class TestShiftContraction:
         # The profile scan equals the row-chunked and whole-triangle scans it
         # replaced and the argwhere listing, report for report and message
         # for message.
-        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        seq = SequencePrefix(values, make_metric(name, s=s))
         w = ShiftWitness(delta, p, lam, n0)
         expected = _outcome(oneshot_shift_contraction, seq, w)
         assert _outcome(argwhere_shift_contraction, seq, w) == expected
@@ -372,7 +406,7 @@ class TestShiftContraction:
         # Every witness is sent to the same prefix, so later calls read the
         # profile an earlier call left (or replace it): a repeated (delta, p),
         # cutoffs rising and falling, and a bound at or below zero.
-        seq = SequencePrefix.from_values(values, make_metric(name, s=s))
+        seq = SequencePrefix(values, make_metric(name, s=s))
         delta, p, lam, n0 = candidates[0]
         walk = [(delta, p, lam, m) for m in (n0, *n0_walk, n0 + 2, n0, 1, n0 + 1)]
         tiny = [(4 * ETA, p, 0.1, m) for m in (2, 1, 3)]
@@ -396,7 +430,7 @@ class TestTailDiameter:
         n0 = 7
         n = len(halving_orbit)
         best = max(
-            halving_orbit.distance(i, j)
+            pair_distance(halving_orbit, i, j)
             for i in range(n0, n + 1)
             for j in range(i, n + 1)
         )
@@ -404,7 +438,7 @@ class TestTailDiameter:
 
     def test_monotone_in_cutoff(self, euclid):
         rng = np.random.default_rng(2)
-        seq = SequencePrefix.from_values(rng.uniform(0, 10, 25).tolist(), euclid)
+        seq = SequencePrefix(rng.uniform(0, 10, 25).tolist(), euclid)
         values = [tail_diameter(seq, n0) for n0 in range(1, 25)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -412,7 +446,7 @@ class TestTailDiameter:
         # All pairwise values equal the self-distance here; the diagonal keeps
         # the oracle honest even when every step looks like every other.
         m = make_metric("shifted_dislocated", offset=0.5)
-        seq = SequencePrefix.from_values([3.0] * 6, m)
+        seq = SequencePrefix([3.0] * 6, m)
         assert tail_diameter(seq, 5) == 0.5
 
     @settings(max_examples=200, deadline=None)
@@ -422,7 +456,7 @@ class TestTailDiameter:
         n0=st.integers(1, 39),
     )
     def test_row_chunks_equal_the_whole_triangle(self, values, name, n0):
-        seq = SequencePrefix.from_values(values, make_metric(name))
+        seq = SequencePrefix(values, make_metric(name))
         n0 = min(n0, len(seq) - 1)
         whole = float(np.max(np.triu(seq.distance_matrix()[n0 - 1 :, n0 - 1 :])))
         with pytest.MonkeyPatch.context() as mp:
@@ -459,7 +493,7 @@ class TestWitnessSearch:
         assert found.report.pairs_triggered == 0  # vacuous, and visibly so
 
     def test_oscillator_has_no_witness(self, euclid):
-        seq = SequencePrefix.from_values(
+        seq = SequencePrefix(
             [0.0 if k % 2 == 0 else 0.3 for k in range(30)], euclid
         )
         found = search_witness(seq, 0.31)
@@ -468,13 +502,13 @@ class TestWitnessSearch:
         assert not found.truncated
 
     def test_truncation_flag(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], euclid)
+        seq = SequencePrefix([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125], euclid)
         found = search_witness(seq, 10.0)
         assert found.truncated
         assert found.p_max_used == 3  # 6 - min(n0) - 2
 
     def test_too_short_for_any_shift(self, euclid):
-        seq = SequencePrefix.from_values([1.0, 0.5, 0.25], euclid)
+        seq = SequencePrefix([1.0, 0.5, 0.25], euclid)
         with pytest.raises(PrefixTooShort):
             search_witness(seq, 0.1)
 
@@ -483,6 +517,9 @@ class TestWitnessSearch:
             SearchConfig(p_max=0)
         with pytest.raises(ValueError):
             SearchConfig(lambdas=(0.5, 1.0))
+        for empty in ({"lambdas": ()}, {"n0_values": ()}, {"n0_values": []}):
+            with pytest.raises(ValueError, match="must not be empty"):
+                SearchConfig(**empty)
 
     def test_custom_grids_respected(self, halving_orbit):
         cfg = SearchConfig(p_max=2, lambdas=(0.5,), n0_values=(1,))
@@ -512,7 +549,7 @@ class TestWitnessSearch:
     def test_matches_loop_search_over_oracle_scan(self, values, name, delta, cfg, chunk):
         # Searches at two deltas on one prefix, so the second starts from
         # the profile the first left behind.
-        seq = SequencePrefix.from_values(values, make_metric(name))
+        seq = SequencePrefix(values, make_metric(name))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
             for d in (delta, delta / 2, delta):
@@ -557,6 +594,6 @@ class TestGenerators:
 )
 def test_tail_diameter_monotone_property(values, n0):
     # Raising the cutoff shrinks the pair set, so the max cannot grow.
-    seq = SequencePrefix.from_values(values, make_metric("euclid_1d"))
+    seq = SequencePrefix(values, make_metric("euclid_1d"))
     n0 = max(1, min(n0, len(seq) - 2))
     assert tail_diameter(seq, n0) >= tail_diameter(seq, n0 + 1)
