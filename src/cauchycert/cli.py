@@ -137,7 +137,7 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
     seq = exp.sequence(metric, csv_header=args.header)
     search_cfg = exp.search()
 
-    if exp.raw["parameters"].get("witness") is not None:
+    if "witness" in exp.raw["parameters"]:
         source, witness_for = "explicit", exp.witness_for
     else:
         source = "search"
@@ -197,7 +197,7 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
     params = exp.raw.get("parameters", {})
 
     n = params.get("n", COUNTEREXAMPLE_N)
-    if not isinstance(n, int) or n < 4:
+    if n < 4:
         raise ConfigError(f'"parameters.n" must be an integer >= 4, got {n!r}')
     override_mode = exp.explicit_deltas()
     deltas = exp.deltas() if override_mode else list(COUNTEREXAMPLE_DELTAS)
@@ -262,11 +262,17 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config path, or '-' for stdin")
     common.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    common.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
+    common.add_argument("--seed", type=_seed, metavar="U64", help="override the config seed")
     common.add_argument(
         "--no-timestamp",
         action="store_true",

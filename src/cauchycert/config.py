@@ -8,15 +8,18 @@ A config is a JSON object with up to three sections:
 * ``parameters`` -- seed, tail window, delta grid, search grids, explicit
                    witness, axiom sampler, solver settings, contraction.
 
-Everything is optional except what the invoked command needs; missing or
-contradictory pieces raise :class:`ConfigError`, which the CLI maps to its
-configuration exit code.
+Everything is optional except what the invoked command needs.  The key table
+gives every accepted key its JSON kind, and :func:`make_experiment` checks the
+whole config against it once, whichever command runs.  Unknown keys, values
+of the wrong kind, and missing or contradictory pieces raise
+:class:`ConfigError`, which the CLI maps to its configuration exit code.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,67 +66,115 @@ def load_config_text(text: str) -> dict:
     return data
 
 
-def _is_number(value) -> bool:
+def _number(value) -> bool:
     """A JSON number: int or float, but not bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer, but not bool."""
-    return _is_number(value) and isinstance(value, int)
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _numbers(value, where: str):
-    """``value`` unchanged, after rejecting a JSON boolean anywhere in it:
-    the metric, contraction and point constructors convert with ``float()``,
-    which would read ``true`` as 1.0."""
-    if isinstance(value, bool):
-        raise ConfigError(f'"{where}" must be a number, got {value!r}')
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _numbers(item, f"{where}[{i}]")
-    elif isinstance(value, dict):
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+#: Leaf kinds: the name an error gives each, and its test.
+NUMBER = ("a number", _number)
+INTEGER = ("an integer", _integer)
+STRING = ("a string", lambda value: isinstance(value, str))
+NUMBERS = ("a list of numbers", _list_of(_number))
+INTEGERS = ("a list of integers", _list_of(_integer))
+#: A free-form value, handed on to a registry factory or to ``Point``: any
+#: JSON whose leaves are not booleans, since those convert with ``float()``,
+#: which would read ``true`` as 1.0.
+FREE = "free-form"
+#: An object of free-form values under any keys; ``"*"`` matches every key.
+PARAMS = {"*": FREE}
+_CONTRACTION = {"name": STRING, "params": PARAMS}
+
+#: Every key a config accepts, with its kind.  A dict is an object that
+#: takes exactly the listed keys: a misspelt key would otherwise be ignored
+#: and its default used.  ``parameters.n`` is read by ``counterexample``.
+_TABLE = {
+    "metric": {"name": STRING, "s": NUMBER, "params": PARAMS},
+    "source": {
+        "inline": FREE,
+        "generator": {"name": STRING, "params": PARAMS},
+        "csv": STRING,
+        "orbit": {"contraction": _CONTRACTION, "n": INTEGER, "x0": FREE},
+    },
+    "parameters": {
+        "seed": INTEGER,
+        "tail": {"tau": NUMBER, "eps": NUMBER},
+        "delta_grid": {"values": NUMBERS, "delta0": NUMBER, "levels": INTEGER},
+        "search": {"p_max": INTEGER, "lambdas": NUMBERS, "n0_values": INTEGERS},
+        "witness": {"p": INTEGER, "lambda": NUMBER, "n0": INTEGER},
+        "axioms": {
+            "box": NUMBERS,
+            "pair_count": INTEGER,
+            "triple_count": INTEGER,
+            "grid_points": INTEGER,
+        },
+        "solver": {
+            "target_delta": NUMBER,
+            "x0": FREE,
+            "lambda": NUMBER,
+            "n0": INTEGER,
+            "block": INTEGER,
+            "max_iterations": INTEGER,
+        },
+        "contraction": _CONTRACTION,
+        "n": INTEGER,
+    },
+}
+
+
+def _check(value, kind, path: str) -> None:
+    """Raise :class:`ConfigError` unless ``value``, found at ``path``, has ``kind``."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f'"{path}" must be an object, got {value!r}')
         for key, item in value.items():
-            _numbers(item, f"{where}.{key}")
-    return value
+            sub = kind.get(key, kind.get("*"))
+            if sub is None:
+                where = f'"{path}"' if path else "the config"
+                raise ConfigError(
+                    f"unknown key {key!r} in {where}; expected one of {', '.join(kind)}"
+                )
+            _check(item, sub, f"{path}.{key}" if path else key)
+    elif kind is FREE:
+        if isinstance(value, bool):
+            raise ConfigError(f'"{path}" must be a number, got {value!r}')
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                _check(item, FREE, f"{path}[{i}]")
+        elif isinstance(value, dict):
+            _check(value, PARAMS, path)
+    elif not kind[1](value):
+        raise ConfigError(f'"{path}" must be {kind[0]}, got {value!r}')
 
 
-#: The keys each ``parameters`` section accepts.
-_SECTION_KEYS = {
-    "tail": ("tau", "eps"),
-    "delta_grid": ("values", "delta0", "levels"),
-    "search": ("p_max", "lambdas", "n0_values"),
-    "witness": ("p", "lambda", "n0"),
-    "axioms": ("box", "pair_count", "triple_count", "grid_points"),
-    "solver": ("target_delta", "x0", "lambda", "n0", "block", "max_iterations"),
-}
-
-#: The keys each object of a config accepts, by its path from the top; a
-#: ``parameters`` key that is not a section holds the setting of one command.
-_KEYS = {
-    (): ("metric", "source", "parameters"),
-    ("metric",): ("name", "s", "params"),
-    ("source", "generator"): ("name", "params"),
-    ("source", "orbit"): ("contraction", "n", "x0"),
-    ("source", "orbit", "contraction"): ("name", "params"),
-    ("parameters",): ("seed", *_SECTION_KEYS, "contraction", "n"),
-    ("parameters", "contraction"): ("name", "params"),
-    **{("parameters", name): keys for name, keys in _SECTION_KEYS.items()},
-}
+def _required(spec: dict, key: str, where: str):
+    if key not in spec:
+        raise ConfigError(f'"{where}.{key}" is required')
+    return spec[key]
 
 
-def _reject_unknown_keys(raw: dict) -> None:
-    """A misspelt key would otherwise be ignored and its default used."""
-    for path, keys in _KEYS.items():
-        spec = raw
-        for name in path:
-            spec = spec.get(name) if isinstance(spec, dict) else None
-        unknown = [key for key in spec if key not in keys] if isinstance(spec, dict) else []
-        if unknown:
-            where = f'"{".".join(path)}"' if path else "the config"
-            raise ConfigError(
-                f"unknown key {unknown[0]!r} in {where}; expected one of {', '.join(keys)}"
-            )
+@contextmanager
+def _building(what: str):
+    """A library constructor's rejection of a setting, as a config error.
+
+    ``TypeError`` comes from the registries' factories, whose free-form
+    ``params`` the table cannot type: an unknown parameter name, or a list
+    where a number belongs.
+    """
+    try:
+        yield
+    except CauchyCertError as exc:
+        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
@@ -161,222 +212,140 @@ def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
 
 @dataclass
 class Experiment:
-    """A parsed config plus lazily resolved pieces the commands pull from."""
+    """A parsed config plus lazily resolved pieces the commands pull from.
+
+    Every value in ``raw`` already has the kind the key table gives it.  The
+    getters apply defaults and hand the values to the library constructors,
+    which check their ranges.
+    """
 
     raw: dict
     seed: int
 
     # -- metric ------------------------------------------------------------
     def metric(self) -> DbMetric:
-        section = self.raw.get("metric")
-        if not isinstance(section, dict) or "name" not in section:
-            raise ConfigError('config needs a "metric" object with a "name"')
-        params = section.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError('"metric.params" must be an object')
-        s = section.get("s")
-        if s is not None and not _is_number(s):
-            raise ConfigError(f'"metric.s" must be a number, got {s!r}')
-        _numbers(params, "metric.params")
-        try:
-            return make_metric(section["name"], s=s, **params)
-        except CauchyCertError as exc:
-            raise ConfigError(str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad metric parameters: {exc}") from exc
+        section = self.raw.get("metric", {})
+        name = _required(section, "name", "metric")
+        with _building("metric parameters"):
+            return make_metric(name, s=section.get("s"), **section.get("params", {}))
 
     # -- sequence source ---------------------------------------------------
     def sequence(self, metric: DbMetric, csv_header: bool = False) -> SequencePrefix:
-        section = self.raw.get("source")
-        if not isinstance(section, dict) or len(section) != 1:
+        section = self.raw.get("source", {})
+        if len(section) != 1:
             raise ConfigError(
                 'config needs a "source" object with exactly one of '
                 '"inline", "generator", "csv", "orbit"'
             )
         (kind, spec), = section.items()
-        try:
+        with _building("source"):
             if kind == "inline":
-                return SequencePrefix(_numbers(spec, "source.inline"), metric)
-            if kind == "generator":
-                if not isinstance(spec, dict) or "name" not in spec:
-                    raise ConfigError('"source.generator" needs a "name"')
-                params = _numbers(spec.get("params", {}), "source.generator.params")
-                return make_sequence(spec["name"], metric, **params)
+                return SequencePrefix(spec, metric)
             if kind == "csv":
                 return SequencePrefix(read_csv_points(spec, csv_header), metric)
-            if kind == "orbit":
-                if not isinstance(spec, dict):
-                    raise ConfigError('"source.orbit" must be an object')
-                f = self._contraction_from(spec.get("contraction"), "source.orbit.contraction")
-                n = spec.get("n")
-                if not isinstance(n, int) or n < 2:
-                    raise ConfigError('"source.orbit.n" must be an integer >= 2')
-                x0 = Point(_numbers(spec.get("x0", 0.0), "source.orbit.x0"))
-                return iterate(f, x0, n, metric)
-        except ConfigError:
-            raise
-        except (CauchyCertError, ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
-        raise ConfigError(f"unknown source kind {kind!r}")
+            if kind == "generator":
+                name = _required(spec, "name", "source.generator")
+                return make_sequence(name, metric, **spec.get("params", {}))
+            f = self._contraction_from(spec.get("contraction", {}), "source.orbit.contraction")
+            n = _required(spec, "n", "source.orbit")
+            return iterate(f, Point(spec.get("x0", 0.0)), n, metric)
 
     # -- parameters --------------------------------------------------------
-    def _params(self) -> dict:
-        params = self.raw.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ConfigError('"parameters" must be an object')
-        return params
+    def _section(self, name: str) -> dict:
+        return self.raw["parameters"].get(name, {})
 
     def tail(self) -> TailConfig:
-        spec = self._params().get("tail", {})
-        try:
-            tau, eps = spec.get("tau", 0.5), spec.get("eps", 1e-6)
-            if not (_is_number(tau) and _is_number(eps)):
-                raise ValueError(f"tau and eps must be numbers, got {tau!r} and {eps!r}")
-            return TailConfig(tau=tau, eps=eps)
-        except (ValueError, AttributeError) as exc:
-            raise ConfigError(f"bad tail parameters: {exc}") from exc
+        with _building("tail parameters"):
+            return TailConfig(**self._section("tail"))
 
     def deltas(self) -> list[float]:
-        spec = self._params().get("delta_grid", {})
-        if not isinstance(spec, dict):
-            raise ConfigError('"parameters.delta_grid" must be an object')
+        spec = self._section("delta_grid")
         if "values" in spec:
             values = spec["values"]
-            if not (isinstance(values, list) and values) or any(
-                not _is_number(v) or v <= 0 for v in values
-            ):
-                raise ConfigError("explicit delta values must be positive numbers")
+            if not values or min(values) <= 0:
+                raise ConfigError(
+                    f'"parameters.delta_grid.values" must be positive numbers, got {values!r}'
+                )
             return [float(v) for v in values]
-        delta0, levels = spec.get("delta0", 0.5), spec.get("levels", 7)
-        if not (_is_number(delta0) and _is_int(levels)):
-            raise ConfigError(
-                f'"parameters.delta_grid" needs a number delta0 and an integer levels, '
-                f"got {delta0!r} and {levels!r}"
-            )
-        try:
-            return delta_grid(delta0, levels)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        with _building("delta grid"):
+            return delta_grid(**spec)
 
     def explicit_deltas(self) -> bool:
-        return "values" in self._params().get("delta_grid", {})
+        return "values" in self._section("delta_grid")
 
     def search(self) -> SearchConfig:
-        spec = self._params().get("search", {})
-        try:
-            p_max = spec.get("p_max", 8)
-            n0_values = tuple(spec["n0_values"]) if "n0_values" in spec else None
-            if not (_is_int(p_max) and all(_is_int(n0) and n0 >= 1 for n0 in n0_values or ())):
-                raise ValueError(
-                    f"p_max and n0_values must be integers (n0 >= 1), got {p_max!r} and {n0_values!r}"
-                )
+        spec = self._section("search")
+        with _building("search parameters"):
             return SearchConfig(
-                p_max=p_max,
+                p_max=spec.get("p_max", 8),
                 lambdas=tuple(spec.get("lambdas", SearchConfig.lambdas)),
-                n0_values=n0_values,
+                n0_values=tuple(spec["n0_values"]) if "n0_values" in spec else None,
             )
-        except (ValueError, AttributeError, TypeError) as exc:
-            raise ConfigError(f"bad search parameters: {exc}") from exc
 
-    def witness_for(self, delta: float) -> Optional[ShiftWitness]:
+    def witness_for(self, delta: float) -> ShiftWitness:
         """Explicit witness parameters from the config, applied at ``delta``."""
-        spec = self._params().get("witness")
-        if spec is None:
-            return None
-        try:
-            return ShiftWitness(
-                delta=delta,
-                p=spec["p"],
-                lam=spec.get("lambda", 0.5),
-                n0=spec.get("n0", 1),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad witness parameters: {exc}") from exc
+        spec = self._section("witness")
+        p = _required(spec, "p", "parameters.witness")
+        with _building("witness parameters"):
+            return ShiftWitness(delta=delta, p=p, lam=spec.get("lambda", 0.5), n0=spec.get("n0", 1))
 
     def sampler(self) -> SamplerConfig:
-        spec = self._params().get("axioms", {})
-        if not isinstance(spec, dict):
-            raise ConfigError('"parameters.axioms" must be an object')
-        box = spec.get("box", [0.0, 10.0])
-        if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(map(_is_number, box))):
-            raise ConfigError(f'"parameters.axioms.box" must be [low, high] numbers, got {box!r}')
-        for key in ("pair_count", "triple_count", "grid_points"):
-            if key in spec and not _is_int(spec[key]):
-                raise ConfigError(f'"parameters.axioms.{key}" must be an integer, got {spec[key]!r}')
-        try:
+        spec = dict(self._section("axioms"))
+        box = spec.pop("box", [0.0, 10.0])
+        if len(box) != 2:
+            raise ConfigError(f'"parameters.axioms.box" must be [low, high], got {box!r}')
+        with _building("axiom sampler parameters"):
             return SamplerConfig(
-                pair_count=spec.get("pair_count", 200),
-                triple_count=spec.get("triple_count", 200),
-                seed=self.seed,
-                box_low=float(box[0]),
-                box_high=float(box[1]),
-                grid_points=spec.get("grid_points", 11),
+                seed=self.seed, box_low=float(box[0]), box_high=float(box[1]), **spec
             )
-        except ValueError as exc:
-            raise ConfigError(f"bad axiom sampler parameters: {exc}") from exc
 
-    def _contraction_from(self, spec, where: str) -> Contraction:
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise ConfigError('a contraction spec needs a "name"')
-        params = _numbers(spec.get("params", {}), f"{where}.params")
-        try:
-            return make_contraction(spec["name"], **params)
-        except CauchyCertError as exc:
-            raise ConfigError(str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad contraction parameters: {exc}") from exc
+    def _contraction_from(self, spec: dict, where: str) -> Contraction:
+        name = _required(spec, "name", where)
+        with _building("contraction parameters"):
+            return make_contraction(name, **spec.get("params", {}))
 
     def contraction(self) -> Contraction:
-        return self._contraction_from(self._params().get("contraction"), "parameters.contraction")
+        return self._contraction_from(self._section("contraction"), "parameters.contraction")
 
     def solver(self) -> tuple[SolverConfig, Point, float]:
-        """Solver settings, the seed point x0 and the target delta."""
-        spec = self._params().get("solver", {})
-        if not isinstance(spec, dict):
-            raise ConfigError('"parameters.solver" must be an object')
-        if "target_delta" not in spec:
-            raise ConfigError('"parameters.solver.target_delta" is required for solve')
-        target_delta = spec["target_delta"]
-        if not (_is_number(target_delta) and math.isfinite(target_delta) and target_delta > 0):
+        """Solver settings, the seed point x0 and the target delta.
+
+        ``SolverConfig`` takes ``lambda`` and ``n0`` unchecked, and
+        ``target_delta`` is not part of it, so their ranges are checked here.
+        """
+        spec = self._section("solver")
+        target_delta = _required(spec, "target_delta", "parameters.solver")
+        if target_delta <= 0:
             raise ConfigError(
                 f'"parameters.solver.target_delta" must be a positive number, got {target_delta!r}'
             )
-        for key in ("block", "max_iterations"):
-            if key in spec and not _is_int(spec[key]):
-                raise ConfigError(f'"parameters.solver.{key}" must be an integer, got {spec[key]!r}')
-        n0 = spec.get("n0", 1)
-        if not (_is_int(n0) and n0 >= 1):
+        n0, lam = spec.get("n0", 1), spec.get("lambda", 0.5)
+        if n0 < 1:
             raise ConfigError(f'"parameters.solver.n0" must be an integer >= 1, got {n0!r}')
-        lam = spec.get("lambda", 0.5)
-        if not (_is_number(lam) and 0 < lam < 1):
+        if not 0 < lam < 1:
             raise ConfigError(f'"parameters.solver.lambda" must be a number in (0, 1), got {lam!r}')
-        try:
+        tail = self.tail()
+        with _building("solver parameters"):
             cfg = SolverConfig(
                 lam=lam,
                 n0=n0,
                 block=spec.get("block", 32),
                 max_iterations=spec.get("max_iterations", 10_000),
-                tail=self.tail(),
+                tail=tail,
                 seed=self.seed,
             )
-            x0 = Point(_numbers(spec.get("x0", 0.0), "parameters.solver.x0"))
-        except (ValueError, CauchyCertError) as exc:
-            raise ConfigError(str(exc)) from exc
+            x0 = Point(spec.get("x0", 0.0))
         return cfg, x0, target_delta
 
 
 def make_experiment(raw: dict, seed_override: Optional[int] = None) -> Experiment:
+    """Check every key and value of ``raw`` against the key table, whichever
+    command runs, and fix the effective seed."""
+    _check(raw, _TABLE, "")
     params = raw.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError('"parameters" must be an object')
-    _reject_unknown_keys(raw)
-    seed = params.get("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
-    if not isinstance(seed, int) or seed < 0:
+    seed = params.get("seed", 0) if seed_override is None else seed_override
+    if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     # Echo the effective seed so the recorded config is self-contained.
-    echoed = dict(raw)
-    echoed["parameters"] = dict(params)
-    echoed["parameters"]["seed"] = seed
+    echoed = dict(raw, parameters=dict(params, seed=seed))
     return Experiment(raw=echoed, seed=seed)

@@ -53,7 +53,9 @@ class Contraction:
             raise ContractionError(f"declared contraction constant must lie in [0, 1), got {self.c}")
 
     def apply(self, p: Point) -> Point:
-        out = np.asarray(self.fn(p.coords), dtype=float)
+        # An overflow is reported below, as a non-finite image.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(self.fn(p.coords), dtype=float)
         if out.ndim == 0:
             out = out.reshape(1)
         if not np.all(np.isfinite(out)):

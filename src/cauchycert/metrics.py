@@ -86,34 +86,28 @@ class DbMetric:
         Registry identifier.
     s : float
         Declared triangle relaxation constant, ``s >= 1``.
-    fn : callable, optional
-        Per-pair fallback for a metric without ``rows_fn``: maps two
-        coordinate vectors to a distance, called once per pair.
+    rows_fn : callable
+        The distance function: maps two broadcastable ``(..., d)`` stacks to
+        the ``(...)`` array of their distances.  Every evaluation -- one
+        pair, aligned rows or the all-pairs matrix -- goes through it, so
+        they agree bit for bit.
     dim : int or None
         Required point dimension; ``None`` accepts any dimension.
     zero_self_distance : bool
         Instance is declared to satisfy ``rho(x, x) = 0`` (the b-metric
         convention).  Dislocated instances leave this False, and only
         declared instances are held to the converse check.
-    rows_fn : callable, optional
-        The distance function: maps two broadcastable ``(..., d)`` stacks to
-        the ``(...)`` array of their distances.  Every evaluation -- one
-        pair, aligned rows or the all-pairs matrix -- goes through it, so
-        they agree bit for bit.
     """
 
     name: str
     s: float
-    fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    rows_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dim: Optional[int] = None
     zero_self_distance: bool = False
-    rows_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (isinstance(self.s, (int, float)) and math.isfinite(self.s) and self.s >= 1.0):
             raise MetricError(f"relaxation constant must be a finite real >= 1, got {self.s!r}")
-        if self.rows_fn is None and self.fn is None:
-            raise MetricError(f"metric {self.name!r} needs a rows_fn or an fn")
 
     def _check_dims(self, a: np.ndarray, b: np.ndarray) -> None:
         for d in (a.shape[-1], b.shape[-1]):
@@ -135,12 +129,7 @@ class DbMetric:
         the tolerance is clamped to zero.  Callers run this with numpy's
         overflow and invalid warnings off: those values are reported here.
         """
-        if self.rows_fn is not None:
-            block = np.asarray(self.rows_fn(a, b), dtype=float)
-        else:
-            a, b = np.broadcast_arrays(a, b)
-            flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
-            block = np.array([self.fn(x, y) for x, y in flat], dtype=float).reshape(out.shape)
+        block = np.asarray(self.rows_fn(a, b), dtype=float)
         if block.shape != out.shape:
             raise MetricError(
                 f"metric {self.name!r}: rows_fn must broadcast over leading axes, "

@@ -351,6 +351,8 @@ class SearchConfig:
             raise ValueError("p_max must be >= 1")
         if not self.lambdas or (self.n0_values is not None and not self.n0_values):
             raise ValueError("the lambda and n0 grids must not be empty")
+        if self.n0_values is not None and min(self.n0_values) < 1:
+            raise ValueError(f"n0 grid entries must be >= 1, got {min(self.n0_values)}")
         for lam in self.lambdas:
             if not (0.0 < lam < 1.0):
                 raise ValueError(f"lambda grid entries must lie in (0, 1), got {lam}")
@@ -424,7 +426,10 @@ def geometric_sequence(n: int, start: float = 1.0, ratio: float = 0.5) -> list[f
     """x_k = start * ratio**(k - 1)."""
     if n < 2:
         raise ValueError("need at least 2 terms")
-    return [start * ratio ** (k - 1) for k in range(1, n + 1)]
+    try:
+        return [start * ratio ** (k - 1) for k in range(1, n + 1)]
+    except OverflowError:
+        raise ValueError(f"ratio {ratio} to the power {n - 1} overflows") from None
 
 
 def constant_sequence(n: int, value: float = 1.0) -> list[float]:

@@ -195,14 +195,8 @@ def oneshot_cross(metric: DbMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             )
     if a.shape[-1] != b.shape[-1]:
         raise MetricError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        if metric.rows_fn is not None:
-            out = np.asarray(metric.rows_fn(a, b), dtype=float)
-        else:
-            a, b = np.broadcast_arrays(a, b)
-            flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
-            out = np.array([metric.fn(x, y) for x, y in flat], dtype=float).reshape(shape)
+        out = np.asarray(metric.rows_fn(a, b), dtype=float)
     if not np.all(np.isfinite(out)):
         value = float(out[~np.isfinite(out)][0])
         raise MetricError(f"metric {metric.name!r} produced a non-finite distance {value}")

@@ -143,7 +143,8 @@ class TestSelfDistanceBound:
         bad = type(m)(
             name="spiky",
             s=1.0,
-            fn=lambda x, y: abs(float(x[0] - y[0])) + (10.0 if x[0] == y[0] else 0.0),
+            rows_fn=lambda a, b: np.abs(a[..., 0] - b[..., 0])
+            + np.where(a[..., 0] == b[..., 0], 10.0, 0.0),
             dim=1,
         )
         seq = SequencePrefix([0.0, 1.0], bad)

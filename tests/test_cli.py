@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchycert import STAGES
 from cauchycert.cli import main
@@ -292,8 +296,8 @@ class TestCertify:
         assert entry["outcome"] is None
         assert "need N >=" in entry["note"]
 
-    @pytest.mark.parametrize("witness", [{"p": True}, {"p": 1, "n0": True}])
-    def test_boolean_witness_setting_is_config_error(self, tmp_path, capsys, witness):
+    @pytest.mark.parametrize("witness, key", [({"p": True}, "p"), ({"p": 1, "n0": True}, "n0")])
+    def test_boolean_witness_setting_is_config_error(self, tmp_path, capsys, witness, key):
         cfg = write_config(
             tmp_path,
             {
@@ -305,7 +309,7 @@ class TestCertify:
         code, out, err = run_cli(["certify", "--config", cfg], capsys)
         assert code == 2
         assert out == ""
-        assert "bad witness parameters" in err and "got True" in err
+        assert f'"parameters.witness.{key}" must be an integer, got True' in err
 
     def test_report_validates_certificates(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HALVING_ORBIT_CONFIG)
@@ -522,29 +526,34 @@ class TestConfigErrors:
             ("certify", '{"delta_grid": {"values": [Infinity]}}', "Infinity, which is not a finite float"),
             ("certify", '{"delta_grid": {"values": [1e999]}}', "1e999, which is not"),
             ("certify", '{"delta_grid": {"values": [1%s]}}' % ("0" * 400), "which is not a finite"),
-            ("axioms", '{"axioms": {"box": [true, 5]}}', "must be [low, high] numbers, got [True, 5]"),
+            ("axioms", '{"axioms": {"box": [true, 5]}}',
+             '"parameters.axioms.box" must be a list of numbers, got [True, 5]'),
             ("check", '{"tail": {"eps": NaN}}', "NaN, which is not a finite float"),
             ("axioms", '{"axioms": {"box": [0, Infinity]}}', "Infinity, which is not a finite float"),
             ("axioms", '{"axioms": {"pair_count": 1.5}}', '"parameters.axioms.pair_count" must be'),
             ("axioms", '{"axioms": []}', '"parameters.axioms" must be an object'),
-            ("check", '{"tail": {"tau": "x"}}', "tau and eps must be numbers"),
+            ("check", '{"tail": {"tau": "x"}}', '"parameters.tail.tau" must be a number, got \'x\''),
             (
                 "solve",
                 '{"tail": {"tau": "x"}, "contraction": {"name": "halving"},'
                 ' "solver": {"target_delta": 0.01}}',
-                "tau and eps must be numbers",
+                '"parameters.tail.tau" must be a number, got \'x\'',
             ),
-            ("check", '{"search": {"p_max": 2.5}}', "must be integers"),
-            ("check", '{"search": {"n0_values": ["a"]}}', "must be integers"),
+            ("check", '{"search": {"p_max": 2.5}}', '"parameters.search.p_max" must be an integer, got 2.5'),
+            ("check", '{"search": {"n0_values": ["a"]}}',
+             '"parameters.search.n0_values" must be a list of integers, got [\'a\']'),
             ("check", '{"search": {"n0_values": []}}', "grids must not be empty"),
+            ("check", '{"search": {"n0_values": [2, 0]}}', "n0 grid entries must be >= 1, got 0"),
             ("certify", '{"search": {"n0_values": []}}', "grids must not be empty"),
             ("check", '{"search": {"lambdas": []}}', "grids must not be empty"),
             ("certify", '{"search": {"lambdas": []}}', "grids must not be empty"),
-            ("certify", '{"delta_grid": {"levels": "x"}}', "an integer levels"),
+            ("certify", '{"delta_grid": {"levels": "x"}}',
+             '"parameters.delta_grid.levels" must be an integer, got \'x\''),
             ("certify", '{"delta_grid": {"levels": 1100}}', "delta grid underflows"),
             ("axioms", '{"axioms": {"triple_count": "5"}}', '"parameters.axioms.triple_count" must be'),
             ("axioms", '{"axioms": {"grid_points": 2.5}}', '"parameters.axioms.grid_points" must be'),
-            ("certify", '{"delta_grid": {"values": [true]}}', "must be positive numbers"),
+            ("certify", '{"delta_grid": {"values": [true]}}',
+             '"parameters.delta_grid.values" must be a list of numbers, got [True]'),
             ("axioms", '{"axioms": {"box": [0, 1e308]}}', "times 2**20 must be finite"),
             # A misspelt key would silently fall back to the default.
             ("certify", '{"delta_grid": {"value": [0.3]}}',
@@ -557,6 +566,17 @@ class TestConfigErrors:
             ("solve", '{"contraction": {"name": "halving"}, "solver": {"target_delta": 0.1, "blocks": 8}}',
              'unknown key \'blocks\' in "parameters.solver"'),
             ("counterexample", '{"deltas": ["a"]}', 'unknown key \'deltas\' in "parameters"'),
+            # Each value below used to be read from stdin, crash or be ignored.
+            # The first two replace the source: JSON keeps the last of two
+            # equal keys.
+            ("check", '{}, "source": {"csv": 0}', '"source.csv" must be a string, got 0'),
+            ("check", '{}, "source": {"csv": true}', '"source.csv" must be a string, got True'),
+            ("check", '{"seed": true}', '"parameters.seed" must be an integer, got True'),
+            ("counterexample", '{"delta_grid": 5}', '"parameters.delta_grid" must be an object, got 5'),
+            ("counterexample", '{"delta_grid": "abc"}',
+             '"parameters.delta_grid" must be an object, got \'abc\''),
+            # A section the command does not read is checked all the same.
+            ("axioms", '{"search": {"p_max": 2.5}}', '"parameters.search.p_max" must be an integer'),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, parameters, message):
@@ -679,6 +699,14 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert f'"metric.s" must be a number, got {s!r}' in err
 
+    def test_negative_seed_flag_is_usage_error(self, capsys):
+        # "list" reads no config, so the flag is checked where it is parsed.
+        with pytest.raises(SystemExit) as exc:
+            main(["list", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "--seed: must be a nonnegative integer, got '-1'" in captured.err
+
     def test_bad_log_level_falls_back_quietly(self, capsys, monkeypatch):
         monkeypatch.setenv("CAUCHYCERT_LOG", "nonsense")
         code, out, _ = run_cli(["list"], capsys)
@@ -733,3 +761,82 @@ class TestSubprocess:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: metric 'sq_abs' produced a non-finite distance inf\n"
+
+
+#: A small valid config per command for the robustness test to break; every
+#: count is small, so no replacement below asks for a large orbit or matrix.
+ROBUST_BASES = [
+    ("axioms", {
+        "metric": {"name": "sq_abs", "s": 2.0},
+        "parameters": {"seed": 1, "axioms": {"box": [0.0, 4.0], "pair_count": 8,
+                                             "triple_count": 8, "grid_points": 3}},
+    }),
+    ("check", {
+        "metric": {"name": "euclid_1d"},
+        "source": {"inline": [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]},
+        "parameters": {"seed": 1, "tail": {"tau": 0.5, "eps": 1e-6},
+                       "delta_grid": {"delta0": 0.5, "levels": 2},
+                       "search": {"p_max": 2, "lambdas": [0.5], "n0_values": [1]}},
+    }),
+    ("check", {
+        "metric": {"name": "shifted_dislocated", "params": {"offset": 0.5}},
+        "source": {"generator": {"name": "geometric", "params": {"n": 12, "ratio": 0.5}}},
+    }),
+    ("certify", {
+        "metric": {"name": "euclid_1d"},
+        "source": {"orbit": {"contraction": {"name": "affine_1d", "params": {"a": 0.5, "b": 1.0}},
+                             "n": 16, "x0": 0.0}},
+        "parameters": {"delta_grid": {"values": [0.5, 0.25]},
+                       "witness": {"p": 1, "lambda": 0.5, "n0": 1}},
+    }),
+    ("solve", {
+        "metric": {"name": "euclid_1d"},
+        "parameters": {"contraction": {"name": "halving"},
+                       "solver": {"target_delta": 0.1, "x0": 1.0, "lambda": 0.5, "n0": 1,
+                                  "block": 8, "max_iterations": 48}},
+    }),
+    ("counterexample", {"parameters": {"n": 8, "delta_grid": {"values": [0.5]}}}),
+]
+
+
+def _key_paths(value, path=()):
+    """Every key path into a nested config, sections included."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _key_paths(item, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def broken_configs(draw):
+    """A base config with the value or section at one drawn key path replaced."""
+    command, base = draw(st.sampled_from(ROBUST_BASES))
+    config = json.loads(json.dumps(base))
+    *parents, key = draw(st.sampled_from(list(_key_paths(config))))
+    spec = config
+    for name in parents:
+        spec = spec[name]
+    spec[key] = draw(_JSON_VALUES)
+    return command, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=broken_configs())
+def test_any_one_broken_value_exits_0_or_2(case):
+    # Every bad config maps to exit 2 with nothing on stdout; whatever the
+    # table lets through, the command runs to completion.
+    command, config = case
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(config))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--config", "-", "--no-timestamp"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""

@@ -81,10 +81,19 @@ class TestPoint:
         assert Point(1.0) != (1.0,)
 
 
+def constant_metric(name: str, value: float) -> DbMetric:
+    """A metric outside the registry whose every distance is ``value``."""
+    return DbMetric(
+        name=name,
+        s=1.0,
+        rows_fn=lambda a, b: np.full(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), value),
+    )
+
+
 class TestDbMetricValidation:
     def test_s_below_one_rejected(self):
         with pytest.raises(MetricError):
-            DbMetric(name="bad", s=0.5, fn=lambda x, y: 0.0)
+            DbMetric(name="bad", s=0.5, rows_fn=lambda a, b: np.abs(a[..., 0] - b[..., 0]))
 
     def test_dimension_mismatch(self):
         m = make_metric("euclid_1d")
@@ -97,17 +106,13 @@ class TestDbMetricValidation:
             m.distance(Point(1.0), Point([1.0, 2.0]))
 
     def test_negative_roundoff_clamped(self):
-        m = DbMetric(name="tiny_neg", s=1.0, fn=lambda x, y: -1e-12)
+        m = constant_metric("tiny_neg", -1e-12)
         assert m.distance(Point(0.0), Point(1.0)) == 0.0
 
     def test_truly_negative_rejected(self):
-        m = DbMetric(name="neg", s=1.0, fn=lambda x, y: -1.0)
+        m = constant_metric("neg", -1.0)
         with pytest.raises(MetricError):
             m.distance(Point(0.0), Point(1.0))
-
-    def test_needs_a_distance_function(self):
-        with pytest.raises(MetricError, match="rows_fn or an fn"):
-            DbMetric(name="none", s=1.0)
 
     def test_error_names_the_first_offending_value(self):
         m = make_metric("max_dislocated")
@@ -122,8 +127,8 @@ class TestDbMetricValidation:
 
     def test_nan_rejected(self):
         for bad in (float("nan"), float("inf")):
-            m = DbMetric(name="bad", s=1.0, fn=lambda x, y, v=bad: v)
-            vec = DbMetric(name="bad", s=1.0, fn=m.fn, rows_fn=lambda a, b, v=bad: a[..., 0] * v)
+            m = constant_metric("bad", bad)
+            vec = DbMetric(name="bad", s=1.0, rows_fn=lambda a, b, v=bad: a[..., 0] * v)
             with pytest.raises(MetricError):
                 m.distance(Point(0.0), Point(1.0))
             for metric in (m, vec):
@@ -190,8 +195,7 @@ class TestBuiltins:
         }
 
     def test_matrix_rejects_non_broadcasting_rows_fn(self):
-        m = DbMetric(name="rows_only", s=1.0, fn=lambda x, y: 0.0,
-                     rows_fn=lambda a, b: np.abs(a[:, 0] - b[:, 0]))
+        m = DbMetric(name="rows_only", s=1.0, rows_fn=lambda a, b: np.abs(a[:, 0] - b[:, 0]))
         with pytest.raises(MetricError, match="broadcast"):
             m.matrix(np.array([[0.0], [1.0], [2.0]]))
 
@@ -259,14 +263,8 @@ class TestAxiomChecks:
     def test_unconditional_violation_raises(self):
         # Distances collapse below a threshold: two legs can vanish while the
         # direct distance does not, which no relaxation constant repairs.
-        m = DbMetric(
-            name="thresh",
-            s=1.0,
-            fn=lambda x, y: 0.0 if abs(float(x[0] - y[0])) <= 5.0 else 1.0,
-            dim=1,
-        )
         with pytest.raises(TriangleViolation) as exc:
-            estimate_minimal_s(m, sample_triples(SamplerConfig(), 1))
+            estimate_minimal_s(THRESH, sample_triples(SamplerConfig(), 1))
         assert exc.value.triple is not None
 
 
@@ -333,13 +331,7 @@ class TestAxiomReport:
         assert ratio > 1.5 + ETA
 
     def test_unconditional_violation_reported_as_infinite(self):
-        m = DbMetric(
-            name="thresh",
-            s=1.0,
-            fn=lambda x, y: 0.0 if abs(float(x[0] - y[0])) <= 5.0 else 1.0,
-            dim=1,
-        )
-        report = run_axiom_report(m)
+        report = run_axiom_report(THRESH)
         assert not report.triangle_ok
         assert math.isinf(report.estimated_min_s)
         assert report.violating_triple is not None
@@ -382,8 +374,8 @@ def test_sq_abs_relaxed_triangle_property(x, y, z):
     assert m.distance(px, pz) <= 2.0 * legs + ETA * max(1.0, legs)
 
 
-#: A metric with no vectorized form: the matrix build falls back to ``fn``.
-TAXICAB = DbMetric(name="taxicab", s=1.0, fn=lambda x, y: float(np.sum(np.abs(x - y))))
+#: A metric outside the registry, in any dimension: the sum of coordinate gaps.
+TAXICAB = DbMetric(name="taxicab", s=1.0, rows_fn=lambda a, b: np.sum(np.abs(a - b), axis=-1))
 
 
 @st.composite
@@ -499,7 +491,10 @@ def test_distance_rows_and_matrix_are_bit_equal(case):
 #: Zero within distance 5, one beyond: two legs can vanish while the direct
 #: distance does not, which no relaxation constant repairs.
 THRESH = DbMetric(
-    name="thresh", s=1.0, fn=lambda x, y: 0.0 if abs(float(x[0] - y[0])) <= 5.0 else 1.0, dim=1
+    name="thresh",
+    s=1.0,
+    rows_fn=lambda a, b: np.where(np.abs(a[..., 0] - b[..., 0]) <= 5.0, 0.0, 1.0),
+    dim=1,
 )
 
 

@@ -118,8 +118,10 @@ class TestSequencePrefix:
         assert steps.tolist() == [1.0] * 49
 
 
-#: A metric with ``fn`` only, asymmetric so that rows and columns differ.
-FN_ONLY = DbMetric(name="fn_only", s=1.0, fn=lambda x, y: abs(float(x[0]) - 0.5 * float(y[0])), dim=1)
+#: A metric outside the registry, asymmetric so that rows and columns differ.
+ASYMMETRIC = DbMetric(
+    name="asymmetric", s=1.0, rows_fn=lambda a, b: np.abs(a[..., 0] - 0.5 * b[..., 0]), dim=1
+)
 
 
 class TestExtend:
@@ -127,13 +129,13 @@ class TestExtend:
     @given(
         values=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=30),
         cuts=st.tuples(st.integers(2, 30), st.integers(0, 30)),
-        name=st.sampled_from(sorted(available_metrics()) + ["fn_only"]),
+        name=st.sampled_from(sorted(available_metrics()) + ["asymmetric"]),
         built=st.tuples(st.booleans(), st.booleans()),
     )
     def test_matrix_equals_a_fresh_build(self, values, cuts, name, built):
         # Two extensions, with or without a built matrix before each: the
         # copied block and the new rows and columns must match bit for bit.
-        metric = FN_ONLY if name == "fn_only" else make_metric(name)
+        metric = ASYMMETRIC if name == "asymmetric" else make_metric(name)
         points = [[v, 1.0 - v] for v in values] if name == "euclid_nd" else values
         first = min(cuts[0], len(points))
         second = min(first + cuts[1], len(points))
