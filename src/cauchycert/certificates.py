@@ -84,13 +84,11 @@ def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> int:
     dm = seq.distance_matrix()
     threshold = w.delta * (1.0 - w.lam) / seq.metric.s - ETA
 
-    # Entry i of each diagonal is the 0-based row n0 + i, i.e. n = n0 + i + 1.
-    worst = np.zeros(hi - w.n0)
-    for q in range(w.p + 1):
-        np.maximum(worst, np.diagonal(dm, q)[w.n0 : hi], out=worst)
+    # Window i is dm[n0 + i, n0 + i : n0 + i + p + 1]: the offsets 0..p of n = n0 + i + 1.
+    windows = np.lib.stride_tricks.sliding_window_view(dm.reshape(-1), w.p + 1)
+    worst = np.max(windows[w.n0 * (n + 1) : hi * (n + 1) : n + 1], axis=1)
     bad = np.flatnonzero(~(worst < threshold))
-    last_bad = w.n0 + int(bad[-1]) + 1 if bad.size else 0
-    m0 = max(w.n0, last_bad)
+    m0 = w.n0 + int(bad[-1]) + 1 if bad.size else w.n0  # the last bad n, or n0
     if m0 > hi - 1:
         raise CertificateFailure(
             "settling_index",
@@ -118,10 +116,10 @@ class InductionTrace:
     band_branch_steps: int
 
 
-def _first_true(mask: np.ndarray) -> Optional[tuple[int, int]]:
-    """(row, column) of the first true entry of a 2-d mask in row-major order."""
+def _first_true(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The index of the first true entry of a mask in row-major order."""
     flat = int(np.argmax(mask))
-    return divmod(flat, mask.shape[1]) if mask.flat[flat] else None
+    return tuple(map(int, np.unravel_index(flat, mask.shape))) if mask.flat[flat] else None
 
 
 def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
@@ -152,6 +150,11 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     first: Optional[tuple[int, int]] = None  # smallest offending (u, k)
     zero_steps = 0
     all_steps = 0
+    largest = -(-t // p)  # the rows of class 0; every class takes chunks of this many
+    rows = chunk_rows(largest)
+    # Column c of a chunk from row i0 is j = i0 + 1 + c: j > i is its upper
+    # triangle, whose edge falls in the chunk's leading square.
+    upper = np.triu(np.ones((min(rows, largest),) * 2, dtype=bool))
     for r in range(min(p, t)):
         blocks = d[r::p, r::p]
         m = blocks.shape[0]
@@ -159,7 +162,6 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
         # Offset i is L[i, i + 1]: the settled offset of row i and the step of column i + 1.
         offset = np.diagonal(blocks, 1)
         offset_ok = s * offset < delta * (1.0 - lam)
-        rows = chunk_rows(m)
         for i0 in range(0, m - 1, rows):
             if first is not None and r + i0 * p > first[0]:
                 break
@@ -170,13 +172,15 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
             bad_value = ~(value < delta - ETA)
             bad_zero = zero & ~offset_ok[i0:]
             bad_band = ~zero & ~((shifted_block < delta * lam) & offset_ok[i0:i1, None])
-            # Column c of the chunk is j = i0 + 1 + c, so j > i is the upper triangle.
-            hit = _first_true(np.triu(bad_value | bad_zero | bad_band))
+            bad = bad_value | bad_zero | bad_band
+            bad[:, : i1 - i0] &= upper[: i1 - i0, : i1 - i0]
+            hit = _first_true(bad)
             if hit is not None:
                 block = (r + (i0 + hit[0]) * p, hit[1] + 1 - hit[0])
                 first = min(first or block, block)
                 break
-            zero_steps += int(np.count_nonzero(np.triu(zero)))
+            zero[:, : i1 - i0] &= upper[: i1 - i0, : i1 - i0]
+            zero_steps += int(np.count_nonzero(zero))
 
     if first is not None:
         raise _induction_failure(dm, s, w, n_low + 1 + first[0], first[1])
@@ -291,42 +295,39 @@ class CertifyOutcome:
 def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tuple[int, float], ...]:
     """Worst telescoped bound per offset q over the verified range.
 
-    For q >= 2 the bound on rho(x_n, x_{n+q}) is the sum over j = 1 .. q of
-    s**min(j, q - 1) * rho(x_{n+j-1}, x_{n+j}); the last two steps share the
-    top coefficient because the final triangle application splits one leg in
-    two.  Offset 1 is bounded by the step itself and offset 0 by the doubled
-    step 2 s rho(x_n, x_{n+1}), which holds in every dislocated b-metric.
-    Each bound is cross-checked against the direct distance; a violation
-    means the declared s does not hold on this data and raises
+    For q >= 1 the bound on rho(x_n, x_{n+q}) is the sum over j = 1 .. q of
+    s**min(j, q - 1) * rho(x_{n+j-1}, x_{n+j}), left to right: the partial
+    sums P_k over j <= k < q are kept for every n and the last step added
+    with the top coefficient again, as the final triangle application splits
+    one leg in two (at q = 1, the step itself).  Offset 0 is bounded by the
+    doubled step 2 s rho(x_n, x_{n+1}), which holds in every dislocated
+    b-metric.  Each bound is cross-checked against the direct distance; a
+    violation means the declared s does not hold on this data and raises
     :class:`CertificateFailure` at the first offending (n, q).
     """
-    n_len = len(seq)
     dm = seq.distance_matrix()
     s = seq.metric.s
-    steps = np.diagonal(dm, offset=1)  # steps[i] = rho(x_{i+1}, x_{i+2}), 0-based
+    steps = np.diagonal(dm, offset=1)[n_low:]  # steps[i] = rho(x_n, x_{n+1}) at n = n_low + i + 1
+    partial = np.zeros_like(steps)  # P_0
     out: list[tuple[int, float]] = []
 
     for q in range(w.p + 1):
-        lo = n_low + 1  # first 1-based n in range
-        hi = (n_len - 1 if q == 0 else n_len - q)  # last n with the bound evaluable
-        if hi < lo:
-            continue
-        r = np.arange(lo - 1, hi)  # 0-based rows
+        if len(steps) < max(q, 1):  # no n in range with n + max(q, 1) <= N
+            break
         if q == 0:
-            bounds = 2.0 * s * steps[r]
-            direct = np.diagonal(dm)[r]
-        elif q == 1:
-            bounds = steps[r]
-            direct = steps[r]
+            bounds = 2.0 * s * steps
+            direct = np.diagonal(dm)[n_low:-1]
         else:
-            coeffs = np.array([s ** min(j, q - 1) for j in range(1, q + 1)])
-            windows = np.lib.stride_tricks.sliding_window_view(steps, q)
-            bounds = windows[r] @ coeffs
-            direct = dm[r, r + q]
+            last = steps[q - 1 :]
+            prev = partial[: len(last)]  # P_{q-1}
+            bounds = prev + s ** (q - 1) * last
+            if q < w.p:  # s**p is not needed, and may overflow where s**(p-1) does not
+                partial = prev + s**q * last
+            direct = np.diagonal(dm, q)[n_low:]
         gap = direct - bounds
         if np.any(gap > ETA):
             i = int(np.argmax(gap > ETA))
-            n = int(r[i]) + 1
+            n = n_low + i + 1
             raise CertificateFailure(
                 "chain_bounds",
                 f"chain bound violated at n={n}, q={q}: "
@@ -348,12 +349,12 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     delta (1 - lam) + s delta.  Component failures are certification
     failures; an assembled-bound failure with passing components is a bug.
 
-    On D = dm[n_low:, n_low:] with local indices u = n - n_low - 1 and
-    v = m - n_low - 1, the base point n + k p of a row u in residue class
-    r = u mod p is the last index of that class at or before v,
-    r + (v - r) // p * p, which depends on v alone.  So per class A is one
-    vector over v, B a column gather of the rows D[r::p], and the direct
-    distances the view D[r::p, r:]; the rows are scanned in chunks.
+    On D = dm[n_low:, n_low:] with local indices u = i p + r = n - n_low - 1
+    and v = m - n_low - 1, the base point is r + (v - r) // p * p, so the
+    base index and A are (r, v) tables, and the rows are (i, r, v) slabs:
+    the f full blocks of p rows as D[: f p].reshape(f, p, t), a view, and the
+    rest.  Chunks of whole blocks, or of classes of one block, are read in
+    (u, v) order.
     """
     dm = seq.distance_matrix()
     s = seq.metric.s
@@ -363,38 +364,45 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
 
     d = dm[n_low:, n_low:]
     t = d.shape[0]
+    full = t // p
+    classes = np.arange(min(p, t))[:, None]
+    cols = np.arange(t)
+    base = classes + np.maximum(cols - classes, 0) // p * p  # columns v < r pair with no row
+    offset_part = d[base, cols]
+    # About eight arrays of a chunk's size are live at once, so a chunk holds
+    # an eighth of the usual elements: it stays in cache and keeps the heap small.
+    size = chunk_rows(8 * t)
+    di, dr = max(1, size // p), min(size, p)
+    slabs = ((0, d[: full * p].reshape(full, p, t)), (full, d[full * p :][None]))
+    chunks = (
+        (i_low + i0, r0, slab[i0 : i0 + di, r0 : r0 + dr])
+        for i_low, slab in slabs
+        for i0 in range(0, len(slab), di)
+        for r0 in range(0, slab.shape[1], dr)
+    )
     first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
     first_assembled: Optional[tuple[int, int]] = None
-    for r in range(min(p, t)):
-        cols = np.arange(t - r)  # column c is v = r + c
-        base = r + cols // p * p
-        offset_part = d[base, r + cols]
-        rows = d[r::p]  # row i is u = r + i p
-        chunk = chunk_rows(t - r)
-        for i0 in range(0, rows.shape[0], chunk):
-            if first_comp is not None and r + i0 * p > first_comp[0]:
-                break
-            i1 = min(i0 + chunk, rows.shape[0])
-            c0 = i0 * p  # earlier columns pair with no row of the chunk
-            a = offset_part[c0:]
-            b = rows[i0:i1][:, base[c0:]]
-            direct = rows[i0:i1, r + c0 :]
-            in_tail = cols[c0:] >= (np.arange(i0, i1) * p)[:, None]  # v >= u
+    for i0, r0, rows in chunks:
+        r1 = r0 + rows.shape[1]
+        u = np.arange(i0, i0 + len(rows))[:, None] * p + np.arange(r0, r1)
+        c0 = i0 * p + r0  # earlier columns pair with no row of the chunk
+        a = offset_part[r0:r1, c0:]
+        b = rows[:, classes[: r1 - r0], base[r0:r1, c0:]]
+        direct = rows[:, :, c0:]
+        in_tail = cols[c0:] >= u[:, :, None]  # v >= u
 
-            comp_ok = (a < theta - ETA) & (b < delta - ETA)
-            triangle_ok = direct <= s * (a + b) + ETA
+        comp_ok = (a < theta - ETA) & (b < delta - ETA)
+        triangle_ok = direct <= s * (a + b) + ETA
+        hit = _first_true(in_tail & ~(comp_ok & triangle_ok))
+        if hit is not None:
+            first_comp = (int(u[hit[:2]]), c0 + hit[2])
+            break
+        if first_assembled is None:
             assembled = s * a + s * b
             assembled_ok = (assembled < fb) & (direct < fb - ETA)
-
-            hit = _first_true(in_tail & ~(comp_ok & triangle_ok))
-            if hit is not None:
-                pair = (r + (i0 + hit[0]) * p, r + c0 + hit[1])
-                first_comp = min(first_comp or pair, pair)
-                break
             hit = _first_true(in_tail & ~assembled_ok)
             if hit is not None:
-                pair = (r + (i0 + hit[0]) * p, r + c0 + hit[1])
-                first_assembled = min(first_assembled or pair, pair)
+                first_assembled = (int(u[hit[:2]]), c0 + hit[2])
 
     first = first_comp or first_assembled
     if first is None:

@@ -79,16 +79,21 @@ def _list_of(test):
     return lambda value: isinstance(value, list) and all(map(test, value))
 
 
+def _free(value) -> bool:
+    """A number or a list of free-form values."""
+    return _number(value) or isinstance(value, list) and all(map(_free, value))
+
+
 #: Leaf kinds: the name an error gives each, and its test.
 NUMBER = ("a number", _number)
 INTEGER = ("an integer", _integer)
 STRING = ("a string", lambda value: isinstance(value, str))
 NUMBERS = ("a list of numbers", _list_of(_number))
 INTEGERS = ("a list of integers", _list_of(_integer))
-#: A free-form value, handed on to a registry factory or to ``Point``: any
-#: JSON whose leaves are not booleans, since those convert with ``float()``,
-#: which would read ``true`` as 1.0.
-FREE = "free-form"
+#: A free-form value, handed on to a registry factory or to ``Point``.
+#: Booleans and numeric strings are no numbers, though ``float()`` reads
+#: ``true`` as 1.0 and ``"0.5"`` as 0.5.
+FREE = ("a number or a list of numbers", _free)
 #: An object of free-form values under any keys; ``"*"`` matches every key.
 PARAMS = {"*": FREE}
 _CONTRACTION = {"name": STRING, "params": PARAMS}
@@ -143,14 +148,6 @@ def _check(value, kind, path: str) -> None:
                     f"unknown key {key!r} in {where}; expected one of {', '.join(kind)}"
                 )
             _check(item, sub, f"{path}.{key}" if path else key)
-    elif kind is FREE:
-        if isinstance(value, bool):
-            raise ConfigError(f'"{path}" must be a number, got {value!r}')
-        if isinstance(value, list):
-            for i, item in enumerate(value):
-                _check(item, FREE, f"{path}[{i}]")
-        elif isinstance(value, dict):
-            _check(value, PARAMS, path)
     elif not kind[1](value):
         raise ConfigError(f'"{path}" must be {kind[0]}, got {value!r}')
 

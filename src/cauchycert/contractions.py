@@ -14,8 +14,7 @@ part of the sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,29 +52,29 @@ class Contraction:
             raise ContractionError(f"declared contraction constant must lie in [0, 1), got {self.c}")
 
     def apply(self, p: Point) -> Point:
-        # An overflow is reported below, as a non-finite image.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(self.fn(p.coords), dtype=float)
-        if out.ndim == 0:
-            out = out.reshape(1)
-        if not np.all(np.isfinite(out)):
-            raise ContractionError(f"map {self.name!r} produced non-finite values at {p}")
-        return Point(out)
+        return Point(_orbit(self, p.coords, 1)[0])
 
 
-def _iterates(f: Contraction, x0: Point) -> Iterator[Point]:
-    """The endless orbit f(x0), f^2(x0), ..."""
-    cur = x0
-    while True:
-        cur = f.apply(cur)
-        yield cur
+def _orbit(f: Contraction, x: np.ndarray, n: int) -> np.ndarray:
+    """The iterates f(x), ..., f^n(x) of the 1-d coordinates x, one row each,
+    checked for finiteness together: a non-finite row raises
+    :class:`ContractionError` naming the iterate it was computed from."""
+    rows = [x]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a non-finite row
+        for _ in range(n):
+            rows.append(np.atleast_1d(np.asarray(f.fn(rows[-1]), dtype=float)))
+    block = np.array(rows[1:])
+    bad = np.flatnonzero(~np.all(np.isfinite(block.reshape(n, -1)), axis=1))
+    if bad.size:
+        raise ContractionError(f"map {f.name!r} produced non-finite values at {Point(rows[bad[0]])}")
+    return block
 
 
 def iterate(f: Contraction, x0: Point, n: int, metric: DbMetric) -> SequencePrefix:
     """The orbit prefix x_1 = f(x0), ..., x_n = f^n(x0)."""
     if n < 2:
         raise ValueError("an orbit prefix needs at least 2 iterates")
-    return SequencePrefix(list(islice(_iterates(f, x0), n)), metric)
+    return SequencePrefix(_orbit(f, x0.coords, n), metric)
 
 
 class ContractionEstimate(NamedTuple):
@@ -228,8 +227,7 @@ def solve_fixed_point(
 
     # Certification starts at the first block boundary at or past min_len;
     # after that the prefix grows one block at a time and extends its matrix.
-    orbit = _iterates(f, x0)
-    pts = list(islice(orbit, min(-(-min_len // cfg.block) * cfg.block, cfg.max_iterations)))
+    pts = _orbit(f, x0.coords, min(-(-min_len // cfg.block) * cfg.block, cfg.max_iterations))
     seq = SequencePrefix(pts, metric) if len(pts) >= min_len else None
     ratio_seen = estimate.ratio
     while seq is not None:
@@ -261,7 +259,7 @@ def solve_fixed_point(
                 contraction_ratio=ratio_seen,
             )
         room = cfg.max_iterations - len(seq)
-        seq = seq.extend(islice(orbit, min(cfg.block, room))) if room else None
+        seq = seq.extend(_orbit(f, seq.coords[-1], min(cfg.block, room))) if room else None
     raise SolverError(
         f"no certificate at delta = {target_delta} within {cfg.max_iterations} iterations"
     )

@@ -73,8 +73,10 @@ class ShiftWitness:
 
 
 def _stack(points: Sequence) -> np.ndarray:
-    """:class:`Point` objects or plain scalars / vectors as one row each."""
-    coords = np.array([p.coords if isinstance(p, Point) else p for p in points], dtype=float)
+    """:class:`Point` objects, plain scalars / vectors or an array, one row each."""
+    if not isinstance(points, np.ndarray):
+        points = [p.coords if isinstance(p, Point) else p for p in points]
+    coords = np.array(points, dtype=float)
     return coords.reshape(-1, 1) if coords.ndim == 1 else coords
 
 

@@ -22,7 +22,10 @@ last step through the scalar ``pair_distance``.
 ``loop_block_induction`` checks the blocks of one n per Python iteration, and
 ``triu_pair_scan`` gathers every tail pair through ``np.triu_indices``; both
 replay the same float expressions as the residue-class scans in
-``certificates``.  The ``loop_*`` axiom and contraction checks walk lists of
+``certificates``.  ``class_loop_pair_scan`` is the pair scan with one Python
+iteration per residue class, which the class-batched ``_pair_scan``
+replaced, and ``matmul_chain_stage`` the chain stage with one
+sliding-window matmul per offset, which the running sums replaced.  The ``loop_*`` axiom and contraction checks walk lists of
 ``Point`` pairs and triples one ``DbMetric.distance`` call at a time, over
 samples built by ``loop_sample_pairs`` / ``loop_sample_triples``, and
 ``loop_axiom_report`` assembles the axiom report from them; the vectorised
@@ -517,6 +520,144 @@ def triu_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
             f"assembled bound {float(assembled[i])} / direct {float(direct[i])} "
             f"escaped the certified diameter {fb}"
         )
+
+
+def matmul_chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tuple[int, float], ...]:
+    """``_chain_stage`` with one sliding-window matmul per offset q.
+
+    Not bit-equal to the scalar ``chain_bound`` on arbitrary floats: the
+    matmul may sum in another order.
+
+    For q >= 2 the bound on rho(x_n, x_{n+q}) is the sum over j = 1 .. q of
+    s**min(j, q - 1) * rho(x_{n+j-1}, x_{n+j}); the last two steps share the
+    top coefficient because the final triangle application splits one leg in
+    two.  Offset 1 is bounded by the step itself and offset 0 by the doubled
+    step 2 s rho(x_n, x_{n+1}), which holds in every dislocated b-metric.
+    Each bound is cross-checked against the direct distance; a violation
+    means the declared s does not hold on this data and raises
+    :class:`CertificateFailure` at the first offending (n, q).
+    """
+    n_len = len(seq)
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    steps = np.diagonal(dm, offset=1)  # steps[i] = rho(x_{i+1}, x_{i+2}), 0-based
+    out: list[tuple[int, float]] = []
+
+    for q in range(w.p + 1):
+        lo = n_low + 1  # first 1-based n in range
+        hi = (n_len - 1 if q == 0 else n_len - q)  # last n with the bound evaluable
+        if hi < lo:
+            continue
+        r = np.arange(lo - 1, hi)  # 0-based rows
+        if q == 0:
+            bounds = 2.0 * s * steps[r]
+            direct = np.diagonal(dm)[r]
+        elif q == 1:
+            bounds = steps[r]
+            direct = steps[r]
+        else:
+            coeffs = np.array([s ** min(j, q - 1) for j in range(1, q + 1)])
+            windows = np.lib.stride_tricks.sliding_window_view(steps, q)
+            bounds = windows[r] @ coeffs
+            direct = dm[r, r + q]
+        gap = direct - bounds
+        if np.any(gap > ETA):
+            i = int(np.argmax(gap > ETA))
+            n = int(r[i]) + 1
+            raise CertificateFailure(
+                "chain_bounds",
+                f"chain bound violated at n={n}, q={q}: "
+                f"direct {float(direct[i])} > telescoped {float(bounds[i])}",
+                where=(n, q),
+            )
+        out.append((q, float(np.max(bounds))))
+    return tuple(out)
+
+
+def _first_true_2d(mask: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, column) of the first true entry of a 2-d mask in row-major order."""
+    flat = int(np.argmax(mask))
+    return divmod(flat, mask.shape[1]) if mask.flat[flat] else None
+
+
+def class_loop_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
+    """``_pair_scan`` with one Python iteration per residue class r.
+
+    For each pair n_low < n <= m <= N, with k = (m - n) // p and
+    q = (m - n) mod p, the components A = rho(x_{n + k p}, x_m) and
+    B = rho(x_n, x_{n + k p}) must satisfy A < delta (1 - lam) / s - eta and
+    B < delta - eta, the relaxed triangle through the base point must hold,
+    and the assembled bound s A + s B must stay below the certified diameter
+    delta (1 - lam) + s delta.  Component failures are certification
+    failures; an assembled-bound failure with passing components is a bug.
+
+    On D = dm[n_low:, n_low:] with local indices u = n - n_low - 1 and
+    v = m - n_low - 1, the base point n + k p of a row u in residue class
+    r = u mod p is the last index of that class at or before v,
+    r + (v - r) // p * p, which depends on v alone.  So per class A is one
+    vector over v, B a column gather of the rows D[r::p], and the direct
+    distances the view D[r::p, r:]; the rows are scanned in chunks.
+    """
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    delta, lam, p = w.delta, w.lam, w.p
+    theta = delta * (1.0 - lam) / s
+    fb = diameter_bound(w, s)
+
+    d = dm[n_low:, n_low:]
+    t = d.shape[0]
+    first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
+    first_assembled: Optional[tuple[int, int]] = None
+    for r in range(min(p, t)):
+        cols = np.arange(t - r)  # column c is v = r + c
+        base = r + cols // p * p
+        offset_part = d[base, r + cols]
+        rows = d[r::p]  # row i is u = r + i p
+        chunk = chunk_rows(t - r)
+        for i0 in range(0, rows.shape[0], chunk):
+            if first_comp is not None and r + i0 * p > first_comp[0]:
+                break
+            i1 = min(i0 + chunk, rows.shape[0])
+            c0 = i0 * p  # earlier columns pair with no row of the chunk
+            a = offset_part[c0:]
+            b = rows[i0:i1][:, base[c0:]]
+            direct = rows[i0:i1, r + c0 :]
+            in_tail = cols[c0:] >= (np.arange(i0, i1) * p)[:, None]  # v >= u
+
+            comp_ok = (a < theta - ETA) & (b < delta - ETA)
+            triangle_ok = direct <= s * (a + b) + ETA
+            assembled = s * a + s * b
+            assembled_ok = (assembled < fb) & (direct < fb - ETA)
+
+            hit = _first_true_2d(in_tail & ~(comp_ok & triangle_ok))
+            if hit is not None:
+                pair = (r + (i0 + hit[0]) * p, r + c0 + hit[1])
+                first_comp = min(first_comp or pair, pair)
+                break
+            hit = _first_true_2d(in_tail & ~assembled_ok)
+            if hit is not None:
+                pair = (r + (i0 + hit[0]) * p, r + c0 + hit[1])
+                first_assembled = min(first_assembled or pair, pair)
+
+    first = first_comp or first_assembled
+    if first is None:
+        return
+    n, m = n_low + 1 + first[0], n_low + 1 + first[1]
+    base = n + (m - n) // p * p
+    a, b, direct = float(dm[base - 1, m - 1]), float(dm[n - 1, base - 1]), float(dm[n - 1, m - 1])
+    if first_comp is not None:
+        raise CertificateFailure(
+            "pair_scan",
+            f"pair (n={n}, m={m}): offset part {a}, "
+            f"block part {b}, direct {direct} "
+            f"(need offset < {theta}, block < {delta}, triangle at s={s})",
+            where=(n, m),
+        )
+    raise DivergenceError(
+        f"pair (n={n}, m={m}) passed component checks but "
+        f"assembled bound {s * a + s * b} / direct {direct} "
+        f"escaped the certified diameter {fb}"
+    )
 
 
 def loop_sample_pairs(cfg: SamplerConfig, dim: int) -> list[tuple[Point, Point]]:

@@ -40,7 +40,9 @@ from cauchycert.metrics import available_metrics
 from oracles import (
     appended_certify_cauchy,
     chain_bound,
+    class_loop_pair_scan,
     loop_block_induction,
+    matmul_chain_stage,
     pair_distance,
     self_distance_bound,
     triu_pair_scan,
@@ -186,27 +188,51 @@ def scalar_chain_stage(seq: SequencePrefix, p: int, n_low: int):
     return tuple(out)
 
 
+CHAIN_METRICS = st.sampled_from(["euclid_1d", "sq_abs", "max_dislocated", "shifted_dislocated"])
+
+
+def _check_chain_stage(values, name, s, p, n_low):
+    """``_chain_stage`` equals the scalar oracles, bit for bit."""
+    seq = SequencePrefix(values, make_metric(name, s=s))
+    w = ShiftWitness(0.5, p, 0.5, 1)
+    try:
+        expected = scalar_chain_stage(seq, p, n_low)
+    except CertificateFailure as exc:
+        with pytest.raises(CertificateFailure, match=str(exc)) as got:
+            _chain_stage(seq, w, n_low)
+        assert (got.value.stage, got.value.where) == ("chain_bounds", exc.where)
+        return
+    got = _chain_stage(seq, w, n_low)
+    assert [(q, b.hex()) for q, b in got] == [(q, b.hex()) for q, b in expected]
+
+
 class TestChainStage:
     @given(
         # Multiples of 1/8 keep every distance, weight and sum exact, so the
-        # vectorised stage and the scalar oracles must agree bit for bit.
+        # matmul oracle must agree too.
         values=st.lists(st.integers(0, 64).map(lambda k: k / 8.0), min_size=3, max_size=14),
-        name=st.sampled_from(["euclid_1d", "sq_abs", "max_dislocated", "shifted_dislocated"]),
+        name=CHAIN_METRICS,
         s=st.sampled_from([1.0, 2.0, 4.0]),
         p=st.integers(1, 5),
         n_low=st.integers(0, 6),
     )
     def test_matches_scalar_oracles(self, values, name, s, p, n_low):
+        _check_chain_stage(values, name, s, p, n_low)
         seq = SequencePrefix(values, make_metric(name, s=s))
         w = ShiftWitness(0.5, p, 0.5, 1)
-        try:
-            expected = scalar_chain_stage(seq, p, n_low)
-        except CertificateFailure as exc:
-            with pytest.raises(CertificateFailure, match=str(exc)) as got:
-                _chain_stage(seq, w, n_low)
-            assert (got.value.stage, got.value.where) == ("chain_bounds", exc.where)
-            return
-        assert _chain_stage(seq, w, n_low) == expected
+        assert _result(_chain_stage, seq, w, n_low) == _result(matmul_chain_stage, seq, w, n_low)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Arbitrary floats make the sums round, so the order of summation shows.
+        values=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=24),
+        name=CHAIN_METRICS,
+        s=st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+        p=st.integers(2, 9),
+        n_low=st.integers(0, 6),
+    )
+    def test_bit_equal_on_any_floats(self, values, name, s, p, n_low):
+        _check_chain_stage(values, name, s, p, n_low)
 
 
 class TestSettlingIndex:
@@ -343,16 +369,18 @@ SCAN_ARGS = dict(
     lam=st.floats(0.05, 0.95),
     n0=st.integers(1, 10),
     cut=st.integers(0, 12),
-    chunk=st.sampled_from([7, metrics._CHUNK]),
+    chunk=st.sampled_from([7, 400, metrics._CHUNK]),
 )
 
 
 class TestResidueScansMatchOracles:
     """The residue-class scans equal the per-n loop and the triu-index scan.
 
-    A chunk of 7 elements makes most scans cross chunk edges; ``cut`` is the
-    settling index of the induction (arbitrary, so both justification
-    branches can diverge) and the ``n_low`` of the pair scan.
+    A chunk of 7 elements makes most scans cross chunk edges, and one of 400
+    puts several blocks of p rows, or several classes, in one pair-scan
+    chunk; ``cut`` is the settling index of the induction (arbitrary, so
+    both justification branches can diverge) and the ``n_low`` of the pair
+    scan.
     """
 
     @settings(max_examples=700, deadline=None)
@@ -371,11 +399,24 @@ class TestResidueScansMatchOracles:
     @given(**SCAN_ARGS)
     @example(values=[-0.7, 0.7, 0.1, -0.7, 0.0, 0.0, -0.7, -0.7, 0.7, 0.0, 0.1, -0.7],
              name="euclid_1d", s=None, delta=1.0, p=3, lam=0.1, n0=1, cut=2, chunk=7)
+    # t = 8 rows in 4 full blocks of p = 2 and no remainder; the first
+    # failure is in row 5, block 2.
+    @example(values=[-0.7, 0.03, 0.7, 0.03, 0.7, -0.1, 0.0, 0.7, 0.0, -0.7],
+             name="euclid_1d", s=None, delta=1.0, p=2, lam=0.1, n0=1, cut=2, chunk=400)
+    # p > t: the 5 rows are all remainder, and every pair passes.
+    @example(values=[0.0, 0.7, 0.25, 0.01, 0.03, 0.25, 0.25],
+             name="euclid_1d", s=None, delta=1.0, p=7, lam=0.1, n0=1, cut=2, chunk=7)
+    # The first failure is in row 2 of the remainder.  That needs p > t: a
+    # component check fails in a remainder row u only if one fails in row
+    # u - p of a full block, which reads the same offset parts.
+    @example(values=[0.01, 0.25, 0.03, -0.7, 0.03, 0.03, 0.0, -0.7, 0.01, 0.25],
+             name="euclid_1d", s=None, delta=1.0, p=9, lam=0.1, n0=1, cut=5, chunk=7)
     def test_pair_scan(self, values, name, s, delta, p, lam, n0, cut, chunk):
         seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
             got = _result(_pair_scan, seq, w, cut)
+            assert got == _result(class_loop_pair_scan, seq, w, cut)
         assert got == _result(triu_pair_scan, seq, w, cut)
 
 

@@ -592,45 +592,64 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, config, message",
         [
+            # A list passes the table, where the factory needs a number.
             (
                 "check",
-                {"metric": {"name": "shifted_dislocated", "params": {"offset": "x"}},
+                {"metric": {"name": "shifted_dislocated", "params": {"offset": [1]}},
                  "source": {"inline": [1.0, 0.5]}},
-                "bad metric parameters: could not convert",
+                "bad metric parameters: float() argument must be",
             ),
             (
                 "solve",
                 {"metric": {"name": "euclid_1d"},
-                 "parameters": {"contraction": {"name": "affine_1d", "params": {"a": "x", "b": 1}},
+                 "parameters": {"contraction": {"name": "affine_1d", "params": {"a": [0.5], "b": 1}},
                                 "solver": {"target_delta": 0.1}}},
-                "bad contraction parameters: could not convert",
+                "bad contraction parameters: float() argument must be",
             ),
             # float(True) is 1.0: a boolean must not pass for a number.
             (
                 "check",
                 {"metric": {"name": "shifted_dislocated", "params": {"offset": True}},
                  "source": {"inline": [1.0, 0.5]}},
-                '"metric.params.offset" must be a number, got True',
+                '"metric.params.offset" must be a number or a list of numbers, got True',
             ),
             (
                 "solve",
                 {"metric": {"name": "euclid_1d"},
                  "parameters": {"contraction": {"name": "affine_1d", "params": {"a": 0.5, "b": True}},
                                 "solver": {"target_delta": 0.1}}},
-                '"parameters.contraction.params.b" must be a number, got True',
+                '"parameters.contraction.params.b" must be a number or a list of numbers, got True',
             ),
             (
                 "check",
                 {"metric": {"name": "euclid_1d"},
                  "source": {"orbit": {"contraction": {"name": "halving"}, "n": 20, "x0": True}}},
-                '"source.orbit.x0" must be a number, got True',
+                '"source.orbit.x0" must be a number or a list of numbers, got True',
             ),
             (
                 "solve",
                 {"metric": {"name": "euclid_nd"},
                  "parameters": {"contraction": {"name": "halving"},
                                 "solver": {"target_delta": 0.1, "x0": [0.5, False]}}},
-                '"parameters.solver.x0[1]" must be a number, got False',
+                '"parameters.solver.x0" must be a number or a list of numbers, got [0.5, False]',
+            ),
+            # Each of the next three used to run: the object's keys, or the
+            # strings, were read as numbers.
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"}, "source": {"inline": {"1": 0, "0.5": 7, "0.25": 9}}},
+                '"source.inline" must be a number or a list of numbers, got {\'1\': 0,',
+            ),
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"}, "source": {"inline": ["1", "0.5", "0.25"]}},
+                '"source.inline" must be a number or a list of numbers, got [\'1\', \'0.5\', \'0.25\']',
+            ),
+            (
+                "check",
+                {"metric": {"name": "shifted_dislocated", "params": {"offset": "0.5"}},
+                 "source": {"inline": [1.0, 0.5]}},
+                '"metric.params.offset" must be a number or a list of numbers, got \'0.5\'',
             ),
         ],
     )

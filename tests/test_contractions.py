@@ -72,6 +72,25 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(halving(), Point(1.0), 1, euclid)
 
+    def test_non_finite_iterate_names_its_input(self, euclid):
+        # Halving on the sampling box [0, 10], so the sampled ratio is 0.5;
+        # outside it the map grows by 1e100 and x_4 = f(2e301) overflows.
+        f = Contraction(
+            name="blowup",
+            fn=lambda x: np.where(np.abs(x) <= 10.0, 0.5 * x, x * 1e100),
+            c=0.5,
+            dim=1,
+        )
+        x3 = 20.0 * 1e100 * 1e100 * 1e100
+        message = f"map 'blowup' produced non-finite values at {Point(x3)}"
+        assert message == "map 'blowup' produced non-finite values at Point(2e+301)"
+        with pytest.raises(ContractionError) as got:
+            iterate(f, Point(20.0), 10, euclid)
+        assert str(got.value) == message
+        with pytest.raises(ContractionError) as got:
+            solve_fixed_point(f, euclid, Point(20.0), 0.01)
+        assert str(got.value) == message
+
 
 def _stacks(*rows):
     return tuple(np.array(col, dtype=float).reshape(-1, 1) for col in zip(*rows))
