@@ -83,7 +83,7 @@ def _load_experiment(args) -> Experiment:
         try:
             with open(args.config) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     return make_experiment(load_config_text(text), seed_override=args.seed)
 
@@ -329,7 +329,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = dump_report(report, args.out)
+    try:
+        text = dump_report(report, args.out)
+    except OSError as exc:
+        print(f"error: cannot write report {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     if args.out is None:
         sys.stdout.write(text)
     return exit_code

@@ -104,6 +104,15 @@ class TestEnvelope:
         assert out == ""
         parse_report(target.read_text())
 
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GEOMETRIC_CHECK_CONFIG)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(["check", "--config", cfg, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write report {str(target)!r}")
+        assert not target.parent.exists()
+
     def test_schema_stage_names_are_the_stages(self):
         assert tuple(load_schema()["$defs"]["stage"]["enum"]) == STAGES
 
@@ -495,6 +504,14 @@ class TestConfigErrors:
         code, _, err = run_cli(["check", "--config", "/nonexistent/nope.json"], capsys)
         assert code == 2
         assert "cannot read config" in err
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(["check", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot read config {str(path)!r}")
 
     def test_config_required(self, capsys):
         code, _, err = run_cli(["axioms"], capsys)
