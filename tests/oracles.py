@@ -78,7 +78,7 @@ from cauchycert import (
     run_block_induction,
     tail_diameter,
 )
-from cauchycert.certificates import _chain_stage, _pair_scan
+from cauchycert.certificates import _chain_stage, _first_true, _induction_failure, _pair_scan
 from cauchycert.contractions import Contraction, ContractionEstimate
 from cauchycert.metrics import PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows
 from cauchycert.sequences import consecutive_distances, default_n0_grid
@@ -638,6 +638,166 @@ def class_loop_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> No
             if hit is not None:
                 pair = (r + (i0 + hit[0]) * p, r + c0 + hit[1])
                 first_assembled = min(first_assembled or pair, pair)
+
+    first = first_comp or first_assembled
+    if first is None:
+        return
+    n, m = n_low + 1 + first[0], n_low + 1 + first[1]
+    base = n + (m - n) // p * p
+    a, b, direct = float(dm[base - 1, m - 1]), float(dm[n - 1, base - 1]), float(dm[n - 1, m - 1])
+    if first_comp is not None:
+        raise CertificateFailure(
+            "pair_scan",
+            f"pair (n={n}, m={m}): offset part {a}, "
+            f"block part {b}, direct {direct} "
+            f"(need offset < {theta}, block < {delta}, triangle at s={s})",
+            where=(n, m),
+        )
+    raise DivergenceError(
+        f"pair (n={n}, m={m}) passed component checks but "
+        f"assembled bound {s * a + s * b} / direct {direct} "
+        f"escaped the certified diameter {fb}"
+    )
+
+
+def class_loop_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
+    """``run_block_induction`` with one Python iteration per residue class.
+
+    Verifies rho(x_{n + k p}, x_n) < delta - eta for all blocks in range.
+
+    Scans n in (max(settling, n0), N] and k >= 1 with n + k p <= N.  The
+    direct bound failing is a :class:`CertificateFailure` carrying the first
+    offending (n, k).  Each passing step is then re-justified along the proof
+    route chosen by the previous block distance: a zero previous block repeats
+    the settled offset bound, a positive one combines a shift-contraction pair
+    with the settled offset bound (the two contributions sum to exactly
+    delta * lam + delta * (1 - lam) = delta).  A step whose direct bound holds
+    but whose justification does not raises :class:`DivergenceError`.
+
+    The blocks of n stay in its residue class mod p: with the local index
+    u = n - n_low - 1 = r + i p and L = D[r::p, r::p] on D = dm[n_low:, n_low:],
+    the block k is L[i, j] for j = i + k, its previous block L[i, j - 1], its
+    step L[j - 1, j], its shifted block L[i + 1, j] and the settled offset
+    L[i, i + 1].  Each class is scanned in row chunks of bounded size.
+    """
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    n_low = max(settling, w.n0)
+    delta, lam, p = w.delta, w.lam, w.p
+
+    d = dm[n_low:, n_low:]
+    t = d.shape[0]
+    first: Optional[tuple[int, int]] = None  # smallest offending (u, k)
+    zero_steps = 0
+    all_steps = 0
+    largest = -(-t // p)  # the rows of class 0; every class takes chunks of this many
+    rows = chunk_rows(largest)
+    # Column c of a chunk from row i0 is j = i0 + 1 + c: j > i is its upper
+    # triangle, whose edge falls in the chunk's leading square.
+    upper = np.triu(np.ones((min(rows, largest),) * 2, dtype=bool))
+    for r in range(min(p, t)):
+        blocks = d[r::p, r::p]
+        m = blocks.shape[0]
+        all_steps += m * (m - 1) // 2
+        # Offset i is L[i, i + 1]: the settled offset of row i and the step of column i + 1.
+        offset = np.diagonal(blocks, 1)
+        offset_ok = s * offset < delta * (1.0 - lam)
+        for i0 in range(0, m - 1, rows):
+            if first is not None and r + i0 * p > first[0]:
+                break
+            i1 = min(i0 + rows, m - 1)
+            value = blocks[i0:i1, i0 + 1 :]
+            zero = blocks[i0:i1, i0:-1] <= ETA
+            shifted_block = s * blocks[i0 + 1 : i1 + 1, i0 + 1 :]
+            bad_value = ~(value < delta - ETA)
+            bad_zero = zero & ~offset_ok[i0:]
+            bad_band = ~zero & ~((shifted_block < delta * lam) & offset_ok[i0:i1, None])
+            bad = bad_value | bad_zero | bad_band
+            bad[:, : i1 - i0] &= upper[: i1 - i0, : i1 - i0]
+            hit = _first_true(bad)
+            if hit is not None:
+                block = (r + (i0 + hit[0]) * p, hit[1] + 1 - hit[0])
+                first = min(first or block, block)
+                break
+            zero[:, : i1 - i0] &= upper[: i1 - i0, : i1 - i0]
+            zero_steps += int(np.count_nonzero(zero))
+
+    if first is not None:
+        raise _induction_failure(dm, s, w, n_low + 1 + first[0], first[1])
+    return InductionTrace(
+        depth=max((t - 1) // p, 0),
+        zero_branch_steps=zero_steps,
+        band_branch_steps=all_steps - zero_steps,
+    )
+
+
+def slab_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
+    """``_pair_scan`` over (i, r, v) slabs with (r, v) base-index tables.
+
+    Bounds every tail pair via the m = n + k p + q decomposition.
+
+    For each pair n_low < n <= m <= N, with k = (m - n) // p and
+    q = (m - n) mod p, the components A = rho(x_{n + k p}, x_m) and
+    B = rho(x_n, x_{n + k p}) must satisfy A < delta (1 - lam) / s - eta and
+    B < delta - eta, the relaxed triangle through the base point must hold,
+    and the assembled bound s A + s B must stay below the certified diameter
+    delta (1 - lam) + s delta.  Component failures are certification
+    failures; an assembled-bound failure with passing components is a bug.
+
+    On D = dm[n_low:, n_low:] with local indices u = i p + r = n - n_low - 1
+    and v = m - n_low - 1, the base point is r + (v - r) // p * p, so the
+    base index and A are (r, v) tables, and the rows are (i, r, v) slabs:
+    the f full blocks of p rows as D[: f p].reshape(f, p, t), a view, and the
+    rest.  Chunks of whole blocks, or of classes of one block, are read in
+    (u, v) order.
+    """
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    delta, lam, p = w.delta, w.lam, w.p
+    theta = delta * (1.0 - lam) / s
+    fb = diameter_bound(w, s)
+
+    d = dm[n_low:, n_low:]
+    t = d.shape[0]
+    full = t // p
+    classes = np.arange(min(p, t))[:, None]
+    cols = np.arange(t)
+    base = classes + np.maximum(cols - classes, 0) // p * p  # columns v < r pair with no row
+    offset_part = d[base, cols]
+    # About eight arrays of a chunk's size are live at once, so a chunk holds
+    # an eighth of the usual elements: it stays in cache and keeps the heap small.
+    size = chunk_rows(8 * t)
+    di, dr = max(1, size // p), min(size, p)
+    slabs = ((0, d[: full * p].reshape(full, p, t)), (full, d[full * p :][None]))
+    chunks = (
+        (i_low + i0, r0, slab[i0 : i0 + di, r0 : r0 + dr])
+        for i_low, slab in slabs
+        for i0 in range(0, len(slab), di)
+        for r0 in range(0, slab.shape[1], dr)
+    )
+    first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
+    first_assembled: Optional[tuple[int, int]] = None
+    for i0, r0, rows in chunks:
+        r1 = r0 + rows.shape[1]
+        u = np.arange(i0, i0 + len(rows))[:, None] * p + np.arange(r0, r1)
+        c0 = i0 * p + r0  # earlier columns pair with no row of the chunk
+        a = offset_part[r0:r1, c0:]
+        b = rows[:, classes[: r1 - r0], base[r0:r1, c0:]]
+        direct = rows[:, :, c0:]
+        in_tail = cols[c0:] >= u[:, :, None]  # v >= u
+
+        comp_ok = (a < theta - ETA) & (b < delta - ETA)
+        triangle_ok = direct <= s * (a + b) + ETA
+        hit = _first_true(in_tail & ~(comp_ok & triangle_ok))
+        if hit is not None:
+            first_comp = (int(u[hit[:2]]), c0 + hit[2])
+            break
+        if first_assembled is None:
+            assembled = s * a + s * b
+            assembled_ok = (assembled < fb) & (direct < fb - ETA)
+            hit = _first_true(in_tail & ~assembled_ok)
+            if hit is not None:
+                first_assembled = (int(u[hit[:2]]), c0 + hit[2])
 
     first = first_comp or first_assembled
     if first is None:

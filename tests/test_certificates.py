@@ -40,11 +40,13 @@ from cauchycert.metrics import available_metrics
 from oracles import (
     appended_certify_cauchy,
     chain_bound,
+    class_loop_block_induction,
     class_loop_pair_scan,
     loop_block_induction,
     matmul_chain_stage,
     pair_distance,
     self_distance_bound,
+    slab_pair_scan,
     triu_pair_scan,
 )
 
@@ -388,11 +390,22 @@ class TestResidueScansMatchOracles:
     # The first failure sits in residue class 1, before a later one in class 0.
     @example(values=[0.0, 0.1, 0.1, -0.7, 0.1, 0.1, 0.1, 0.7, 0.7, 0.7, 0.7, 0.0],
              name="euclid_1d", s=None, delta=1.0, p=3, lam=0.3, n0=1, cut=2, chunk=7)
+    # cut >= N: no rows.
+    @example(values=[0.0, 0.5, 0.25, 0.125, 0.0625, 0.0],
+             name="euclid_1d", s=None, delta=1.0, p=2, lam=0.5, n0=1, cut=8, chunk=7)
+    # p = t: one row per offset and no step.
+    @example(values=[0.0, 0.5, 0.25, 0.125, 0.0625, 0.0, 0.0, 0.0],
+             name="euclid_1d", s=None, delta=1.0, p=6, lam=0.5, n0=1, cut=2, chunk=400)
+    # A band-branch failure at u = t - 1 - p, k = 1: its shifted block is the
+    # self-distance of x_N, in the last row of the view.
+    @example(values=[0.0, 0.0, 0.0, 0.125, 0.0, 0.0, 0.5],
+             name="max_dislocated", s=None, delta=1.0, p=3, lam=0.25, n0=1, cut=1, chunk=7)
     def test_block_induction(self, values, name, s, delta, p, lam, n0, cut, chunk):
         seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
             got = _result(run_block_induction, seq, w, cut)
+            assert got == _result(class_loop_block_induction, seq, w, cut)
         assert got == _result(loop_block_induction, seq, w, cut)
 
     @settings(max_examples=700, deadline=None)
@@ -411,11 +424,18 @@ class TestResidueScansMatchOracles:
     # u - p of a full block, which reads the same offset parts.
     @example(values=[0.01, 0.25, 0.03, -0.7, 0.03, 0.03, 0.0, -0.7, 0.01, 0.25],
              name="euclid_1d", s=None, delta=1.0, p=9, lam=0.1, n0=1, cut=5, chunk=7)
+    # cut >= N: no pairs.
+    @example(values=[0.0, 0.5, 0.25, 0.125, 0.0625, 0.0],
+             name="euclid_1d", s=None, delta=1.0, p=2, lam=0.5, n0=1, cut=6, chunk=7)
+    # The only pair is (N, N), and its self-distance fails the offset part.
+    @example(values=[0.0, 0.0, 0.0, 0.0, 0.0, 0.5],
+             name="max_dislocated", s=None, delta=0.5, p=2, lam=0.5, n0=1, cut=5, chunk=7)
     def test_pair_scan(self, values, name, s, delta, p, lam, n0, cut, chunk):
         seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
             got = _result(_pair_scan, seq, w, cut)
+            assert got == _result(slab_pair_scan, seq, w, cut)
             assert got == _result(class_loop_pair_scan, seq, w, cut)
         assert got == _result(triu_pair_scan, seq, w, cut)
 
