@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import CertificateFailure, DivergenceError, PrefixTooShort
-from .metrics import ETA, chunk_rows
+from .metrics import ETA, chunk_rows, row_offsets
 from .sequences import (
     ConsecutiveDecayReport,
     SequencePrefix,
@@ -84,9 +84,8 @@ def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> int:
     dm = seq.distance_matrix()
     threshold = w.delta * (1.0 - w.lam) / seq.metric.s - ETA
 
-    # Window i is dm[n0 + i, n0 + i : n0 + i + p + 1]: the offsets 0..p of n = n0 + i + 1.
-    windows = np.lib.stride_tricks.sliding_window_view(dm.reshape(-1), w.p + 1)
-    worst = np.max(windows[w.n0 * (n + 1) : hi * (n + 1) : n + 1], axis=1)
+    # Row i holds the offsets 0..p of n = n0 + i + 1.
+    worst = np.max(row_offsets(dm, w.n0, w.p + 1)[: hi - w.n0], axis=1)
     bad = np.flatnonzero(~(worst < threshold))
     m0 = w.n0 + int(bad[-1]) + 1 if bad.size else w.n0  # the last bad n, or n0
     if m0 > hi - 1:
@@ -134,61 +133,43 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     delta * lam + delta * (1 - lam) = delta).  A step whose direct bound holds
     but whose justification does not raises :class:`DivergenceError`.
 
-    The blocks of n stay in its residue class mod p: with the local index
-    u = n - n_low - 1 = r + i p and L = D[r::p, r::p] on D = dm[n_low:, n_low:],
-    the block k is L[i, j] for j = i + k, its previous block L[i, j - 1], its
-    step L[j - 1, j], its shifted block L[i + 1, j] and the settled offset
-    L[i, i + 1].  Each class is scanned in row chunks of bounded size.
+    With u = n - n_low - 1 and E of :func:`row_offsets`, block k of row u is
+    V[u, k] on V = E[:, ::p], its previous block V[u, k - 1] and its shifted
+    block V[u + p, k - 1]; its step E[u + (k - 1) p, p] and its settled offset
+    E[u, p] are offsets p, judged once per row.  Rows are scanned in chunks.
     """
     dm = seq.distance_matrix()
     s = seq.metric.s
     n_low = max(settling, w.n0)
     delta, lam, p = w.delta, w.lam, w.p
 
-    d = dm[n_low:, n_low:]
-    t = d.shape[0]
-    first: Optional[tuple[int, int]] = None  # smallest offending (u, k)
+    t = max(len(seq) - n_low, 0)
+    depth = max((t - 1) // p, 0)
+    if depth == 0:
+        return InductionTrace(0, 0, 0)
+    e = row_offsets(dm, n_low, depth * p + 1)
+    blocks = e[:, ::p]
+    offset_bad = np.zeros(t + depth * p, dtype=bool)  # rows past t are never in range
+    offset_bad[:t] = s * e[:, p] >= delta * (1.0 - lam)
+    step_bad = np.lib.stride_tricks.sliding_window_view(offset_bad, depth * p)[:, ::p]
     zero_steps = 0
-    all_steps = 0
-    largest = -(-t // p)  # the rows of class 0; every class takes chunks of this many
-    rows = chunk_rows(largest)
-    # Column c of a chunk from row i0 is j = i0 + 1 + c: j > i is its upper
-    # triangle, whose edge falls in the chunk's leading square.
-    upper = np.triu(np.ones((min(rows, largest),) * 2, dtype=bool))
-    for r in range(min(p, t)):
-        blocks = d[r::p, r::p]
-        m = blocks.shape[0]
-        all_steps += m * (m - 1) // 2
-        # Offset i is L[i, i + 1]: the settled offset of row i and the step of column i + 1.
-        offset = np.diagonal(blocks, 1)
-        offset_ok = s * offset < delta * (1.0 - lam)
-        for i0 in range(0, m - 1, rows):
-            if first is not None and r + i0 * p > first[0]:
-                break
-            i1 = min(i0 + rows, m - 1)
-            value = blocks[i0:i1, i0 + 1 :]
-            zero = blocks[i0:i1, i0:-1] <= ETA
-            shifted_block = s * blocks[i0 + 1 : i1 + 1, i0 + 1 :]
-            bad_value = ~(value < delta - ETA)
-            bad_zero = zero & ~offset_ok[i0:]
-            bad_band = ~zero & ~((shifted_block < delta * lam) & offset_ok[i0:i1, None])
-            bad = bad_value | bad_zero | bad_band
-            bad[:, : i1 - i0] &= upper[: i1 - i0, : i1 - i0]
-            hit = _first_true(bad)
-            if hit is not None:
-                block = (r + (i0 + hit[0]) * p, hit[1] + 1 - hit[0])
-                first = min(first or block, block)
-                break
-            zero[:, : i1 - i0] &= upper[: i1 - i0, : i1 - i0]
-            zero_steps += int(np.count_nonzero(zero))
-
-    if first is not None:
-        raise _induction_failure(dm, s, w, n_low + 1 + first[0], first[1])
-    return InductionTrace(
-        depth=max((t - 1) // p, 0),
-        zero_branch_steps=zero_steps,
-        band_branch_steps=all_steps - zero_steps,
-    )
+    all_steps = p * depth * (depth - 1) // 2 + depth * (t - depth * p)  # sum of (t - 1 - u) // p
+    rows = chunk_rows(depth)
+    for u0 in range(0, t - p, rows):
+        u1 = min(u0 + rows, t - p)
+        k0, k1 = (t - u1) // p, (t - 1 - u0) // p  # every row reaches block k0, the first k1
+        zero = blocks[u0:u1, :k1] <= ETA
+        band_bad = (s * blocks[u0 + p : u1 + p, :k1] >= delta * lam) | offset_bad[u0:u1, None]
+        bad = np.where(zero, step_bad[u0:u1, :k1], band_bad)
+        bad |= blocks[u0:u1, 1 : k1 + 1] >= delta - ETA
+        in_range = np.arange(u0, u1)[:, None] + np.arange(k0 + 1, k1 + 1) * p < t
+        bad[:, k0:] &= in_range
+        zero[:, k0:] &= in_range
+        hit = _first_true(bad)
+        if hit is not None:
+            raise _induction_failure(dm, s, w, n_low + 1 + u0 + hit[0], hit[1] + 1)
+        zero_steps += int(np.count_nonzero(zero))
+    return InductionTrace(depth, zero_steps, all_steps - zero_steps)
 
 
 def _induction_failure(dm: np.ndarray, s: float, w: ShiftWitness, n: int, k: int) -> Exception:
@@ -349,12 +330,10 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     delta (1 - lam) + s delta.  Component failures are certification
     failures; an assembled-bound failure with passing components is a bug.
 
-    On D = dm[n_low:, n_low:] with local indices u = i p + r = n - n_low - 1
-    and v = m - n_low - 1, the base point is r + (v - r) // p * p, so the
-    base index and A are (r, v) tables, and the rows are (i, r, v) slabs:
-    the f full blocks of p rows as D[: f p].reshape(f, p, t), a view, and the
-    rest.  Chunks of whole blocks, or of classes of one block, are read in
-    (u, v) order.
+    With u = n - n_low - 1 and E of :func:`row_offsets`, the direct distances
+    of row u are E[u, :K p] as a (k, q) array, B is its q = 0 column, and
+    A[u, k, q] = E[u + k p, q] reads a zero-padded copy of E[:, :p].  Chunks
+    of rows are scanned in (u, k, q) order, which is (n, m) order.
     """
     dm = seq.distance_matrix()
     s = seq.metric.s
@@ -362,47 +341,43 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     theta = delta * (1.0 - lam) / s
     fb = diameter_bound(w, s)
 
-    d = dm[n_low:, n_low:]
-    t = d.shape[0]
-    full = t // p
-    classes = np.arange(min(p, t))[:, None]
-    cols = np.arange(t)
-    base = classes + np.maximum(cols - classes, 0) // p * p  # columns v < r pair with no row
-    offset_part = d[base, cols]
+    t = max(len(seq) - n_low, 0)
+    width = min(p, t)  # offsets q that some pair reaches
+    blocks = -(-t // p)
+    e = row_offsets(dm, n_low, blocks * width)
+    # heads[x, q] = E[x, q]; the zero rows past t are never in range.
+    heads = np.zeros((t + blocks * p, width))
+    heads[:t] = e[:, :width]
+    windows = np.lib.stride_tricks.sliding_window_view(heads, blocks * p, axis=0)
+    offset_part = windows[:, :, ::p].transpose(0, 2, 1)  # offset_part[u, k, q] = E[u + k p, q]
     # About eight arrays of a chunk's size are live at once, so a chunk holds
     # an eighth of the usual elements: it stays in cache and keeps the heap small.
-    size = chunk_rows(8 * t)
-    di, dr = max(1, size // p), min(size, p)
-    slabs = ((0, d[: full * p].reshape(full, p, t)), (full, d[full * p :][None]))
-    chunks = (
-        (i_low + i0, r0, slab[i0 : i0 + di, r0 : r0 + dr])
-        for i_low, slab in slabs
-        for i0 in range(0, len(slab), di)
-        for r0 in range(0, slab.shape[1], dr)
-    )
+    rows = chunk_rows(8 * blocks * width)
     first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
     first_assembled: Optional[tuple[int, int]] = None
-    for i0, r0, rows in chunks:
-        r1 = r0 + rows.shape[1]
-        u = np.arange(i0, i0 + len(rows))[:, None] * p + np.arange(r0, r1)
-        c0 = i0 * p + r0  # earlier columns pair with no row of the chunk
-        a = offset_part[r0:r1, c0:]
-        b = rows[:, classes[: r1 - r0], base[r0:r1, c0:]]
-        direct = rows[:, :, c0:]
-        in_tail = cols[c0:] >= u[:, :, None]  # v >= u
+    for u0 in range(0, t, rows):
+        u1 = min(u0 + rows, t)
+        k1 = (t - 1 - u0) // p + 1  # the blocks that row u0 reaches
+        direct = e[u0:u1, : k1 * width].reshape(u1 - u0, k1, width)
+        a = offset_part[u0:u1, :k1]
+        b = direct[:, :, :1]
+        # Flat column g = k width + q of a row is m - n; from g0 on, some rows leave the tail.
+        g0 = t - u1 + 1
+        tail = np.arange(g0, k1 * width) < t - np.arange(u0, u1)[:, None]
 
         comp_ok = (a < theta - ETA) & (b < delta - ETA)
-        triangle_ok = direct <= s * (a + b) + ETA
-        hit = _first_true(in_tail & ~(comp_ok & triangle_ok))
+        bad = ~(comp_ok & (direct <= s * (a + b) + ETA)).reshape(u1 - u0, -1)
+        bad[:, g0:] &= tail
+        hit = _first_true(bad)
         if hit is not None:
-            first_comp = (int(u[hit[:2]]), c0 + hit[2])
+            first_comp = (u0 + hit[0], u0 + hit[0] + hit[1])
             break
         if first_assembled is None:
-            assembled = s * a + s * b
-            assembled_ok = (assembled < fb) & (direct < fb - ETA)
-            hit = _first_true(in_tail & ~assembled_ok)
+            bad = ~((s * a + s * b < fb) & (direct < fb - ETA)).reshape(u1 - u0, -1)
+            bad[:, g0:] &= tail
+            hit = _first_true(bad)
             if hit is not None:
-                first_assembled = (int(u[hit[:2]]), c0 + hit[2])
+                first_assembled = (u0 + hit[0], u0 + hit[0] + hit[1])
 
     first = first_comp or first_assembled
     if first is None:

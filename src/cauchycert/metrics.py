@@ -34,6 +34,25 @@ def chunk_rows(width: int) -> int:
     return max(1, _CHUNK // max(width, 1))
 
 
+def matrix_buffer(rows: int, cols: int) -> np.ndarray:
+    """A zeroed ``(rows, cols)`` array with ``rows + cols`` spare zeros after it in its buffer."""
+    return np.zeros(rows * cols + rows + cols)[: rows * cols].reshape(rows, cols)
+
+
+def row_offsets(dm: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """The read-only ``(max(N - lo, 0), width)`` view E[u, m] = dm[lo + u, lo + u + m].
+
+    Its rows are windows of the flat buffer that start on the diagonal.  Where
+    lo + u + m >= N they run on into the next row or the spare zeros of
+    :func:`matrix_buffer`, which cover widths up to 2N + 1; callers mask those.
+    """
+    n = dm.shape[0]
+    if dm.base is None or dm.base.size != n * (n + 2):
+        raise ValueError("row_offsets needs a square matrix built by matrix_buffer")
+    windows = np.lib.stride_tricks.sliding_window_view(dm.base, width)
+    return windows[lo * (n + 1) : n * (n + 1) : n + 1]
+
+
 class Point:
     """A point of the ground set: a fixed-length vector of finite reals.
 
@@ -175,7 +194,7 @@ class DbMetric:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         self._check_dims(a, b)
-        out = np.empty((len(a), len(b)))
+        out = matrix_buffer(len(a), len(b))
         rows = chunk_rows(len(b))
         negative = None
         with np.errstate(over="ignore", invalid="ignore"):

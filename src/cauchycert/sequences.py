@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MetricError, PrefixTooShort
-from .metrics import ETA, DbMetric, Point, chunk_rows
+from .metrics import ETA, DbMetric, Point, chunk_rows, matrix_buffer
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class SequencePrefix:
                 self._matrix = self.metric.matrix(self.coords)
             else:
                 n = base.shape[0]
-                out = np.empty((len(self), len(self)))
+                out = matrix_buffer(len(self), len(self))
                 out[:n, :n] = base
                 out[:n, n:] = self.metric.cross(self.coords[:n], self.coords[n:])
                 out[n:] = self.metric.cross(self.coords[n:], self.coords)

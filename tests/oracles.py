@@ -21,10 +21,12 @@ and keeps the first; ``loop_search_witness`` is the witness search over
 last step through the scalar ``pair_distance``.
 ``loop_block_induction`` checks the blocks of one n per Python iteration, and
 ``triu_pair_scan`` gathers every tail pair through ``np.triu_indices``; both
-replay the same float expressions as the residue-class scans in
-``certificates``.  ``class_loop_pair_scan`` is the pair scan with one Python
-iteration per residue class, which the class-batched ``_pair_scan``
-replaced, and ``matmul_chain_stage`` the chain stage with one
+replay the same float expressions as the row-offset scans in
+``certificates``.  ``class_loop_block_induction`` and ``class_loop_pair_scan``
+are the induction and the pair scan with one Python iteration per residue
+class mod p, and ``slab_pair_scan`` is the class-batched pair scan over
+(i, r, v) slabs and (r, v) base-index tables; the row-offset views replaced
+these.  ``matmul_chain_stage`` is the chain stage with one
 sliding-window matmul per offset, which the running sums replaced.  The ``loop_*`` axiom and contraction checks walk lists of
 ``Point`` pairs and triples one ``DbMetric.distance`` call at a time, over
 samples built by ``loop_sample_pairs`` / ``loop_sample_triples``, and

@@ -325,7 +325,7 @@ def _geometric(x0: float, a: float, n: int, noise: list[float]) -> list[float]:
     return [x0 * a**k + noise[k % len(noise)] for k in range(n)]
 
 
-#: Prefixes for the residue-class scans: exact dyadic values and multiples of
+#: Prefixes for the induction and pair scans: exact dyadic values and multiples of
 #: ETA (ties, exact zeros and distances exactly at the tolerance), noisy
 #: geometric decay (prefixes that settle, so the induction and pair scan run
 #: deep) and arbitrary values (early failures).
@@ -376,11 +376,11 @@ SCAN_ARGS = dict(
 
 
 class TestResidueScansMatchOracles:
-    """The residue-class scans equal the per-n loop and the triu-index scan.
+    """The row-offset scans equal the residue-class scans they replaced, the
+    per-n loop and the triu-index scan.
 
     A chunk of 7 elements makes most scans cross chunk edges, and one of 400
-    puts several blocks of p rows, or several classes, in one pair-scan
-    chunk; ``cut`` is the settling index of the induction (arbitrary, so
+    puts several rows in one pair-scan chunk; ``cut`` is the settling index of the induction (arbitrary, so
     both justification branches can diverge) and the ``n_low`` of the pair
     scan.
     """
@@ -390,6 +390,14 @@ class TestResidueScansMatchOracles:
     # The first failure sits in residue class 1, before a later one in class 0.
     @example(values=[0.0, 0.1, 0.1, -0.7, 0.1, 0.1, 0.1, 0.7, 0.7, 0.7, 0.7, 0.0],
              name="euclid_1d", s=None, delta=1.0, p=3, lam=0.3, n0=1, cut=2, chunk=7)
+    # Ties fail: a block of exactly delta - eta (under an understated s),
+    # a step of exactly delta (1 - lam) and a shifted block of exactly delta lam.
+    @example(values=[0.0, 0.0, 0.5, 1.0],
+             name="sq_abs", s=1.0, delta=1.0 + ETA, p=1, lam=0.5, n0=1, cut=0, chunk=7)
+    @example(values=[0.0, 0.0, 0.5],
+             name="euclid_1d", s=None, delta=1.0, p=1, lam=0.5, n0=1, cut=0, chunk=7)
+    @example(values=[0.0, 0.0, 0.25, 0.75],
+             name="euclid_1d", s=None, delta=1.0, p=1, lam=0.5, n0=1, cut=0, chunk=7)
     # cut >= N: no rows.
     @example(values=[0.0, 0.5, 0.25, 0.125, 0.0625, 0.0],
              name="euclid_1d", s=None, delta=1.0, p=2, lam=0.5, n0=1, cut=8, chunk=7)

@@ -180,6 +180,38 @@ class TestExtend:
         assert seq.extend([]) is seq
 
 
+class TestRowOffsets:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=20),
+        cut=st.integers(0, 20),
+        lo=st.integers(0, 22),
+        data=st.data(),
+    )
+    def test_view_reads_the_matrix(self, values, cut, lo, data):
+        # A fresh matrix, or (for 2 <= cut < N) one grown by extend.
+        n = len(values)
+        if 2 <= cut < n:
+            seq = SequencePrefix(values[:cut], ASYMMETRIC)
+            seq.distance_matrix()
+            seq = seq.extend(values[cut:])
+        else:
+            seq = SequencePrefix(values, ASYMMETRIC)
+        dm = seq.distance_matrix()
+        width = data.draw(st.integers(0, 2 * n + 1), label="width")
+        view = metrics.row_offsets(dm, lo, width)
+        assert view.shape == (max(n - lo, 0), width)
+        assert not view.flags.writeable
+        assert np.all(np.isfinite(view))  # the entries past the matrix too
+        for u in range(view.shape[0]):
+            row = [dm[lo + u, lo + u + m] for m in range(min(width, n - lo - u))]
+            assert view[u, : len(row)].tolist() == row
+
+    def test_needs_the_padded_buffer(self):
+        with pytest.raises(ValueError, match="matrix_buffer"):
+            metrics.row_offsets(np.zeros((3, 3)), 0, 2)
+
+
 class TestWitnessValidation:
     @pytest.mark.parametrize(
         "kwargs",
