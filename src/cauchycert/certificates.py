@@ -343,16 +343,17 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
 
     t = max(len(seq) - n_low, 0)
     width = min(p, t)  # offsets q that some pair reaches
-    blocks = -(-t // p)
-    e = row_offsets(dm, n_low, blocks * width)
+    n_blocks = max(-(-t // p), 1)
+    reach = (n_blocks - 1) * p + 1  # the rows from u to its last base point, inclusive
+    e = row_offsets(dm, n_low, n_blocks * width)
     # heads[x, q] = E[x, q]; the zero rows past t are never in range.
-    heads = np.zeros((t + blocks * p, width))
+    heads = np.zeros((t + reach, width))
     heads[:t] = e[:, :width]
-    windows = np.lib.stride_tricks.sliding_window_view(heads, blocks * p, axis=0)
+    windows = np.lib.stride_tricks.sliding_window_view(heads, reach, axis=0)
     offset_part = windows[:, :, ::p].transpose(0, 2, 1)  # offset_part[u, k, q] = E[u + k p, q]
     # About eight arrays of a chunk's size are live at once, so a chunk holds
     # an eighth of the usual elements: it stays in cache and keeps the heap small.
-    rows = chunk_rows(8 * blocks * width)
+    rows = chunk_rows(8 * n_blocks * width)
     first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
     first_assembled: Optional[tuple[int, int]] = None
     for u0 in range(0, t, rows):

@@ -14,8 +14,8 @@ verbosity selected by the ``CAUCHYCERT_LOG`` environment variable
 (error|warn|info|debug).
 
 Exit codes: 0 = run completed (even with negative check results); 1 = the
-canned counterexample assertions regressed; 2 = configuration error; 3 =
-internal certificate/oracle divergence (a bug).
+canned counterexample assertions regressed; 2 = configuration error or an
+unwritable ``--out``; 3 = internal certificate/oracle divergence (a bug).
 """
 
 from __future__ import annotations
