@@ -6,7 +6,9 @@ exact IEEE operations (differences, absolute values, squares of dyadic
 values, maxima), so the bytes do not depend on the numpy version.  Together
 the cases reach every gated stage of the replay: ``certify`` fails once at
 each of them and certifies once, ``solve`` certifies once and stops once on a
-mid-run ``ContractionError``.
+mid-run ``ContractionError``.  The rest cover the other shapes a report takes:
+``axioms`` with each kind of counterexample and a null estimate, ``list``, a
+``check`` whose search is null and a ``certify`` with no witness.
 
 Regenerate the files (only when a report is meant to change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -104,6 +106,57 @@ CASES = {
         },
     ),
     "counterexample": ("counterexample", None),
+    # No witness on the search grid: steps of 0.25 in a band of 17/64 are
+    # triggered, and a shift keeps them at 0.25, above 17/64 * 0.9.
+    "certify_no_witness": (
+        "certify",
+        {
+            "metric": {"name": "euclid_1d"},
+            "source": {"inline": [0.25 * k for k in range(12)]},
+            "parameters": {"delta_grid": {"values": [0.265625]}},
+        },
+    ),
+    # Three points leave no shift for the n0 grid {1}: the search is null.
+    "check_too_short": (
+        "check",
+        {
+            "metric": {"name": "euclid_1d"},
+            "source": {"inline": [1.0, 0.5, 0.25]},
+            "parameters": {"delta_grid": {"values": [0.5]}},
+        },
+    ),
+    # x < y is at distance 0 one way and not the other: both pair checks
+    # fail.  max(x - z, 0) never exceeds the sum of the legs, so s = 1 holds.
+    "axioms_broken_asym": (
+        "axioms",
+        {
+            "metric": {"name": "broken_asym"},
+            "parameters": {"axioms": {"pair_count": 8, "triple_count": 8}},
+        },
+    ),
+    # On a box of 5 * 2**-17 the triple (0, 2**-17, 5 * 2**-17) has squared
+    # legs that sum to within tolerance of zero and a squared direct distance
+    # beyond it: no s holds, and the estimate is null.  Points 2**-17 apart
+    # are also at distance within tolerance of zero.
+    "axioms_sq_abs_no_s": (
+        "axioms",
+        {
+            "metric": {"name": "sq_abs"},
+            "parameters": {
+                "axioms": {"box": [0.0, 5 * 2.0**-17], "grid_points": 6,
+                           "pair_count": 8, "triple_count": 8},
+            },
+        },
+    ),
+    # sq_abs under an understated s = 1: a midpoint triple violates it.
+    "axioms_sq_abs_s1": (
+        "axioms",
+        {
+            "metric": {"name": "sq_abs", "s": 1.0},
+            "parameters": {"axioms": {"pair_count": 8, "triple_count": 8}},
+        },
+    ),
+    "list": ("list", None),
 }
 
 
