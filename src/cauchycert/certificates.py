@@ -24,13 +24,13 @@ machinery being certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CertificateFailure, DivergenceError, PrefixTooShort
-from .metrics import ETA, chunk_rows, row_offsets
+from .metrics import ETA, JsonReport, chunk_rows, row_offsets
 from .sequences import (
     ConsecutiveDecayReport,
     SequencePrefix,
@@ -201,8 +201,15 @@ def _induction_failure(dm: np.ndarray, s: float, w: ShiftWitness, n: int, k: int
 # Certification driver
 # ---------------------------------------------------------------------------
 
+class ChainBound(NamedTuple):
+    """The worst telescoped bound over the verified range at offset q."""
+
+    q: int
+    bound: float
+
+
 @dataclass(frozen=True)
-class CauchyCertificate:
+class CauchyCertificate(JsonReport):
     """A replayed and cross-checked tail diameter bound for one witness."""
 
     witness: ShiftWitness
@@ -214,23 +221,8 @@ class CauchyCertificate:
     induction_depth: int
     zero_branch_steps: int
     band_branch_steps: int
-    chain_bounds: tuple[tuple[int, float], ...]
+    chain_bounds: tuple[ChainBound, ...]
     oracle_tail_diameter: float
-
-    def to_dict(self) -> dict:
-        return {
-            "witness": self.witness.to_dict(),
-            "s": self.s,
-            "length": self.length,
-            "settling_index": self.settling_index,
-            "range_start": self.range_start,
-            "diameter_bound": self.diameter_bound,
-            "induction_depth": self.induction_depth,
-            "zero_branch_steps": self.zero_branch_steps,
-            "band_branch_steps": self.band_branch_steps,
-            "chain_bounds": [{"q": q, "bound": b} for q, b in self.chain_bounds],
-            "oracle_tail_diameter": self.oracle_tail_diameter,
-        }
 
 
 #: The replay stages in the order :func:`certify_cauchy` runs them.
@@ -241,13 +233,13 @@ STAGES = (
 
 
 @dataclass(frozen=True)
-class CertifyOutcome:
+class CertifyOutcome(JsonReport):
     certified: bool
     certificate: Optional[CauchyCertificate]
     failure_stage: Optional[str]
     failure_detail: Optional[str]
-    decay: ConsecutiveDecayReport
-    shift: ShiftContractionReport
+    decay: ConsecutiveDecayReport = field(metadata={"json": "consecutive_decay"})
+    shift: ShiftContractionReport = field(metadata={"json": "shift_contraction"})
 
     @property
     def stages(self) -> tuple[tuple[str, bool], ...]:
@@ -258,22 +250,16 @@ class CertifyOutcome:
         failed = STAGES.index(self.failure_stage)
         return tuple((name, i < failed) for i, name in enumerate(STAGES[: failed + 1]))
 
-    def to_dict(self) -> dict:
-        return {
-            "certified": self.certified,
-            "certificate": None if self.certificate is None else self.certificate.to_dict(),
-            "failure": (
-                None
-                if self.failure_stage is None
-                else {"stage": self.failure_stage, "detail": self.failure_detail}
-            ),
+    def json_items(self) -> dict:
+        items = super().json_items()
+        stage, detail = items.pop("failure_stage"), items.pop("failure_detail")
+        return items | {
+            "failure": None if stage is None else {"stage": stage, "detail": detail},
             "stages": [{"stage": name, "passed": ok} for name, ok in self.stages],
-            "consecutive_decay": self.decay.to_dict(),
-            "shift_contraction": self.shift.to_dict(),
         }
 
 
-def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tuple[int, float], ...]:
+def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[ChainBound, ...]:
     """Worst telescoped bound per offset q over the verified range.
 
     For q >= 1 the bound on rho(x_n, x_{n+q}) is the sum over j = 1 .. q of
@@ -290,7 +276,7 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tupl
     s = seq.metric.s
     steps = np.diagonal(dm, offset=1)[n_low:]  # steps[i] = rho(x_n, x_{n+1}) at n = n_low + i + 1
     partial = np.zeros_like(steps)  # P_0
-    out: list[tuple[int, float]] = []
+    out: list[ChainBound] = []
 
     for q in range(w.p + 1):
         if len(steps) < max(q, 1):  # no n in range with n + max(q, 1) <= N
@@ -315,7 +301,7 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[tupl
                 f"direct {float(direct[i])} > telescoped {float(bounds[i])}",
                 where=(n, q),
             )
-        out.append((q, float(np.max(bounds))))
+        out.append(ChainBound(q, float(np.max(bounds))))
     return tuple(out)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     PrefixTooShort,
     SolverError,
 )
-from .metrics import available_metrics, make_metric, run_axiom_report
+from .metrics import AxiomReport, available_metrics, make_metric, run_axiom_report
 from .reports import build_report, dump_report
 from .sequences import (
     SequencePrefix,
@@ -89,15 +89,15 @@ def _load_experiment(args) -> Experiment:
 
 
 # ---------------------------------------------------------------------------
-# Commands (each returns (config_echo, results, exit_code))
+# Commands (each returns (config_echo, results, exit_code); see build_report)
 # ---------------------------------------------------------------------------
 
-def cmd_axioms(args) -> tuple[dict, dict, int]:
+def cmd_axioms(args) -> tuple[dict, AxiomReport, int]:
     exp = _load_experiment(args)
     metric = exp.metric()
     report = run_axiom_report(metric, exp.sampler())
     log.info("axioms for %s: all_ok=%s", metric.name, report.all_ok)
-    return exp.raw, report.to_dict(), 0
+    return exp.raw, report, 0
 
 
 def cmd_check(args) -> tuple[dict, dict, int]:
@@ -112,7 +112,7 @@ def cmd_check(args) -> tuple[dict, dict, int]:
     for delta in exp.deltas():
         try:
             found = search_witness(seq, delta, search_cfg)
-            entry = {"delta": delta, "search": found.to_dict()}
+            entry = {"delta": delta, "search": found}
         except PrefixTooShort as exc:
             entry = {"delta": delta, "search": None, "note": str(exc)}
         per_delta.append(entry)
@@ -120,7 +120,7 @@ def cmd_check(args) -> tuple[dict, dict, int]:
     midpoint = math.ceil(n / 2)
     results = {
         "length": n,
-        "consecutive_decay": decay.to_dict(),
+        "consecutive_decay": decay,
         "per_delta": per_delta,
         "tail_diameter": {
             "from_start": tail_diameter(seq, 1),
@@ -153,9 +153,9 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
         per_delta.append(
             {
                 "delta": e.delta,
-                "witness": None if e.witness is None else e.witness.to_dict(),
+                "witness": e.witness,
                 "witness_source": source,
-                "outcome": None if e.outcome is None else e.outcome.to_dict(),
+                "outcome": e.outcome,
                 "note": (
                     (e.note or "no holding witness on the search grid")
                     if e.witness is None
@@ -179,7 +179,7 @@ def cmd_solve(args) -> tuple[dict, dict, int]:
     except (SolverError, ContractionError) as exc:
         log.warning("solve failed: %s", exc)
         return exp.raw, {"solved": False, "error": str(exc)}, 0
-    results = {"solved": True, **result.to_dict()}
+    results = {"solved": True, **result.json_items()}
     return exp.raw, results, 0
 
 
@@ -210,7 +210,7 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
     for delta in deltas:
         report = check_shift_contraction(seq, ShiftWitness(delta=delta, p=1, lam=0.5, n0=1))
         vacuous = vacuous and report.holds and report.pairs_triggered == 0
-        per_delta.append({"delta": delta, "shift_contraction": report.to_dict()})
+        per_delta.append({"delta": delta, "shift_contraction": report})
 
     decay = check_consecutive_decay(seq)
     half = math.ceil(n / 2)
@@ -231,7 +231,7 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
         "deltas": deltas,
         "override_mode": override_mode,
         "per_delta": per_delta,
-        "consecutive_decay": decay.to_dict(),
+        "consecutive_decay": decay,
         "tail_diameter_full": diam_full,
         "tail_diameter_half_prefix": diam_half,
         "assertions": assertions,

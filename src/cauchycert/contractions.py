@@ -20,7 +20,7 @@ import numpy as np
 
 from .certificates import CauchyCertificate, certify_cauchy
 from .errors import ContractionError, SolverError
-from .metrics import ETA, DbMetric, Pairs, Point
+from .metrics import ETA, DbMetric, JsonReport, Pairs, Point
 from .sequences import SequencePrefix, ShiftWitness, TailConfig, consecutive_distances
 
 #: Hard cap for the derived shift; beyond this the witness is unsatisfiable.
@@ -159,7 +159,7 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class SolveResult:
+class SolveResult(JsonReport):
     """A certified approximate fixed point.
 
     ``residual`` is rho(x*, f x*) and ``residual_bound`` the dislocated-safe
@@ -173,16 +173,6 @@ class SolveResult:
     residual: float
     residual_bound: float
     contraction_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "fixed_point": self.fixed_point.tolist(),
-            "iterations": self.iterations,
-            "certificate": self.certificate.to_dict(),
-            "residual": self.residual,
-            "residual_bound": self.residual_bound,
-            "contraction_ratio": self.contraction_ratio,
-        }
 
 
 def _verification_pairs(f: Contraction, metric: DbMetric, rng: np.random.Generator) -> Pairs:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MetricError, TriangleViolation
+from .errors import DivergenceError, MetricError, TriangleViolation
 
 #: Comparison tolerance used for every equality / strictness test on distances.
 ETA = 1e-9
@@ -93,6 +93,44 @@ class Point:
         if self.dim == 1:
             return f"Point({self.coords.item()!r})"
         return f"Point({self.coords.tolist()!r})"
+
+
+def to_json(value):
+    """The JSON form of a report value.
+
+    A :class:`JsonReport` becomes an object of its :meth:`~JsonReport.json_items`,
+    a NamedTuple an object of its fields, a tuple a list, and a :class:`Point`
+    or a numpy value its ``tolist()``.  No report holds a non-finite float, so
+    meeting one raises :class:`DivergenceError`.
+    """
+    if isinstance(value, JsonReport):
+        value = value.json_items()
+    elif hasattr(value, "_fields"):
+        value = value._asdict()
+    elif hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DivergenceError(f"a report value is {value}, which JSON cannot hold")
+    return value
+
+
+class JsonReport:
+    """A report dataclass; :func:`to_json` serializes it.
+
+    Each field is a key, under its name or the ``"json"`` entry of its
+    metadata.  Types with derived keys extend :meth:`json_items`.
+    """
+
+    def json_items(self) -> dict:
+        """The JSON object's keys and their values, before conversion."""
+        return {f.metadata.get("json", f.name): getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    def to_dict(self) -> dict:
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -482,15 +520,11 @@ def sample_triples(cfg: SamplerConfig, dim: int) -> Triples:
     return tuple(np.concatenate(stack) for stack in zip(*parts))
 
 
-def _points_json(points: Optional[tuple[Point, ...]]):
-    return None if points is None else [p.tolist() for p in points]
-
-
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(JsonReport):
     """Aggregate result of the sampled axiom checks for one metric instance."""
 
-    metric_name: str
+    metric_name: str = dataclasses.field(metadata={"json": "metric"})
     declared_s: float
     symmetry_ok: bool
     zero_identity_ok: bool
@@ -508,23 +542,11 @@ class AxiomReport:
         converse = self.self_distance_zero_ok in (None, True)
         return self.symmetry_ok and self.zero_identity_ok and self.triangle_ok and converse
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric_name,
-            "declared_s": self.declared_s,
-            "symmetry_ok": self.symmetry_ok,
-            "zero_identity_ok": self.zero_identity_ok,
-            "triangle_ok": self.triangle_ok,
-            # A triple no s can satisfy makes the estimate infinite; JSON has no inf.
-            "estimated_min_s": (
-                self.estimated_min_s if math.isfinite(self.estimated_min_s) else None
-            ),
-            "symmetry_counterexample": _points_json(self.symmetry_counterexample),
-            "zero_identity_counterexample": _points_json(self.zero_identity_counterexample),
-            "violating_triple": _points_json(self.violating_triple),
-            "self_distance_zero_ok": self.self_distance_zero_ok,
-            "samples_used": self.samples_used,
-            "seed": self.seed,
+    def json_items(self) -> dict:
+        # A triple no s can satisfy makes the estimate infinite; JSON has no inf.
+        finite = math.isfinite(self.estimated_min_s)
+        return super().json_items() | {
+            "estimated_min_s": self.estimated_min_s if finite else None,
             "all_ok": self.all_ok,
         }
 

@@ -15,6 +15,7 @@ from typing import Optional
 import jsonschema
 
 from . import __version__
+from .metrics import to_json
 
 REPORT_VERSION = 1
 
@@ -45,12 +46,13 @@ def validate_report(report: dict) -> None:
 def build_report(
     command: str,
     config_echo: dict,
-    results: dict,
+    results,
     seed: int,
     include_timestamp: bool = True,
     elapsed: Optional[float] = None,
 ) -> dict:
-    """Assemble the envelope around per-command results.
+    """Assemble the envelope around per-command results, which
+    :func:`~cauchycert.metrics.to_json` turns into JSON values.
 
     The config echo is self-contained: re-running it with the recorded seed
     reproduces the report bit-for-bit.  ``include_timestamp=False`` drops both
@@ -63,7 +65,7 @@ def build_report(
         "command": command,
         "seed": seed,
         "config": config_echo,
-        "results": results,
+        "results": to_json(results),
     }
     if include_timestamp:
         report["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()

@@ -16,13 +16,13 @@ replays step by step.  Indices are 1-based everywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import MetricError, PrefixTooShort
-from .metrics import ETA, DbMetric, Point, chunk_rows, matrix_buffer
+from .metrics import ETA, DbMetric, JsonReport, Point, chunk_rows, matrix_buffer
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class TailConfig:
 
 
 @dataclass(frozen=True)
-class ShiftWitness:
+class ShiftWitness(JsonReport):
     """Parameters instantiating the shift-contraction condition.
 
     ``delta`` is the distance band, ``p`` the index shift, ``lam`` the
@@ -54,7 +54,7 @@ class ShiftWitness:
 
     delta: float
     p: int
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     n0: int
 
     def __post_init__(self):
@@ -67,9 +67,6 @@ class ShiftWitness:
             raise ValueError(f"lam must lie strictly in (0, 1), got {self.lam!r}")
         if isinstance(self.n0, bool) or not (isinstance(self.n0, int) and self.n0 >= 1):
             raise ValueError(f"cutoff n0 must be an integer >= 1, got {self.n0!r}")
-
-    def to_dict(self) -> dict:
-        return {"delta": self.delta, "p": self.p, "lambda": self.lam, "n0": self.n0}
 
 
 def _stack(points: Sequence) -> np.ndarray:
@@ -166,21 +163,12 @@ def consecutive_distances(seq: SequencePrefix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConsecutiveDecayReport:
+class ConsecutiveDecayReport(JsonReport):
     holds: bool
     tail_max: float
     first_good_index: Optional[int]
     window_start: int
     eps: float
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "tail_max": self.tail_max,
-            "first_good_index": self.first_good_index,
-            "window_start": self.window_start,
-            "eps": self.eps,
-        }
 
 
 def check_consecutive_decay(
@@ -211,21 +199,11 @@ def check_consecutive_decay(
 
 
 @dataclass(frozen=True)
-class ShiftContractionReport:
+class ShiftContractionReport(JsonReport):
     holds: bool
     pairs_checked: int
     pairs_triggered: int
     violating_pair: Optional[tuple[int, int]]
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "pairs_checked": self.pairs_checked,
-            "pairs_triggered": self.pairs_triggered,
-            "violating_pair": (
-                None if self.violating_pair is None else list(self.violating_pair)
-            ),
-        }
 
 
 def check_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContractionReport:
@@ -361,19 +339,11 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class WitnessSearch:
+class WitnessSearch(JsonReport):
     witness: Optional[ShiftWitness]
     report: Optional[ShiftContractionReport]
     p_max_used: int
     truncated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "report": None if self.report is None else self.report.to_dict(),
-            "p_max_used": self.p_max_used,
-            "truncated": self.truncated,
-        }
 
 
 def default_n0_grid(n: int) -> tuple[int, ...]:

@@ -1,10 +1,14 @@
-"""The report types as JSON: their keys against the schema."""
+"""The report types as JSON: the one serializer, and its keys against the schema."""
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from cauchycert import (
+    DivergenceError,
     Point,
     SamplerConfig,
     certify_cauchy,
@@ -15,6 +19,7 @@ from cauchycert import (
     search_witness,
     solve_fixed_point,
 )
+from cauchycert.metrics import to_json
 from cauchycert.reports import load_schema
 
 
@@ -46,3 +51,31 @@ def test_serialized_keys_are_the_schema_properties(reports, name):
     definition = load_schema()["$defs"][name]
     assert set(reports[name].to_dict()) == set(definition["properties"])
     assert set(definition["required"]) == set(definition["properties"])
+
+
+def test_chain_bounds_are_pairs_that_serialize_as_objects(reports):
+    cert = reports["certificate"]
+    assert cert.chain_bounds[0] == (0, cert.chain_bounds[0].bound)
+    assert to_json(cert)["chain_bounds"] == [
+        {"q": q, "bound": bound} for q, bound in cert.chain_bounds
+    ]
+
+
+def test_fields_are_renamed_by_their_metadata(reports):
+    outcome = reports["outcome"].to_dict()
+    assert outcome["certificate"]["witness"]["lambda"] == reports["witness"].lam
+    assert outcome["consecutive_decay"] == reports["consecutive_decay"].to_dict()
+    assert outcome["shift_contraction"] == reports["shift_contraction"].to_dict()
+    assert reports["axioms_results"].to_dict()["metric"] == "sq_abs"
+
+
+def test_points_tuples_and_numpy_values_become_lists_and_scalars():
+    value = {"point": Point([1.0, 2.0]), "pair": (3, 4), "count": np.int64(5)}
+    assert to_json(value) == {"point": [1.0, 2.0], "pair": [3, 4], "count": 5}
+    assert type(to_json(np.int64(5))) is int
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_a_non_finite_float_is_an_internal_error(bad):
+    with pytest.raises(DivergenceError, match="JSON cannot hold"):
+        to_json({"per_delta": [{"bound": bad}]})
