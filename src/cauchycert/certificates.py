@@ -24,6 +24,7 @@ machinery being certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -270,10 +271,11 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
     doubled step 2 s rho(x_n, x_{n+1}), which holds in every dislocated
     b-metric.  Each bound is cross-checked against the direct distance; a
     violation means the declared s does not hold on this data and raises
-    :class:`CertificateFailure` at the first offending (n, q).
+    :class:`CertificateFailure` at the first offending (n, q), as does a
+    bound that overflows a float, as s**(q - 1) does at large q.
     """
     dm = seq.distance_matrix()
-    s = seq.metric.s
+    s = np.float64(seq.metric.s)  # its powers overflow to inf, not OverflowError
     steps = np.diagonal(dm, offset=1)[n_low:]  # steps[i] = rho(x_n, x_{n+1}) at n = n_low + i + 1
     partial = np.zeros_like(steps)  # P_0
     out: list[ChainBound] = []
@@ -281,16 +283,25 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
     for q in range(w.p + 1):
         if len(steps) < max(q, 1):  # no n in range with n + max(q, 1) <= N
             break
-        if q == 0:
-            bounds = 2.0 * s * steps
-            direct = np.diagonal(dm)[n_low:-1]
-        else:
-            last = steps[q - 1 :]
-            prev = partial[: len(last)]  # P_{q-1}
-            bounds = prev + s ** (q - 1) * last
-            if q < w.p:  # s**p is not needed, and may overflow where s**(p-1) does not
-                partial = prev + s**q * last
-            direct = np.diagonal(dm, q)[n_low:]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+            if q == 0:
+                bounds = 2.0 * s * steps
+                direct = np.diagonal(dm)[n_low:-1]
+            else:
+                last = steps[q - 1 :]
+                prev = partial[: len(last)]  # P_{q-1}
+                bounds = prev + s ** (q - 1) * last
+                if q < w.p:  # s**p is not needed
+                    partial = prev + s**q * last
+                direct = np.diagonal(dm, q)[n_low:]
+        worst = float(np.max(bounds))
+        if not math.isfinite(worst):
+            n = n_low + int(np.argmin(np.isfinite(bounds))) + 1
+            raise CertificateFailure(
+                "chain_bounds",
+                f"chain bound at n={n}, q={q} overflows a float at s = {s}",
+                where=(n, q),
+            )
         gap = direct - bounds
         if np.any(gap > ETA):
             i = int(np.argmax(gap > ETA))
@@ -301,7 +312,7 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
                 f"direct {float(direct[i])} > telescoped {float(bounds[i])}",
                 where=(n, q),
             )
-        out.append(ChainBound(q, float(np.max(bounds))))
+        out.append(ChainBound(q, worst))
     return tuple(out)
 
 
@@ -314,7 +325,8 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     B < delta - eta, the relaxed triangle through the base point must hold,
     and the assembled bound s A + s B must stay below the certified diameter
     delta (1 - lam) + s delta.  Component failures are certification
-    failures; an assembled-bound failure with passing components is a bug.
+    failures, as is a diameter that overflows a float; an assembled-bound
+    failure with passing components is a bug.
 
     With u = n - n_low - 1 and E of :func:`row_offsets`, the direct distances
     of row u are E[u, :K p] as a (k, q) array, B is its q = 0 column, and
@@ -326,6 +338,10 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     delta, lam, p = w.delta, w.lam, w.p
     theta = delta * (1.0 - lam) / s
     fb = diameter_bound(w, s)
+    if not math.isfinite(fb):
+        raise CertificateFailure(
+            "pair_scan", f"the diameter bound at delta = {delta}, s = {s} overflows a float"
+        )
 
     t = max(len(seq) - n_low, 0)
     width = min(p, t)  # offsets q that some pair reaches

@@ -13,12 +13,13 @@ part of the sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .certificates import CauchyCertificate, certify_cauchy
+from .certificates import CauchyCertificate, certify_cauchy, diameter_bound
 from .errors import ContractionError, SolverError
 from .metrics import ETA, DbMetric, JsonReport, Pairs, Point
 from .sequences import SequencePrefix, ShiftWitness, TailConfig, consecutive_distances
@@ -199,7 +200,9 @@ def solve_fixed_point(
     block extends the prefix, whose distance matrix then gains only the new
     rows and columns.  The method returns as soon as a certificate is issued
     and the last step distance rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``;
-    exhausting the iteration budget first raises SolverError.
+    exhausting the iteration budget first raises SolverError, and so does,
+    before any iteration, a diameter bound at target_delta that overflows a
+    float.
     """
     if target_delta <= 0.0:
         raise ValueError(f"target delta must be positive, got {target_delta}")
@@ -213,6 +216,8 @@ def solve_fixed_point(
 
     p = derive_shift(f.c, cfg.lam, metric.s)
     witness = ShiftWitness(delta=target_delta, p=p, lam=cfg.lam, n0=cfg.n0)
+    if not math.isfinite(diameter_bound(witness, metric.s)):
+        raise SolverError(f"the diameter bound at delta = {target_delta} overflows a float")
     min_len = max(cfg.n0 + p + 2, 4)
 
     # Certification starts at the first block boundary at or past min_len;

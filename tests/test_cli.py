@@ -13,10 +13,10 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cauchycert import STAGES
+from cauchycert import STAGES, contractions
 from cauchycert.cli import main
 from cauchycert.reports import load_schema, validate_report
 
@@ -357,6 +357,59 @@ class TestCertify:
         assert results["all_certified"] is True
         assert [e["outcome"]["certified"] for e in results["per_delta"]] == [True, True]
 
+    @pytest.mark.parametrize("metric, delta", [("euclid_1d", 1.7e308), ("sq_abs", 1e308)])
+    def test_overflowing_diameter_fails_that_delta_only(self, tmp_path, capsys, metric, delta):
+        # delta * (1 - lam) + s * delta is inf: no certificate can state it.
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": metric},
+                "source": {"inline": [2.0**-k for k in range(10)]},
+                "parameters": {
+                    "witness": {"p": 1, "lambda": 0.5, "n0": 1},
+                    "delta_grid": {"values": [delta, 0.5]},
+                },
+            },
+        )
+        code, out, err = run_cli(["certify", "--config", cfg, "--no-timestamp"], capsys)
+        assert (code, err) == (0, "")
+        huge, small = parse_report(out)["results"]["per_delta"]
+        assert huge["outcome"]["failure"] == {
+            "stage": "pair_scan",
+            "detail": f"the diameter bound at delta = {delta}, s = "
+            f"{2.0 if metric == 'sq_abs' else 1.0} overflows a float",
+        }
+        assert small["outcome"]["certified"] is True
+
+    def test_overflowing_chain_coefficient_fails_chain_bounds(self, tmp_path, capsys):
+        # 2**1024 overflows: the chain at offset q = 1025 has no finite bound.
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "sq_abs"},
+                "source": {"orbit": {"contraction": {"name": "halving"}, "n": 1200, "x0": 1.0}},
+                "parameters": {
+                    "witness": {"p": 1100, "lambda": 0.5, "n0": 1},
+                    "delta_grid": {"values": [0.5]},
+                },
+            },
+        )
+        code, out, err = run_cli(["certify", "--config", cfg, "--no-timestamp"], capsys)
+        assert (code, err) == (0, "")
+        (entry,) = parse_report(out)["results"]["per_delta"]
+        assert entry["outcome"]["failure"] == {
+            "stage": "chain_bounds",
+            "detail": "chain bound at n=2, q=1025 overflows a float at s = 2.0",
+        }
+
+    def test_non_finite_report_value_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("cauchycert.cli.tail_diameter", lambda seq, n0: float("inf"))
+        cfg = write_config(tmp_path, GEOMETRIC_CHECK_CONFIG)
+        code, out, err = run_cli(["check", "--config", cfg], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal divergence: a report value is inf, which JSON cannot hold\n"
+
 
 class TestSolve:
     def test_affine_fixed_point(self, tmp_path, capsys):
@@ -419,6 +472,27 @@ class TestSolve:
         assert code == 0
         error = parse_report(out)["results"]["error"]
         assert "at pair (Point(5.436249914654229), Point(5.715298307297609))" in error
+
+    def test_overflowing_diameter_is_unsolved_before_iterating(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": "euclid_1d"},
+                "parameters": {
+                    "contraction": {"name": "halving"},
+                    "solver": {"target_delta": 1.7e308, "x0": 1.0},
+                },
+            },
+        )
+        # Sampling the contraction applies the map once per point; no orbit is grown.
+        with mock.patch("cauchycert.contractions._orbit", wraps=contractions._orbit) as orbit:
+            code, out, _ = run_cli(["solve", "--config", cfg, "--no-timestamp"], capsys)
+        assert code == 0
+        assert {call.args[2] for call in orbit.call_args_list} == {1}
+        assert parse_report(out)["results"] == {
+            "solved": False,
+            "error": "the diameter bound at delta = 1.7e+308 overflows a float",
+        }
 
     def test_missing_target_delta(self, tmp_path, capsys):
         cfg = write_config(
@@ -863,8 +937,21 @@ def broken_configs(draw):
     return command, config
 
 
+def _replaced(base: int, path: tuple, value):
+    """``ROBUST_BASES[base]`` with the value at ``path`` replaced."""
+    command, config = ROBUST_BASES[base]
+    config = json.loads(json.dumps(config))
+    spec = config
+    for name in path[:-1]:
+        spec = spec[name]
+    spec[path[-1]] = value
+    return command, config
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=broken_configs())
+@example(case=_replaced(4, ("parameters", "solver", "target_delta"), 1.7976931348623157e308))
+@example(case=_replaced(3, ("parameters", "delta_grid", "values"), [1.7e308]))
 def test_any_one_broken_value_exits_0_or_2(case):
     # Every bad config maps to exit 2 with nothing on stdout; whatever the
     # table lets through, the command runs to completion.
