@@ -271,13 +271,13 @@ class Experiment:
         return "values" in self._section("delta_grid")
 
     def search(self) -> SearchConfig:
-        spec = self._section("search")
+        # The grids are JSON lists; SearchConfig holds tuples.
+        spec = {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in self._section("search").items()
+        }
         with _building("search parameters"):
-            return SearchConfig(
-                p_max=spec.get("p_max", 8),
-                lambdas=tuple(spec.get("lambdas", SearchConfig.lambdas)),
-                n0_values=tuple(spec["n0_values"]) if "n0_values" in spec else None,
-            )
+            return SearchConfig(**spec)
 
     def witness_for(self, delta: float) -> ShiftWitness:
         """Explicit witness parameters from the config, applied at ``delta``."""
@@ -288,13 +288,13 @@ class Experiment:
 
     def sampler(self) -> SamplerConfig:
         spec = dict(self._section("axioms"))
-        box = spec.pop("box", [0.0, 10.0])
-        if len(box) != 2:
-            raise ConfigError(f'"parameters.axioms.box" must be [low, high], got {box!r}')
+        if "box" in spec:
+            box = spec.pop("box")
+            if len(box) != 2:
+                raise ConfigError(f'"parameters.axioms.box" must be [low, high], got {box!r}')
+            spec.update(box_low=float(box[0]), box_high=float(box[1]))
         with _building("axiom sampler parameters"):
-            return SamplerConfig(
-                seed=self.seed, box_low=float(box[0]), box_high=float(box[1]), **spec
-            )
+            return SamplerConfig(seed=self.seed, **spec)
 
     def _contraction_from(self, spec: dict, where: str) -> Contraction:
         name = _required(spec, "name", where)
@@ -309,6 +309,7 @@ class Experiment:
 
         ``SolverConfig`` takes ``lambda`` and ``n0`` unchecked, and
         ``target_delta`` is not part of it, so their ranges are checked here.
+        A setting left out takes the ``SolverConfig`` default.
         """
         spec = self._section("solver")
         target_delta = _required(spec, "target_delta", "parameters.solver")
@@ -316,23 +317,21 @@ class Experiment:
             raise ConfigError(
                 f'"parameters.solver.target_delta" must be a positive number, got {target_delta!r}'
             )
-        n0, lam = spec.get("n0", 1), spec.get("lambda", 0.5)
-        if n0 < 1:
-            raise ConfigError(f'"parameters.solver.n0" must be an integer >= 1, got {n0!r}')
-        if not 0 < lam < 1:
-            raise ConfigError(f'"parameters.solver.lambda" must be a number in (0, 1), got {lam!r}')
+        if "n0" in spec and spec["n0"] < 1:
+            raise ConfigError(f'"parameters.solver.n0" must be an integer >= 1, got {spec["n0"]!r}')
+        if "lambda" in spec and not 0 < spec["lambda"] < 1:
+            raise ConfigError(
+                f'"parameters.solver.lambda" must be a number in (0, 1), got {spec["lambda"]!r}'
+            )
+        settings = {
+            "lam" if key == "lambda" else key: value
+            for key, value in spec.items()
+            if key not in ("target_delta", "x0")
+        }
         tail = self.tail()
         with _building("solver parameters"):
-            cfg = SolverConfig(
-                lam=lam,
-                n0=n0,
-                block=spec.get("block", 32),
-                max_iterations=spec.get("max_iterations", 10_000),
-                tail=tail,
-                seed=self.seed,
-            )
-            x0 = Point(spec.get("x0", 0.0))
-        return cfg, x0, target_delta
+            cfg = SolverConfig(tail=tail, seed=self.seed, **settings)
+            return cfg, Point(spec.get("x0", 0.0)), target_delta
 
 
 def make_experiment(raw: dict, seed_override: Optional[int] = None) -> Experiment:
