@@ -330,8 +330,9 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
 
     With u = n - n_low - 1 and E of :func:`row_offsets`, the direct distances
     of row u are E[u, :K p] as a (k, q) array, B is its q = 0 column, and
-    A[u, k, q] = E[u + k p, q] reads a zero-padded copy of E[:, :p].  Chunks
-    of rows are scanned in (u, k, q) order, which is (n, m) order.
+    A[u, k, q] = E[u + k p, q] is a strided view per chunk of a copy of
+    E[:, :p], zero-padded by one chunk of rows.  Chunks of rows are scanned
+    in (u, k, q) order, which is (n, m) order.
     """
     dm = seq.distance_matrix()
     s = seq.metric.s
@@ -346,23 +347,24 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     t = max(len(seq) - n_low, 0)
     width = min(p, t)  # offsets q that some pair reaches
     n_blocks = max(-(-t // p), 1)
-    reach = (n_blocks - 1) * p + 1  # the rows from u to its last base point, inclusive
     e = row_offsets(dm, n_low, n_blocks * width)
-    # heads[x, q] = E[x, q]; the zero rows past t are never in range.
-    heads = np.zeros((t + reach, width))
-    heads[:t] = e[:, :width]
-    windows = np.lib.stride_tricks.sliding_window_view(heads, reach, axis=0)
-    offset_part = windows[:, :, ::p].transpose(0, 2, 1)  # offset_part[u, k, q] = E[u + k p, q]
     # About eight arrays of a chunk's size are live at once, so a chunk holds
     # an eighth of the usual elements: it stays in cache and keeps the heap small.
     rows = chunk_rows(8 * n_blocks * width)
+    # heads[x, q] = E[x, q].  A chunk reads its rows x = u + k p below
+    # t + rows - 1, and the zero rows past t are never in range.
+    heads = np.zeros((t + rows, width))
+    heads[:t] = e[:, :width]
+    step, col = heads.strides
     first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
     first_assembled: Optional[tuple[int, int]] = None
     for u0 in range(0, t, rows):
         u1 = min(u0 + rows, t)
         k1 = (t - 1 - u0) // p + 1  # the blocks that row u0 reaches
         direct = e[u0:u1, : k1 * width].reshape(u1 - u0, k1, width)
-        a = offset_part[u0:u1, :k1]
+        # a[u, k, q] = E[u0 + u + k p, q]; numpy refuses a view past the end of heads.
+        a = np.ndarray((u1 - u0, k1, width), buffer=heads, offset=u0 * step,
+                       strides=(step, p * step, col))
         b = direct[:, :, :1]
         # Flat column g = k width + q of a row is m - n; from g0 on, some rows leave the tail.
         g0 = t - u1 + 1

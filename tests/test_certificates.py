@@ -566,6 +566,16 @@ class TestCertifyMemory:
         assert 150 * 16 * (len(orbit) - 152) > orbit.distance_matrix().nbytes / 16
         assert peak < orbit.distance_matrix().nbytes / 16
 
+    @pytest.mark.parametrize("p", [1496, 139])
+    def test_pair_scan_copies_at_most_one_matrix_of_offsets(self, p):
+        # A shift near the prefix length reads offset parts from about t * p
+        # floats; padded by (K - 1) p + 1 rows, the copy would hold twice the matrix.
+        seq = iterate(make_contraction("affine_1d", a=0.9, b=1.0), Point(0.0), 1500,
+                      make_metric("euclid_1d"))
+        matrix = seq.distance_matrix()
+        _, peak = _traced_peak(_pair_scan, seq, ShiftWitness(100.0, p, 0.5, 1), 1)
+        assert peak <= (1.2 if p == 1496 else 0.2) * matrix.nbytes
+
 
 class TestCertifyPipeline:
     def test_halving_certificate(self, halving_orbit):
