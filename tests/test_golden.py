@@ -1,9 +1,11 @@
 """Golden reports: the CLI's ``--no-timestamp`` output, byte for byte.
 
 Each case runs one command on a fixed config and compares stdout with
-``tests/golden/<name>.json``.  The data are dyadic and the metrics need only
-exact IEEE operations (differences, absolute values, squares of dyadic
-values, maxima), so the bytes do not depend on the numpy version.  Together
+``tests/golden/<name>.json``.  The data are dyadic (the axiom samples are
+snapped to dyadic rationals, and the counterexamples they report are grid
+points) and the metrics need only exact IEEE operations (differences,
+absolute values, squares of dyadic values, maxima), so the bytes should not
+depend on the numpy version; they were checked under numpy 2.4.6.  Together
 the cases reach every gated stage of the replay: ``certify`` fails once at
 each of them and certifies once, ``solve`` certifies once and stops once on a
 mid-run ``ContractionError``.  The rest cover the other shapes a report takes:
