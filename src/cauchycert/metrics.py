@@ -100,15 +100,15 @@ def to_json(value):
 
     A :class:`JsonReport` becomes an object of its :meth:`~JsonReport.json_items`,
     a NamedTuple an object of its fields, a tuple a list, and a :class:`Point`
-    or a numpy value its ``tolist()``.  No report holds a non-finite float, so
+    the list of its coordinates.  No report holds a non-finite float, so
     meeting one raises :class:`DivergenceError`.
     """
     if isinstance(value, JsonReport):
         value = value.json_items()
+    elif isinstance(value, Point):
+        value = value.tolist()
     elif hasattr(value, "_fields"):
         value = value._asdict()
-    elif hasattr(value, "tolist"):
-        value = value.tolist()
     if isinstance(value, dict):
         return {key: to_json(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
