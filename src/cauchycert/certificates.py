@@ -260,6 +260,15 @@ class CertifyOutcome(JsonReport):
         }
 
 
+def _power(s: float, k: int) -> float:
+    """s**k, or inf where that overflows a float."""
+    try:
+        return s**k
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing bound fails the stage
 def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[ChainBound, ...]:
     """Worst telescoped bound per offset q over the verified range.
 
@@ -275,25 +284,25 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
     bound that overflows a float, as s**(q - 1) does at large q.
     """
     dm = seq.distance_matrix()
-    s = np.float64(seq.metric.s)  # its powers overflow to inf, not OverflowError
+    s = seq.metric.s
     steps = np.diagonal(dm, offset=1)[n_low:]  # steps[i] = rho(x_n, x_{n+1}) at n = n_low + i + 1
     partial = np.zeros_like(steps)  # P_0
+    coefs = [_power(s, k) for k in range(w.p)]  # s**p is not needed
     out: list[ChainBound] = []
 
     for q in range(w.p + 1):
         if len(steps) < max(q, 1):  # no n in range with n + max(q, 1) <= N
             break
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
-            if q == 0:
-                bounds = 2.0 * s * steps
-                direct = np.diagonal(dm)[n_low:-1]
-            else:
-                last = steps[q - 1 :]
-                prev = partial[: len(last)]  # P_{q-1}
-                bounds = prev + s ** (q - 1) * last
-                if q < w.p:  # s**p is not needed
-                    partial = prev + s**q * last
-                direct = np.diagonal(dm, q)[n_low:]
+        if q == 0:
+            bounds = 2.0 * s * steps
+            direct = np.diagonal(dm)[n_low:-1]
+        else:
+            last = steps[q - 1 :]
+            prev = partial[: len(last)]  # P_{q-1}
+            bounds = prev + coefs[q - 1] * last
+            if q < w.p:
+                partial = prev + coefs[q] * last
+            direct = np.diagonal(dm, q)[n_low:]
         worst = float(np.max(bounds))
         if not math.isfinite(worst):
             n = n_low + int(np.argmin(np.isfinite(bounds))) + 1
@@ -356,6 +365,7 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     heads = np.zeros((t + rows, width))
     heads[:t] = e[:, :width]
     step, col = heads.strides
+    flat_cols, rows_left = np.arange(n_blocks * width), t - np.arange(t)
     first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
     first_assembled: Optional[tuple[int, int]] = None
     for u0 in range(0, t, rows):
@@ -368,7 +378,7 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
         b = direct[:, :, :1]
         # Flat column g = k width + q of a row is m - n; from g0 on, some rows leave the tail.
         g0 = t - u1 + 1
-        tail = np.arange(g0, k1 * width) < t - np.arange(u0, u1)[:, None]
+        tail = flat_cols[g0 : k1 * width] < rows_left[u0:u1, None]
 
         comp_ok = (a < theta - ETA) & (b < delta - ETA)
         bad = ~(comp_ok & (direct <= s * (a + b) + ETA)).reshape(u1 - u0, -1)
