@@ -325,23 +325,52 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
     return tuple(out)
 
 
+def _earlier(first: Optional[tuple[int, int]], at: tuple[int, int], bad: np.ndarray):
+    """The earlier of ``first`` and the first true entry of ``bad``, offset by ``at``."""
+    hit = _first_true(bad) if bad.size else None
+    pair = hit and (at[0] + hit[0], at[1] + hit[1])
+    return min(filter(None, (first, pair)), default=None)
+
+
+def _slabs(e: np.ndarray, t: int, p: int, q0: int):
+    """(at, direct, a, b, in_range) per row chunk of the slab of each k >= q0: with
+    r = t - k p, the pairs (u, k p + q), u < r, q0 <= q < p, read as direct =
+    E[:r, k p + q0 : k p + p], A = E[k p : t, q0 : p] and B = E[:r, k p]."""
+    rows = chunk_rows(p)
+    n_blocks = -(-t // p) if q0 < p else 0  # no offset q0 .. p - 1, no slab
+    for k in range(q0, n_blocks):
+        r, kp = t - k * p, k * p
+        for u0 in range(0, r, rows):
+            u1 = min(u0 + rows, r)
+            in_range = np.arange(q0, p) < (r - np.arange(u0, u1))[:, None]  # u + q < r
+            yield ((u0, kp + q0), e[u0:u1, kp + q0 : kp + p], e[kp + u0 : kp + u1, q0:p],
+                   e[u0:u1, kp, None], in_range)
+
+
 def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     """Bound every tail pair via the m = n + k p + q decomposition.
 
-    For each pair n_low < n <= m <= N, with k = (m - n) // p and
-    q = (m - n) mod p, the components A = rho(x_{n + k p}, x_m) and
-    B = rho(x_n, x_{n + k p}) must satisfy A < delta (1 - lam) / s - eta and
-    B < delta - eta, the relaxed triangle through the base point must hold,
-    and the assembled bound s A + s B must stay below the certified diameter
-    delta (1 - lam) + s delta.  Component failures are certification
-    failures, as is a diameter that overflows a float; an assembled-bound
-    failure with passing components is a bug.
+    Each pair n_low < n <= m <= N, with k = (m - n) // p and q = (m - n) mod p,
+    needs A = rho(x_{n + k p}, x_m) < delta (1 - lam) / s - eta,
+    B = rho(x_n, x_{n + k p}) < delta - eta, the relaxed triangle through
+    x_{n + k p}, and s A + s B and rho(x_n, x_m) below the certified diameter
+    fb = delta (1 - lam) + s delta.  The first failing pair in (n, m) order is
+    reported, a component failure anywhere first; it fails certification, as
+    does an fb that overflows a float, and an assembled failure is a bug.
 
-    With u = n - n_low - 1 and E of :func:`row_offsets`, the direct distances
-    of row u are E[u, :K p] as a (k, q) array, B is its q = 0 column, and
-    A[u, k, q] = E[u + k p, q] is a strided view per chunk of a copy of
-    E[:, :p], zero-padded by one chunk of rows.  Chunks of rows are scanned
-    in (u, k, q) order, which is (n, m) order.
+    Contract: run by :func:`certify_cauchy` after :func:`find_settling_index`
+    and :func:`run_block_induction` have passed, with ``n_low`` the settling
+    index, it checks only what they left unchecked.  With u = n - n_low - 1,
+    t = N - n_low and E of :func:`row_offsets`, A is E[u + k p, q], B is
+    E[u, k p] and the direct distance E[u, k p + q]:
+
+    * settling held E[x, q], q <= p, on the rows x < t - p: A there, and B at
+      k = 0 (theta <= delta); induction held B at k >= 1.  The last p rows of
+      A are one block here, whose E[x, q] is first read at u = x mod p;
+    * at k = 0 or q = 0 the direct distance is A or B, so the triangle and
+      direct < fb - eta hold for s >= 1; the slabs of k >= 1 check the rest;
+    * rounding is monotone, so s (theta - eta) + s (delta - eta) < fb proves
+      every s A + s B < fb; only where it fails are they checked pair by pair.
     """
     dm = seq.distance_matrix()
     s = seq.metric.s
@@ -353,51 +382,28 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
             "pair_scan", f"the diameter bound at delta = {delta}, s = {s} overflows a float"
         )
 
-    t = max(len(seq) - n_low, 0)
-    width = min(p, t)  # offsets q that some pair reaches
-    n_blocks = max(-(-t // p), 1)
-    e = row_offsets(dm, n_low, n_blocks * width)
-    # About eight arrays of a chunk's size are live at once, so a chunk holds
-    # an eighth of the usual elements: it stays in cache and keeps the heap small.
-    rows = chunk_rows(8 * n_blocks * width)
-    # heads[x, q] = E[x, q].  A chunk reads its rows x = u + k p below
-    # t + rows - 1, and the zero rows past t are never in range.
-    heads = np.zeros((t + rows, width))
-    heads[:t] = e[:, :width]
-    step, col = heads.strides
-    flat_cols, rows_left = np.arange(n_blocks * width), t - np.arange(t)
-    first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
-    first_assembled: Optional[tuple[int, int]] = None
-    for u0 in range(0, t, rows):
-        u1 = min(u0 + rows, t)
-        k1 = (t - 1 - u0) // p + 1  # the blocks that row u0 reaches
-        direct = e[u0:u1, : k1 * width].reshape(u1 - u0, k1, width)
-        # a[u, k, q] = E[u0 + u + k p, q]; numpy refuses a view past the end of heads.
-        a = np.ndarray((u1 - u0, k1, width), buffer=heads, offset=u0 * step,
-                       strides=(step, p * step, col))
-        b = direct[:, :, :1]
-        # Flat column g = k width + q of a row is m - n; from g0 on, some rows leave the tail.
-        g0 = t - u1 + 1
-        tail = flat_cols[g0 : k1 * width] < rows_left[u0:u1, None]
-
-        comp_ok = (a < theta - ETA) & (b < delta - ETA)
-        bad = ~(comp_ok & (direct <= s * (a + b) + ETA)).reshape(u1 - u0, -1)
-        bad[:, g0:] &= tail
-        hit = _first_true(bad)
-        if hit is not None:
-            first_comp = (u0 + hit[0], u0 + hit[0] + hit[1])
-            break
-        if first_assembled is None:
-            bad = ~((s * a + s * b < fb) & (direct < fb - ETA)).reshape(u1 - u0, -1)
-            bad[:, g0:] &= tail
-            hit = _first_true(bad)
-            if hit is not None:
-                first_assembled = (u0 + hit[0], u0 + hit[0] + hit[1])
+    t = len(seq) - n_low  # more than p: the settling scan left a nonempty range
+    e = row_offsets(dm, n_low, -(-t // p) * p)
+    first_comp = first_assembled = None  # the smallest offending (u, m - n)
+    x0 = t // p * p  # the last p rows: u = x - x0 from x0 on, u = x - x0 + p before
+    for lo, hi, at in ((x0, t, (0, x0)), (t - p, x0, (t - x0, x0 - p))):
+        in_range = np.arange(p) < (t - np.arange(lo, hi))[:, None]  # x + q < t
+        first_comp = _earlier(first_comp, at, ~(e[lo:hi, :p] < theta - ETA) & in_range)
+    for at, direct, a, b, in_range in _slabs(e, t, p, 1):
+        first_comp = _earlier(first_comp, at, ~(direct <= s * (a + b) + ETA) & in_range)
+        first_assembled = _earlier(first_assembled, at, ~(direct < fb - ETA) & in_range)
+    if first_comp is None and not (s * (theta - ETA) + s * (delta - ETA) < fb):
+        for at, _, a, b, in_range in _slabs(e, t, p, 0):
+            assembled = s * a
+            assembled += s * b  # s A + s B in place: one chunk-sized float array at a time
+            bad = ~(assembled < fb) & in_range
+            del assembled
+            first_assembled = _earlier(first_assembled, at, bad)
 
     first = first_comp or first_assembled
     if first is None:
         return
-    n, m = n_low + 1 + first[0], n_low + 1 + first[1]
+    n, m = n_low + 1 + first[0], n_low + 1 + sum(first)
     base = n + (m - n) // p * p
     a, b, direct = float(dm[base - 1, m - 1]), float(dm[n - 1, base - 1]), float(dm[n - 1, m - 1])
     if first_comp is not None:
@@ -435,53 +441,42 @@ def certify_cauchy(
     """
     decay = check_consecutive_decay(seq, tail)
     shift = check_shift_contraction(seq, w)
+    certificate = failure = None
     try:
         if not shift.holds:
-            raise CertificateFailure(
-                "shift_contraction",
-                f"violating pair {shift.violating_pair}",
-                where=shift.violating_pair,
-            )
-        settling = find_settling_index(seq, w)
-        n_low = max(settling, w.n0)
-        chains = _chain_stage(seq, w, n_low)
+            pair = shift.violating_pair
+            raise CertificateFailure("shift_contraction", f"violating pair {pair}", where=pair)
+        settling = find_settling_index(seq, w)  # at least n0
+        chains = _chain_stage(seq, w, settling)
         induction = run_block_induction(seq, w, settling)
-        _pair_scan(seq, w, n_low)
+        _pair_scan(seq, w, settling)
     except CertificateFailure as exc:
-        return CertifyOutcome(
-            certified=False,
-            certificate=None,
-            failure_stage=exc.stage,
-            failure_detail=str(exc),
-            decay=decay,
-            shift=shift,
+        failure = exc
+    else:
+        fb = diameter_bound(w, seq.metric.s)
+        oracle = tail_diameter(seq, settling + 1)
+        if not (oracle < fb):
+            raise DivergenceError(
+                f"certificate issued but oracle tail diameter {oracle} >= bound {fb}"
+            )
+        certificate = CauchyCertificate(
+            witness=w,
+            s=seq.metric.s,
+            length=len(seq),
+            settling_index=settling,
+            range_start=settling,
+            diameter_bound=fb,
+            induction_depth=induction.depth,
+            zero_branch_steps=induction.zero_branch_steps,
+            band_branch_steps=induction.band_branch_steps,
+            chain_bounds=chains,
+            oracle_tail_diameter=oracle,
         )
-
-    fb = diameter_bound(w, seq.metric.s)
-    oracle = tail_diameter(seq, n_low + 1)
-    if not (oracle < fb):
-        raise DivergenceError(
-            f"certificate issued but oracle tail diameter {oracle} >= bound {fb}"
-        )
-
-    certificate = CauchyCertificate(
-        witness=w,
-        s=seq.metric.s,
-        length=len(seq),
-        settling_index=settling,
-        range_start=n_low,
-        diameter_bound=fb,
-        induction_depth=induction.depth,
-        zero_branch_steps=induction.zero_branch_steps,
-        band_branch_steps=induction.band_branch_steps,
-        chain_bounds=chains,
-        oracle_tail_diameter=oracle,
-    )
     return CertifyOutcome(
-        certified=True,
+        certified=failure is None,
         certificate=certificate,
-        failure_stage=None,
-        failure_detail=None,
+        failure_stage=failure and failure.stage,
+        failure_detail=failure and str(failure),
         decay=decay,
         shift=shift,
     )

@@ -26,7 +26,10 @@ replay the same float expressions as the row-offset scans in
 are the induction and the pair scan with one Python iteration per residue
 class mod p, and ``slab_pair_scan`` is the class-batched pair scan over
 (i, r, v) slabs and (r, v) base-index tables; the row-offset views replaced
-these.  ``matmul_chain_stage`` is the chain stage with one
+these.  ``padded_pair_scan`` is the row-offset pair scan that re-checked every
+component of every pair, from any ``n_low``, reading the offset parts through
+a view of a padded copy of E[:, :p]; the scan that checks only what settling
+and block induction leave unchecked replaced it.  ``matmul_chain_stage`` is the chain stage with one
 sliding-window matmul per offset, which the running sums replaced.  The ``loop_*`` axiom and contraction checks walk lists of
 ``Point`` pairs and triples one ``DbMetric.distance`` call at a time, over
 samples built by ``loop_sample_pairs`` / ``loop_sample_triples``, and
@@ -36,7 +39,8 @@ checks in ``metrics`` and ``contractions`` must agree with them exactly.
 ``certify_cauchy`` did before every stage raised ``CertificateFailure``: it
 translates each stage's own failure signal by hand (a report with
 ``holds=False``, a ``None`` settling index from ``scan_settling_index``, a
-raised failure) and appends each stage's verdict to a list as it goes.
+raised failure) and appends each stage's verdict to a list as it goes; its
+pair scan is ``triu_pair_scan``, so it is independent of ``_pair_scan``.
 """
 
 from __future__ import annotations
@@ -80,9 +84,11 @@ from cauchycert import (
     run_block_induction,
     tail_diameter,
 )
-from cauchycert.certificates import _chain_stage, _first_true, _induction_failure, _pair_scan
+from cauchycert.certificates import _chain_stage, _first_true, _induction_failure
 from cauchycert.contractions import Contraction, ContractionEstimate
-from cauchycert.metrics import PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows
+from cauchycert.metrics import (
+    PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows, row_offsets,
+)
 from cauchycert.sequences import consecutive_distances, default_n0_grid
 
 
@@ -478,7 +484,8 @@ def triu_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     B < delta - eta, the relaxed triangle through the base point must hold,
     and the assembled bound s A + s B must stay below the certified diameter
     delta (1 - lam) + s delta.  Component failures are certification
-    failures; an assembled-bound failure with passing components is a bug.
+    failures, as is a diameter that overflows a float; an assembled-bound
+    failure with passing components is a bug.
     """
     n_len = len(seq)
     dm = seq.distance_matrix()
@@ -486,6 +493,10 @@ def triu_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     delta, lam, p = w.delta, w.lam, w.p
     theta = delta * (1.0 - lam) / s
     fb = delta * (1.0 - lam) + s * delta
+    if not math.isfinite(fb):
+        raise CertificateFailure(
+            "pair_scan", f"the diameter bound at delta = {delta}, s = {s} overflows a float"
+        )
 
     idx = np.arange(n_low + 1, n_len + 1)
     iu = np.triu_indices(idx.size)
@@ -822,6 +833,99 @@ def slab_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     )
 
 
+def padded_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
+    """``_pair_scan`` re-checking every component of every pair, on a padded copy.
+
+    Bounds every tail pair via the m = n + k p + q decomposition, for any
+    ``n_low``: it assumes nothing of the earlier stages.
+
+    For each pair n_low < n <= m <= N, with k = (m - n) // p and
+    q = (m - n) mod p, the components A = rho(x_{n + k p}, x_m) and
+    B = rho(x_n, x_{n + k p}) must satisfy A < delta (1 - lam) / s - eta and
+    B < delta - eta, the relaxed triangle through the base point must hold,
+    and the assembled bound s A + s B must stay below the certified diameter
+    delta (1 - lam) + s delta.  Component failures are certification
+    failures, as is a diameter that overflows a float; an assembled-bound
+    failure with passing components is a bug.
+
+    With u = n - n_low - 1 and E of :func:`row_offsets`, the direct distances
+    of row u are E[u, :K p] as a (k, q) array, B is its q = 0 column, and
+    A[u, k, q] = E[u + k p, q] is a strided view per chunk of a copy of
+    E[:, :p], zero-padded by one chunk of rows.  Chunks of rows are scanned
+    in (u, k, q) order, which is (n, m) order.
+    """
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    delta, lam, p = w.delta, w.lam, w.p
+    theta = delta * (1.0 - lam) / s
+    fb = diameter_bound(w, s)
+    if not math.isfinite(fb):
+        raise CertificateFailure(
+            "pair_scan", f"the diameter bound at delta = {delta}, s = {s} overflows a float"
+        )
+
+    t = max(len(seq) - n_low, 0)
+    width = min(p, t)  # offsets q that some pair reaches
+    n_blocks = max(-(-t // p), 1)
+    e = row_offsets(dm, n_low, n_blocks * width)
+    # About eight arrays of a chunk's size are live at once, so a chunk holds
+    # an eighth of the usual elements: it stays in cache and keeps the heap small.
+    rows = chunk_rows(8 * n_blocks * width)
+    # heads[x, q] = E[x, q].  A chunk reads its rows x = u + k p below
+    # t + rows - 1, and the zero rows past t are never in range.
+    heads = np.zeros((t + rows, width))
+    heads[:t] = e[:, :width]
+    step, col = heads.strides
+    flat_cols, rows_left = np.arange(n_blocks * width), t - np.arange(t)
+    first_comp: Optional[tuple[int, int]] = None  # smallest offending (u, v)
+    first_assembled: Optional[tuple[int, int]] = None
+    for u0 in range(0, t, rows):
+        u1 = min(u0 + rows, t)
+        k1 = (t - 1 - u0) // p + 1  # the blocks that row u0 reaches
+        direct = e[u0:u1, : k1 * width].reshape(u1 - u0, k1, width)
+        # a[u, k, q] = E[u0 + u + k p, q]; numpy refuses a view past the end of heads.
+        a = np.ndarray((u1 - u0, k1, width), buffer=heads, offset=u0 * step,
+                       strides=(step, p * step, col))
+        b = direct[:, :, :1]
+        # Flat column g = k width + q of a row is m - n; from g0 on, some rows leave the tail.
+        g0 = t - u1 + 1
+        tail = flat_cols[g0 : k1 * width] < rows_left[u0:u1, None]
+
+        comp_ok = (a < theta - ETA) & (b < delta - ETA)
+        bad = ~(comp_ok & (direct <= s * (a + b) + ETA)).reshape(u1 - u0, -1)
+        bad[:, g0:] &= tail
+        hit = _first_true(bad)
+        if hit is not None:
+            first_comp = (u0 + hit[0], u0 + hit[0] + hit[1])
+            break
+        if first_assembled is None:
+            bad = ~((s * a + s * b < fb) & (direct < fb - ETA)).reshape(u1 - u0, -1)
+            bad[:, g0:] &= tail
+            hit = _first_true(bad)
+            if hit is not None:
+                first_assembled = (u0 + hit[0], u0 + hit[0] + hit[1])
+
+    first = first_comp or first_assembled
+    if first is None:
+        return
+    n, m = n_low + 1 + first[0], n_low + 1 + first[1]
+    base = n + (m - n) // p * p
+    a, b, direct = float(dm[base - 1, m - 1]), float(dm[n - 1, base - 1]), float(dm[n - 1, m - 1])
+    if first_comp is not None:
+        raise CertificateFailure(
+            "pair_scan",
+            f"pair (n={n}, m={m}): offset part {a}, "
+            f"block part {b}, direct {direct} "
+            f"(need offset < {theta}, block < {delta}, triangle at s={s})",
+            where=(n, m),
+        )
+    raise DivergenceError(
+        f"pair (n={n}, m={m}) passed component checks but "
+        f"assembled bound {s * a + s * b} / direct {direct} "
+        f"escaped the certified diameter {fb}"
+    )
+
+
 def loop_sample_pairs(cfg: SamplerConfig, dim: int) -> list[tuple[Point, Point]]:
     """Sampled pairs: 1-d grid pairs (when dim == 1), uniform draws, identical pairs."""
     rng = np.random.default_rng(cfg.seed)
@@ -1081,7 +1185,7 @@ def appended_certify_cauchy(
     stages.append(("block_induction", True))
 
     try:
-        _pair_scan(seq, w, n_low)
+        triu_pair_scan(seq, w, n_low)
     except CertificateFailure as exc:
         return outcome_failure(exc.stage, str(exc), shift=shift, induction=induction)
     stages.append(("pair_scan", True))

@@ -13,6 +13,7 @@ from cauchycert import (
     STAGES,
     CauchyCertError,
     CertificateFailure,
+    DbMetric,
     DivergenceError,
     InductionTrace,
     MetricError,
@@ -44,6 +45,7 @@ from oracles import (
     class_loop_pair_scan,
     loop_block_induction,
     matmul_chain_stage,
+    padded_pair_scan,
     pair_distance,
     self_distance_bound,
     slab_pair_scan,
@@ -376,8 +378,9 @@ SCAN_ARGS = dict(
 
 
 class TestResidueScansMatchOracles:
-    """The row-offset scans equal the residue-class scans they replaced, the
-    per-n loop and the triu-index scan.
+    """The row-offset induction equals the residue-class scan it replaced and
+    the per-n loop; the padded pair scan, which checks every pair on any
+    ``n_low``, equals the residue-class, slab and triu-index scans.
 
     A chunk of 7 elements makes most scans cross chunk edges, and one of 400
     puts several rows in one pair-scan chunk; ``cut`` is the settling index of the induction (arbitrary, so
@@ -442,10 +445,90 @@ class TestResidueScansMatchOracles:
         seq, w = _scan_setup(values, name, s, delta, p, lam, n0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
-            got = _result(_pair_scan, seq, w, cut)
+            got = _result(padded_pair_scan, seq, w, cut)
             assert got == _result(slab_pair_scan, seq, w, cut)
             assert got == _result(class_loop_pair_scan, seq, w, cut)
         assert got == _result(triu_pair_scan, seq, w, cut)
+
+
+def _table_prefix(table) -> SequencePrefix:
+    """x_n = n - 1 under a metric that looks rho(x_n, x_m) up in ``table[n - 1, m - 1]``."""
+    m = np.asarray(table, dtype=float)
+    metric = DbMetric("table", 1.0, lambda a, b: m[a[..., 0].astype(int), b[..., 0].astype(int)])
+    return SequencePrefix([float(i) for i in range(len(m))], metric)
+
+
+#: Prefixes that often settle: a head, a constant stretch and a short tail of
+#: small moves off that constant, whose spread the settling scan may not read.
+SETTLED_VALUES = st.one_of(
+    st.builds(
+        lambda head, c, n, tail: head + [c] * n + [c + v for v in tail],
+        st.lists(st.sampled_from([k / 8.0 for k in range(17)]), max_size=8),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.integers(2, 24),
+        st.lists(st.sampled_from([0.0, ETA, -ETA, 1 / 64, -1 / 32, 1 / 16, -1 / 8, 0.25, -0.5]),
+                 max_size=9),
+    ),
+    st.builds(
+        _geometric,
+        st.floats(-2.0, 2.0),
+        st.floats(0.2, 0.9),
+        st.integers(4, 40),
+        st.lists(st.sampled_from([0.0, 0.0, 1e-4, -1e-3]), min_size=1, max_size=5),
+    ),
+)
+
+
+class TestPairScanContract:
+    """After settling and block induction pass, ``_pair_scan`` from the settling
+    index equals the scans that check every pair.
+
+    At scale 1 the tolerance keeps s (theta - eta) + s (delta - eta) below the
+    diameter bound, so one comparison proves every assembled bound; at scale
+    2**30 it is below half an ulp, the comparison fails, and each pair is
+    checked.
+    """
+
+    @settings(max_examples=700, deadline=None)
+    @given(**{k: v for k, v in SCAN_ARGS.items() if k not in ("values", "cut")},
+           values=SETTLED_VALUES, scale=st.sampled_from([1.0, 2.0**30]))
+    # p = 2, t = 8 rows: the last p rows start at a multiple of p.
+    @example(values=[0.0, 0.5, 0.25, 0.125, 0.0625, 0.0, 0.0, 0.0, 0.0, 0.0],
+             name="euclid_1d", s=None, delta=1.0, p=2, lam=0.5, n0=1, chunk=7, scale=1.0)
+    def test_matches_full_scans(self, values, name, s, delta, p, lam, n0, chunk, scale):
+        # Distances, and so delta, scale by 2**30; sq_abs squares its values' scale.
+        root = scale**0.5 if name == "sq_abs" else scale
+        seq, w = _scan_setup([v * root for v in values], name, s, delta * scale, p, lam, n0)
+        try:
+            settling = find_settling_index(seq, w)
+            run_block_induction(seq, w, settling)
+        except CauchyCertError:
+            assume(False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            got = _result(_pair_scan, seq, w, settling)
+            assert got == _result(padded_pair_scan, seq, w, settling)
+        assert got == _result(triu_pair_scan, seq, w, settling)
+
+    # The largest offset part and block part that pass, x_4's self-distance and
+    # rho(x_2, x_4), sum to the diameter bound at lam = 0.1 and stay below it at 0.5.
+    @pytest.mark.parametrize("lam, raises", [(0.1, True), (0.5, False)])
+    def test_per_pair_assembled_bound(self, lam, raises):
+        delta = 2.0**30
+        table = np.zeros((4, 4))
+        table[3, 3] = np.nextafter(delta * (1.0 - lam) - ETA, 0.0)
+        table[1, 3] = table[3, 1] = np.nextafter(delta - ETA, 0.0)
+        seq, w = _table_prefix(table), ShiftWitness(delta, 1, lam, 1)
+        settling = find_settling_index(seq, w)
+        run_block_induction(seq, w, settling)
+        assert not (delta * (1.0 - lam) - ETA + (delta - ETA) < diameter_bound(w, 1.0))
+        got = _result(_pair_scan, seq, w, settling)
+        assert got == _result(triu_pair_scan, seq, w, settling)
+        if raises:
+            assert got[0] is DivergenceError
+            assert got[1].startswith("pair (n=2, m=4) passed component checks but assembled bound")
+        else:
+            assert got is None
 
 
 def _certify_view(certify, seq, w):
@@ -566,14 +649,19 @@ class TestCertifyMemory:
         assert 150 * 16 * (len(orbit) - 152) > orbit.distance_matrix().nbytes / 16
         assert peak < orbit.distance_matrix().nbytes / 16
 
+    @pytest.mark.parametrize("delta", [100.0, 1e9])
     @pytest.mark.parametrize("p", [1496, 139])
-    def test_pair_scan_copies_at_most_one_matrix_of_offsets(self, p):
-        # A shift near the prefix length reads offset parts from about t * p
-        # floats; padded by (K - 1) p + 1 rows, the copy would hold twice the matrix.
+    def test_pair_scan_copies_at_most_one_matrix_of_offsets(self, p, delta):
+        # The scan reads the matrix through views; only its masks and row
+        # chunks are allocated.  At p near the prefix length the last p rows
+        # of offset parts form one p x p block of masks.  At delta = 1e9 the
+        # assembled bounds are checked pair by pair, in chunks of rows.
         seq = iterate(make_contraction("affine_1d", a=0.9, b=1.0), Point(0.0), 1500,
                       make_metric("euclid_1d"))
         matrix = seq.distance_matrix()
-        _, peak = _traced_peak(_pair_scan, seq, ShiftWitness(100.0, p, 0.5, 1), 1)
+        w = ShiftWitness(delta, p, 0.5, 1)
+        settling = find_settling_index(seq, w)
+        _, peak = _traced_peak(_pair_scan, seq, w, settling)
         assert peak <= (1.2 if p == 1496 else 0.2) * matrix.nbytes
 
 
