@@ -15,7 +15,7 @@ verbosity selected by the ``CAUCHYCERT_LOG`` environment variable
 
 Exit codes: 0 = run completed (even with negative check results); 1 = the
 canned counterexample assertions regressed; 2 = configuration error or an
-unwritable ``--out``; 3 = internal certificate/oracle divergence (a bug).
+unwritable ``--out``; 3 = internal divergence or a report off its schema (a bug).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from typing import Optional
 import jsonschema
 
 from . import __version__
+from .errors import DivergenceError
 from .metrics import to_json
 
 REPORT_VERSION = 1
@@ -57,7 +58,7 @@ def build_report(
     The config echo is self-contained: re-running it with the recorded seed
     reproduces the report bit-for-bit.  ``include_timestamp=False`` drops both
     the timestamp and the timing field, which is what byte-identity tests
-    rely on.
+    rely on.  A report off the schema is a bug and raises ``DivergenceError``.
     """
     report = {
         "report_version": REPORT_VERSION,
@@ -71,7 +72,10 @@ def build_report(
         report["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
         if elapsed is not None:
             report["timing_seconds"] = elapsed
-    validate_report(report)
+    try:
+        validate_report(report)
+    except jsonschema.ValidationError as exc:
+        raise DivergenceError(f"the report fails its schema: {exc.message}") from exc
     return report
 
 

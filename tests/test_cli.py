@@ -410,6 +410,18 @@ class TestCertify:
         assert out == ""
         assert err == "internal divergence: a report value is inf, which JSON cannot hold\n"
 
+    def test_report_off_its_schema_is_internal_error(self, capsys, monkeypatch):
+        # A serializer slip: one key more than the schema allows in the results.
+        from cauchycert.metrics import to_json
+
+        monkeypatch.setattr("cauchycert.reports.to_json", lambda res: {**to_json(res), "extra": 1})
+        code, out, err = run_cli(["list"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal divergence: the report fails its schema: "
+            "Additional properties are not allowed ('extra' was unexpected)\n"
+        )
+
 
 class TestSolve:
     def test_affine_fixed_point(self, tmp_path, capsys):

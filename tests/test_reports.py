@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -20,7 +23,9 @@ from cauchycert import (
     solve_fixed_point,
 )
 from cauchycert.metrics import to_json
-from cauchycert.reports import load_schema
+from cauchycert.reports import load_schema, validate_report
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +83,34 @@ def test_points_and_tuples_become_lists():
 def test_a_non_finite_float_is_an_internal_error(bad):
     with pytest.raises(DivergenceError, match="JSON cannot hold"):
         to_json({"per_delta": [{"bound": bad}]})
+
+
+def _objects(value, path=()):
+    """Every JSON object in a report, outside the config echo, which stays open."""
+    if isinstance(value, dict):
+        yield value
+        for key, item in value.items():
+            if path or key != "config":
+                yield from _objects(item, path + (key,))
+    elif isinstance(value, list):
+        for item in value:
+            yield from _objects(item, path)
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_schema_refuses_a_key_more_in_any_object(golden):
+    # Covers an extra key in a certify report's per-delta entry and in its certificate.
+    report = json.loads(golden.read_text())
+    validate_report(report)
+    for obj in _objects(report):
+        obj["unexpected"] = 0
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(report)
+        del obj["unexpected"]
+
+
+def test_list_results_are_checked():
+    report = json.loads((GOLDEN / "list.json").read_text())
+    report["results"] = {"metrics": 5}
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(report)
