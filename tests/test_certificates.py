@@ -451,11 +451,42 @@ class TestResidueScansMatchOracles:
         assert got == _result(triu_pair_scan, seq, w, cut)
 
 
-def _table_prefix(table) -> SequencePrefix:
-    """x_n = n - 1 under a metric that looks rho(x_n, x_m) up in ``table[n - 1, m - 1]``."""
-    m = np.asarray(table, dtype=float)
-    metric = DbMetric("table", 1.0, lambda a, b: m[a[..., 0].astype(int), b[..., 0].astype(int)])
-    return SequencePrefix([float(i) for i in range(len(m))], metric)
+def _table_prefix(n: int, entries: dict) -> SequencePrefix:
+    """x_i = i - 1, i = 1 .. n, under a metric with s = 1 that looks rho(x_i, x_j)
+    up in a table: ``entries[i, j]`` (either order), and 0 elsewhere."""
+    table = np.zeros((n, n))
+    for (i, j), value in entries.items():
+        table[i - 1, j - 1] = table[j - 1, i - 1] = value
+    metric = DbMetric("table", 1.0, lambda a, b: table[a[..., 0].astype(int), b[..., 0].astype(int)])
+    return SequencePrefix([float(i) for i in range(n)], metric)
+
+
+def _top_offset(delta, lam):
+    """The largest offset part that passes at s = 1."""
+    return np.nextafter(delta * (1.0 - lam) - ETA, 0.0)
+
+
+def _top_block(delta):
+    return np.nextafter(delta - ETA, 0.0)
+
+
+#: (n, entries, delta, p, lam, the pair of a DivergenceError or None when all pass)
+PAIR_SCAN_TABLES = {
+    # At delta = 2**30 eta is below half an ulp, so the one comparison of the
+    # assembled bounds fails and each pair is checked.  The largest offset and
+    # block parts, x_4's self-distance and rho(x_2, x_4), sum to the diameter
+    # bound at lam = 0.1 and stay below it at lam = 0.5.
+    "per_pair_fails": (4, {(4, 4): _top_offset(2.0**30, 0.1), (2, 4): _top_block(2.0**30)},
+                       2.0**30, 1, 0.1, (2, 4)),
+    "per_pair_passes": (4, {(4, 4): _top_offset(2.0**30, 0.5), (2, 4): _top_block(2.0**30)},
+                        2.0**30, 1, 0.5, None),
+    # rho(x_2, x_5) equals s (A + B) + eta through x_4: the triangle holds at the tie.
+    "triangle_tie": (5, {(2, 4): 0.125, (4, 5): 0.125, (2, 5): 0.25 + ETA}, 1.0, 2, 0.5, None),
+    # rho(x_2, x_7) equals fb - eta while the triangle through x_6 and the
+    # assembled bound hold, by rounding: the direct bound fails at the tie.
+    "direct_tie": (7, {(6, 7): _top_offset(0.1875, 0.5), (2, 6): _top_block(0.1875),
+                       (2, 7): 0.1875 * 0.5 + 0.1875 - ETA}, 0.1875, 2, 0.5, (2, 7)),
+}
 
 
 #: Prefixes that often settle: a head, a constant stretch and a short tail of
@@ -495,6 +526,9 @@ class TestPairScanContract:
     # p = 2, t = 8 rows: the last p rows start at a multiple of p.
     @example(values=[0.0, 0.5, 0.25, 0.125, 0.0625, 0.0, 0.0, 0.0, 0.0, 0.0],
              name="euclid_1d", s=None, delta=1.0, p=2, lam=0.5, n0=1, chunk=7, scale=1.0)
+    # rho(x_7, x_9) = 0.25, among the last p points, equals theta - eta, and fails.
+    @example(values=[0.0] * 6 + [-0.125, 0.0, 0.125],
+             name="euclid_1d", s=None, delta=0.500000002, p=3, lam=0.5, n0=1, chunk=7, scale=1.0)
     def test_matches_full_scans(self, values, name, s, delta, p, lam, n0, chunk, scale):
         # Distances, and so delta, scale by 2**30; sq_abs squares its values' scale.
         root = scale**0.5 if name == "sq_abs" else scale
@@ -510,25 +544,22 @@ class TestPairScanContract:
             assert got == _result(padded_pair_scan, seq, w, settling)
         assert got == _result(triu_pair_scan, seq, w, settling)
 
-    # The largest offset part and block part that pass, x_4's self-distance and
-    # rho(x_2, x_4), sum to the diameter bound at lam = 0.1 and stay below it at 0.5.
-    @pytest.mark.parametrize("lam, raises", [(0.1, True), (0.5, False)])
-    def test_per_pair_assembled_bound(self, lam, raises):
-        delta = 2.0**30
-        table = np.zeros((4, 4))
-        table[3, 3] = np.nextafter(delta * (1.0 - lam) - ETA, 0.0)
-        table[1, 3] = table[3, 1] = np.nextafter(delta - ETA, 0.0)
-        seq, w = _table_prefix(table), ShiftWitness(delta, 1, lam, 1)
+    # The per-pair path and ties of the triangle and of the direct bound.
+    @pytest.mark.parametrize("case", sorted(PAIR_SCAN_TABLES))
+    def test_tables(self, case):
+        n, entries, delta, p, lam, pair = PAIR_SCAN_TABLES[case]
+        seq, w = _table_prefix(n, entries), ShiftWitness(delta, p, lam, 1)
         settling = find_settling_index(seq, w)
         run_block_induction(seq, w, settling)
-        assert not (delta * (1.0 - lam) - ETA + (delta - ETA) < diameter_bound(w, 1.0))
+        if case.startswith("per_pair"):  # the comparison that proves every s A + s B fails
+            assert not (delta * (1.0 - lam) - ETA + (delta - ETA) < diameter_bound(w, 1.0))
         got = _result(_pair_scan, seq, w, settling)
         assert got == _result(triu_pair_scan, seq, w, settling)
-        if raises:
-            assert got[0] is DivergenceError
-            assert got[1].startswith("pair (n=2, m=4) passed component checks but assembled bound")
-        else:
+        if pair is None:
             assert got is None
+        else:
+            assert got[0] is DivergenceError
+            assert got[1].startswith(f"pair (n={pair[0]}, m={pair[1]}) passed component checks")
 
 
 def _certify_view(certify, seq, w):
