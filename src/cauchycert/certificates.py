@@ -441,7 +441,7 @@ def certify_cauchy(
     """
     decay = check_consecutive_decay(seq, tail)
     shift = check_shift_contraction(seq, w)
-    certificate = failure = None
+    certificate = stage = detail = None
     try:
         if not shift.holds:
             pair = shift.violating_pair
@@ -450,8 +450,8 @@ def certify_cauchy(
         chains = _chain_stage(seq, w, settling)
         induction = run_block_induction(seq, w, settling)
         _pair_scan(seq, w, settling)
-    except CertificateFailure as exc:
-        failure = exc
+    except CertificateFailure as exc:  # not exc itself: its traceback would hold this frame
+        stage, detail = exc.stage, str(exc)
     else:
         fb = diameter_bound(w, seq.metric.s)
         oracle = tail_diameter(seq, settling + 1)
@@ -473,10 +473,10 @@ def certify_cauchy(
             oracle_tail_diameter=oracle,
         )
     return CertifyOutcome(
-        certified=failure is None,
+        certified=stage is None,
         certificate=certificate,
-        failure_stage=failure and failure.stage,
-        failure_detail=failure and str(failure),
+        failure_stage=stage,
+        failure_detail=detail,
         decay=decay,
         shift=shift,
     )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -745,6 +747,20 @@ class TestCertifyPipeline:
         assert not outcome.certified
         assert outcome.failure_stage == "shift_contraction"
         assert outcome.shift.violating_pair == (3, 5)
+
+    def test_failure_holds_no_reference_to_the_prefix(self, euclid):
+        # Without the cyclic collector the prefix, and its matrix, go as soon as
+        # the caller drops them: no frame of the failed replay stays reachable.
+        seq = SequencePrefix([float(k) for k in range(1, 51)], euclid)
+        ref = weakref.ref(seq)
+        gc.disable()
+        try:
+            outcome = certify_cauchy(seq, ShiftWitness(0.5, 1, 0.5, 1))
+            del seq
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert outcome.failure_stage == "settling_index"
 
     def test_decay_report_always_recorded(self, linear_prefix):
         outcome = certify_cauchy(linear_prefix, ShiftWitness(0.5, 1, 0.5, 1))
