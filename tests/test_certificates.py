@@ -627,10 +627,13 @@ class TestCertifyMatchesOracle:
         p=st.integers(1, 5),
         lam=st.floats(0.05, 0.95),
         n0=st.integers(1, 4),
+        scale=st.sampled_from([1.0, 2.0**30]),
     )
-    def test_random(self, values, name, s, delta, p, lam, n0):
-        seq = SequencePrefix(values, make_metric(name, s=s))
-        w = ShiftWitness(delta, p, lam, n0)
+    def test_random(self, values, name, s, delta, p, lam, n0, scale):
+        # At scale 2**30 the pair scan checks the assembled bounds pair by pair.
+        root = scale**0.5 if name == "sq_abs" else scale
+        seq = SequencePrefix([v * root for v in values], make_metric(name, s=s))
+        w = ShiftWitness(delta * scale, p, lam, n0)
         assert _certify_view(certify_cauchy, seq, w) == _certify_view(appended_certify_cauchy, seq, w)
 
 
@@ -682,8 +685,12 @@ class TestCertifyMemory:
         assert 150 * 16 * (len(orbit) - 152) > orbit.distance_matrix().nbytes / 16
         assert peak < orbit.distance_matrix().nbytes / 16
 
-    @pytest.mark.parametrize("delta", [100.0, 1e9])
-    @pytest.mark.parametrize("p", [1496, 139])
+    @pytest.mark.parametrize("p, delta", [
+        pytest.param(1496, 100.0, id="1496"),
+        pytest.param(139, 100.0, id="139"),
+        pytest.param(1496, 1e9, id="1496-per-pair"),
+        pytest.param(139, 1e9, id="139-per-pair"),
+    ])
     def test_pair_scan_copies_at_most_one_matrix_of_offsets(self, p, delta):
         # The scan reads the matrix through views; only its masks and row
         # chunks are allocated.  At p near the prefix length the last p rows
