@@ -288,7 +288,7 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
     steps = np.diagonal(dm, offset=1)[n_low:]  # steps[i] = rho(x_n, x_{n+1}) at n = n_low + i + 1
     partial = np.zeros_like(steps)  # P_0
     coefs = [_power(s, k) for k in range(w.p)]  # s**p is not needed
-    out: list[ChainBound] = []
+    out: list[tuple[int, float]] = []  # plain tuples, cheaper than a ChainBound per offset
 
     for q in range(w.p + 1):
         if len(steps) < max(q, 1):  # no n in range with n + max(q, 1) <= N
@@ -321,8 +321,8 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
                 f"direct {float(direct[i])} > telescoped {float(bounds[i])}",
                 where=(n, q),
             )
-        out.append(ChainBound(q, worst))
-    return tuple(out)
+        out.append((q, worst))
+    return tuple(map(ChainBound._make, out))
 
 
 def _earlier(first: Optional[tuple[int, int]], at: tuple[int, int], bad: np.ndarray):

@@ -197,8 +197,8 @@ def solve_fixed_point(
     aborts with ContractionError.  The orbit grows in blocks; after each block
     the certificate for the derived witness (target_delta, derived p, lam, n0)
     is attempted with the consecutive-decay report at ``cfg.tail``.  Each
-    block extends the prefix, whose distance matrix then gains only the new
-    rows and columns.  The method returns as soon as a certificate is issued
+    block extends the prefix, whose distance matrix and shift profile then
+    gain only the new rows and columns.  The method returns as soon as a certificate is issued
     and the last step distance rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``;
     exhausting the iteration budget first raises SolverError, and so does,
     before any iteration, a diameter bound at target_delta that overflows a

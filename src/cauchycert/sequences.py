@@ -83,9 +83,14 @@ class SequencePrefix:
     The points are stored once, as the read-only ``(N, d)`` float64 array
     ``coords``, validated at construction (finiteness, one dimension, the
     metric's dimension).  A prefix is immutable, so its distance matrix is
-    built on first use and kept for every later scan; a prefix grown by
-    :meth:`extend` builds it from the shorter prefix's matrix.  It keeps the
-    shift profile of the last (delta, p) scanned the same way, in one slot.
+    built on first use and kept for every later scan.  It keeps the shift
+    profile of the last (delta, p) scanned the same way, in one slot.
+
+    A prefix grown by :meth:`extend` inherits both from the shorter prefix,
+    so that each grown block costs O(N * block) distance evaluations and
+    scans, not O(N^2): its matrix is the top-left corner of a buffer with
+    spare rows and columns that later prefixes grow into, and its profile
+    scans only the pairs with a new index.
     """
 
     def __init__(self, points: Sequence, metric: DbMetric):
@@ -110,7 +115,10 @@ class SequencePrefix:
         self.coords = coords
         self.metric = metric
         self._matrix: Optional[np.ndarray] = None
-        self._base: Optional[np.ndarray] = None  # matrix of a leading sub-prefix
+        # The writable (C, C) buffer whose corner is ``_matrix``, until a child takes it.
+        self._spare: Optional[np.ndarray] = None
+        # The matrix of a leading sub-prefix, and the buffer this prefix takes.
+        self._base: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None
         self._profile: Optional[tuple] = None  # the last shift profile, see _shift_profile
 
     def __len__(self) -> int:
@@ -125,31 +133,54 @@ class SequencePrefix:
     def extend(self, points: Sequence) -> "SequencePrefix":
         """This prefix followed by ``points``, validated like a new prefix.
 
-        The longer prefix keeps this prefix's distance matrix, if one was
-        built, and its own matrix copies it and evaluates only the rows and
-        columns of the new points.
+        If this prefix's distance matrix was built, the longer prefix keeps
+        it and its shift profile.  Its own matrix then evaluates only the
+        rows and columns of the new points: the first longer prefix that fits
+        in this matrix's buffer takes the buffer and fills them in place,
+        and any other copies this matrix into a new buffer with spare
+        capacity.  This prefix's own matrix never changes.
         """
         new = _stack(points)
         if not len(new):
             return self
         grown = SequencePrefix(np.concatenate([self.coords, new]), self.metric)
-        grown._base = self._matrix
+        if self._matrix is not None:
+            spare = self._spare
+            if spare is not None and spare.shape[0] >= len(grown):
+                self._spare = None
+            else:
+                spare = None
+            grown._base = (self._matrix, spare)
+            grown._profile = self._profile
         return grown
 
     def distance_matrix(self) -> np.ndarray:
-        """Validated read-only all-pairs matrix; entry [i, j] is rho(x_{i+1}, x_{j+1})."""
+        """Validated read-only all-pairs matrix; entry [i, j] is rho(x_{i+1}, x_{j+1}).
+
+        A fresh prefix builds it with :meth:`DbMetric.matrix`.  A grown one
+        writes it into the top-left corner of a ``(C, C)``
+        :func:`matrix_buffer`: the buffer it took from the shorter prefix, or
+        a new one with C = ceil(5 N / 4) that the shorter prefix's matrix is
+        copied into.
+        """
         if self._matrix is None:
             base, self._base = self._base, None
             if base is None:
                 self._matrix = self.metric.matrix(self.coords)
             else:
-                n = base.shape[0]
-                out = matrix_buffer(len(self), len(self))
-                out[:n, :n] = base
-                out[:n, n:] = self.metric.cross(self.coords[:n], self.coords[n:])
-                out[n:] = self.metric.cross(self.coords[n:], self.coords)
-                out.setflags(write=False)
-                self._matrix = out
+                old, buf = base
+                n, size = old.shape[0], len(self)
+                top = self.metric.cross(self.coords[:n], self.coords[n:])
+                bottom = self.metric.cross(self.coords[n:], self.coords)
+                if buf is None:
+                    cap = -(-5 * size // 4)
+                    buf = matrix_buffer(cap, cap)
+                    buf[:n, :n] = old
+                buf[:n, n:size] = top
+                buf[n:size, :size] = bottom
+                matrix = buf[:size, :size]
+                matrix.setflags(write=False)
+                self._spare, self._matrix = buf, matrix
         return self._matrix
 
 
@@ -259,38 +290,62 @@ def _shift_profile(
     same columns for every cutoff, so a profile built from ``start`` answers
     every n0 >= start.  The prefix keeps the last profile built; a call with
     another (delta, p), or with n0 < start, replaces it.
+
+    A prefix grown by :meth:`SequencePrefix.extend` starts with the shorter
+    prefix's profile, which covers the rows and columns below c = the old
+    N - p.  A call that can use it scans only the pairs with j >= c: the
+    new columns of the old rows, then the new rows.  Counts are integers and
+    a maximum is exact, so the result equals a full rebuild.
     """
     slot = seq._profile
-    if slot is not None and slot[:2] == (delta, p) and slot[2] <= n0:
+    if slot is None or slot[:2] != (delta, p) or slot[2] > n0:
+        slot = (delta, p, n0, np.zeros(0, dtype=np.int64), np.zeros(0))  # every pair is new
+    start, kept_count, kept_max = slot[2:]
+    kept = len(kept_count)
+    end = len(seq) - p
+    if start + kept == end:
         return slot[2:]
+    count, rowmax = _triggered(seq.distance_matrix(), delta, p, start, start + kept, end)
+    count[:kept] += kept_count
+    np.maximum(rowmax[:kept], kept_max, out=rowmax[:kept])
+    count.setflags(write=False)
+    rowmax.setflags(write=False)
+    seq._profile = (delta, p, start, count, rowmax)
+    return start, count, rowmax
 
-    dm = seq.distance_matrix()
-    t = len(seq) - n0 - p
+
+def _triggered(
+    dm: np.ndarray, delta: float, p: int, lo: int, left: int, end: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The triggered count and shifted maximum of each row r in [lo, end),
+    over the pairs (r, j) with max(r, left) <= j < end."""
+    t = end - lo
+    width = end - max(lo, left)  # the widest row's columns
     high = delta - ETA
     count = np.empty(t, dtype=np.int64)
     rowmax = np.empty(t)
-    # Row chunks of the upper triangle: 0-based rows/cols n0 .. N - p - 1 hold
-    # 1-based n in (n0, N - p], and the same block shifted by p.  A chunk
-    # reads only the columns at or right of its first row; the triangle's
-    # edge inside it falls in its leading square, masked by ``upper``.
-    rows = chunk_rows(t)
-    upper = np.triu(np.ones((min(rows, t),) * 2, dtype=bool))
+    # Row chunks: 0-based rows/cols r < N - p hold 1-based n <= N - p, and
+    # the same block shifted by p.  A chunk reads the columns from its first
+    # row or from ``left``, whichever is later; its rows from ``left`` on
+    # meet the triangle's edge inside the chunk, in a square masked by ``upper``.
+    rows = chunk_rows(width)
+    upper = np.triu(np.ones((min(rows, width),) * 2, dtype=bool))
     # Summing the mask's bytes into the narrowest type that holds a row's
     # count is several times faster than ``np.count_nonzero(..., axis=1)``.
-    counter = np.min_scalar_type(t)
+    counter = np.min_scalar_type(width)
     for i in range(0, t, rows):
         k = min(rows, t - i)
-        block = dm[n0 + i : n0 + i + k, n0 + i : n0 + t]
+        r = lo + i
+        c = max(r, left)
+        block = dm[r : r + k, c:end]
         triggered = block > ETA
         triggered &= block < high
-        triggered[:, :k] &= upper[:k, :k]
+        d = min(c - r, k)  # the chunk's rows before ``left``; the rest start on the diagonal
+        triggered[d:, : k - d] &= upper[: k - d, : k - d]
         count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
-        shifted = dm[n0 + p + i : n0 + p + i + k, n0 + p + i :]
+        shifted = dm[r + p : r + p + k, c + p : end + p]
         np.max(shifted, axis=1, where=triggered, initial=-np.inf, out=rowmax[i : i + k])
-    count.setflags(write=False)
-    rowmax.setflags(write=False)
-    seq._profile = (delta, p, n0, count, rowmax)
-    return n0, count, rowmax
+    return count, rowmax
 
 
 def tail_diameter(seq: SequencePrefix, n0: int) -> float:

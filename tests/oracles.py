@@ -15,7 +15,12 @@ clamped.  ``oneshot_shift_contraction`` is the shift scan before row chunks,
 with whole-triangle masks, ``chunked_shift_contraction`` the row-chunked scan
 that the shift profile replaced (one full pass per witness), and
 ``argwhere_shift_contraction`` lists every violating pair with ``np.argwhere``
-and keeps the first; ``loop_search_witness`` is the witness search over
+and keeps the first; ``rebuilt_shift_profile`` is the shift profile built
+over every pair, as ``_shift_profile`` built it before a grown prefix kept the
+shorter prefix's profile, and ``copied_extension_matrix`` the grown matrix as
+``distance_matrix`` built it before it kept spare capacity: the shorter
+prefix's matrix copied into a new buffer of exactly N x N;
+``loop_search_witness`` is the witness search over
 ``chunked_shift_contraction``, and
 ``blockwise_solve_fixed_point`` grows the orbit point by point and reads the
 last step through the scalar ``pair_distance``.
@@ -87,7 +92,7 @@ from cauchycert import (
 from cauchycert.certificates import _chain_stage, _first_true, _induction_failure
 from cauchycert.contractions import Contraction, ContractionEstimate
 from cauchycert.metrics import (
-    PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows, row_offsets,
+    PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows, matrix_buffer, row_offsets,
 )
 from cauchycert.sequences import consecutive_distances, default_n0_grid
 
@@ -280,6 +285,43 @@ def chunked_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftCont
         pairs_triggered=pairs_triggered,
         violating_pair=violating,
     )
+
+
+def rebuilt_shift_profile(
+    seq: SequencePrefix, delta: float, p: int, n0: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n0, count, rowmax)`` of ``_shift_profile``, every pair scanned anew
+    and nothing kept on the prefix."""
+    dm = seq.distance_matrix()
+    t = len(seq) - n0 - p
+    high = delta - ETA
+    count = np.empty(t, dtype=np.int64)
+    rowmax = np.empty(t)
+    rows = chunk_rows(t)
+    upper = np.triu(np.ones((min(rows, t),) * 2, dtype=bool))
+    counter = np.min_scalar_type(t)
+    for i in range(0, t, rows):
+        k = min(rows, t - i)
+        block = dm[n0 + i : n0 + i + k, n0 + i : n0 + t]
+        triggered = block > ETA
+        triggered &= block < high
+        triggered[:, :k] &= upper[:k, :k]
+        count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
+        shifted = dm[n0 + p + i : n0 + p + i + k, n0 + p + i :]
+        np.max(shifted, axis=1, where=triggered, initial=-np.inf, out=rowmax[i : i + k])
+    return n0, count, rowmax
+
+
+def copied_extension_matrix(base: np.ndarray, seq: SequencePrefix) -> np.ndarray:
+    """The matrix of ``seq``, whose leading prefix has the matrix ``base``:
+    ``base`` copied into a new N x N buffer, the new rows and columns evaluated."""
+    n = base.shape[0]
+    out = matrix_buffer(len(seq), len(seq))
+    out[:n, :n] = base
+    out[:n, n:] = seq.metric.cross(seq.coords[:n], seq.coords[n:])
+    out[n:] = seq.metric.cross(seq.coords[n:], seq.coords)
+    out.setflags(write=False)
+    return out
 
 
 def loop_search_witness(

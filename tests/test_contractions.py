@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +246,21 @@ class TestSolveFixedPoint:
         result = solve_fixed_point(affine_1d(0.9, 0.1), euclid, Point(0.0), 0.01, SolverConfig(block=8))
         assert result.iterations == 112
         assert calls == [16]
+
+    def test_grown_matrix_allocates_less_than_two_matrices(self, euclid):
+        # Copying the shorter prefix's matrix into a new one held two N x N
+        # matrices at the last block.  Growing into spare capacity holds one
+        # buffer of ceil(5 N / 4) rows, and two only while a regrowth copies.
+        # The solve is the benchmark's a = 0.99 shape: x* = 0, |x0 - x*| = 5.86.
+        tracemalloc.start()
+        try:
+            result = solve_fixed_point(affine_1d(0.99, 0.0), euclid, Point(5.86), 0.01, SolverConfig(block=32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = result.iterations
+        assert n == 1120
+        assert peak < 2 * n * n * 8
 
     def test_halving_lands_on_dyadic_iterate(self, euclid):
         result = solve_fixed_point(halving(), euclid, Point(1.0), 0.01)

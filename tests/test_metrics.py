@@ -268,6 +268,41 @@ class TestAxiomChecks:
         assert exc.value.triple is not None
 
 
+class TestToleranceTies:
+    """Each tolerance comparison at its tie: a value of exactly ETA lies
+    within the tolerance, so it neither flags a pair nor excuses one."""
+
+    def test_negative_distance_of_exactly_eta_is_clamped(self):
+        m = DbMetric(name="dip", s=1.0, rows_fn=lambda a, b: -ETA * a[..., 0])
+        assert m.rows([[1.0], [0.0]], [[0.0], [0.0]]).tolist() == [0.0, 0.0]
+        with pytest.raises(MetricError, match=r"negative distance -2e-09$"):
+            m.rows([[1.0], [2.0]], [[0.0], [0.0]])
+
+    def test_asymmetry_of_exactly_eta_is_symmetric(self):
+        m = DbMetric(name="tilt", s=1.0, rows_fn=lambda a, b: np.where(a[..., 0] > b[..., 0], ETA, 0.0))
+        assert check_symmetry(m, (np.array([[1.0]]), np.array([[0.0]]))).ok
+
+    def test_zero_identity_at_eta(self):
+        # Points ETA apart are equal; a distance of ETA is zero.
+        assert check_zero_identity(make_metric("euclid_1d"), (np.array([[0.0]]), np.array([[ETA]]))).ok
+        flat = constant_metric("flat", ETA)
+        assert not check_zero_identity(flat, (np.array([[0.0]]), np.array([[1.0]]))).ok
+
+    def test_self_distance_of_exactly_eta_is_zero(self):
+        assert check_self_distance_zero(make_metric("max_dislocated"), np.array([[ETA]])).ok
+
+    def test_legs_of_exactly_eta_are_degenerate(self):
+        # Both legs sum to ETA and the direct distance is ETA: the triple is
+        # skipped, neither a ratio of 1 nor a violation.
+        zero, tiny = np.array([[0.0]]), np.array([[ETA]])
+        estimate = estimate_minimal_s(make_metric("euclid_1d"), (zero, zero, tiny))
+        assert estimate.min_s == 0.0 and estimate.worst is None
+
+    def test_smallest_sampler(self):
+        cfg = SamplerConfig(pair_count=1, triple_count=1, grid_points=2)
+        assert len(sample_pairs(cfg, 2)[0]) == 1 + 4
+
+
 class TestSampler:
     def test_config_validation(self):
         with pytest.raises(ValueError):

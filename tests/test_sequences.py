@@ -26,6 +26,7 @@ from cauchycert import (
 from cauchycert import metrics
 from cauchycert.metrics import available_metrics
 from cauchycert.sequences import (
+    _shift_profile,
     arithmetic_sequence,
     available_generators,
     constant_sequence,
@@ -38,8 +39,10 @@ from oracles import (
     chunked_shift_contraction,
     loop_consecutive_decay,
     loop_search_witness,
+    copied_extension_matrix,
     oneshot_shift_contraction,
     pair_distance,
+    rebuilt_shift_profile,
 )
 
 
@@ -180,21 +183,130 @@ class TestExtend:
         assert seq.extend([]) is seq
 
 
+def _check_grown(seq: SequencePrefix, w: ShiftWitness) -> None:
+    """``seq``'s matrix, shift report and shift profile at ``w`` equal the
+    oracles' on a fresh prefix of the same points."""
+    fresh = SequencePrefix(seq.coords, seq.metric)
+    got = seq.distance_matrix()
+    assert got.tobytes() == fresh.distance_matrix().tobytes()
+    assert not got.flags.writeable
+    expected = _outcome(chunked_shift_contraction, fresh, w)
+    assert _outcome(check_shift_contraction, seq, w) == expected
+    if not isinstance(expected, str):
+        start, count, rowmax = _shift_profile(seq, w.delta, w.p, w.n0)
+        oracle = rebuilt_shift_profile(fresh, w.delta, w.p, start)
+        assert start == oracle[0] <= w.n0
+        assert count.tolist() == oracle[1].tolist()
+        assert rowmax.tolist() == oracle[2].tolist()
+
+
+#: (delta, p, lam, n0) candidates; few enough that a grown prefix often
+#: scans the (delta, p) its shorter prefix left in the profile slot.
+_GROWN_WITNESSES = st.tuples(
+    st.sampled_from([0.3, 1.0]), st.integers(1, 3), st.sampled_from([0.25, 0.9]), st.integers(1, 6)
+)
+
+
+class TestGrownPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, ETA, 0.125, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0),
+            min_size=2,
+            max_size=40,
+        ),
+        name=st.sampled_from(["euclid_1d", "euclid_nd", "asymmetric"]),
+        first=st.integers(2, 12),
+        # Per extend: the points added (0 is an empty extend), whether the
+        # shorter prefix builds its matrix and scans a witness first.
+        steps=st.lists(st.tuples(st.integers(0, 12), st.booleans(), _GROWN_WITNESSES), max_size=3),
+        last=_GROWN_WITNESSES,
+        twice=st.integers(0, 2),
+        chunk=st.sampled_from([3, 7, metrics._CHUNK]),
+    )
+    def test_chain_of_extends_equals_fresh_builds(self, values, name, first, steps, last, twice, chunk):
+        metric = ASYMMETRIC if name == "asymmetric" else make_metric(name)
+        points = np.array([[v, 1.0 - v] for v in values] if name == "euclid_nd" else values)
+        seq = SequencePrefix(points[:first], metric)
+        at = len(seq)
+        built = []  # (prefix, its matrix bytes) for every prefix built
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            for i, (size, build, candidate) in enumerate(steps):
+                if build:
+                    _check_grown(seq, ShiftWitness(*candidate))
+                    built.append((seq, seq.distance_matrix().tobytes()))
+                block = points[at : at + size]
+                at += len(block)
+                child = seq.extend(block)
+                assert (child is seq) == (not len(block))
+                if i == twice:
+                    # The same shorter prefix extended a second time, by
+                    # other points; its first child is built after it.
+                    sibling = seq.extend(block[::-1] + 0.5)
+                    _check_grown(sibling, ShiftWitness(*last))
+                    built.append((sibling, sibling.distance_matrix().tobytes()))
+                if build and len(block):
+                    base = seq.distance_matrix()
+                    assert child.distance_matrix().tobytes() == copied_extension_matrix(base, child).tobytes()
+                seq = child
+            _check_grown(seq, ShiftWitness(*last))
+            # Longer prefixes grow into the buffer, never into a shorter
+            # prefix's own corner.
+            for prefix, matrix in built:
+                assert prefix.distance_matrix().tobytes() == matrix
+
+    def test_a_prefix_that_fits_takes_the_buffer(self, euclid):
+        # At capacity C = ceil(5 N / 4) the buffer is taken; one point more
+        # and the longer prefix copies.
+        seq = SequencePrefix([1.0, 2.0, 4.0], euclid)
+        seq.distance_matrix()
+        grown = seq.extend([8.0, 16.0, 32.0, 64.0, 128.0])
+        dm = grown.distance_matrix()
+        assert dm.strides[0] // dm.itemsize == 10
+        fits = grown.extend([256.0, 512.0])
+        assert np.shares_memory(fits.distance_matrix(), dm)
+        # A second longer prefix of the same prefix copies.
+        again = grown.extend([256.0, 512.0])
+        assert not np.shares_memory(again.distance_matrix(), dm)
+        over = fits.extend([1024.0])
+        assert not np.shares_memory(over.distance_matrix(), dm)
+        assert over.distance_matrix().tobytes() == SequencePrefix(over.coords, euclid).distance_matrix().tobytes()
+
+    def test_profile_is_kept_at_its_own_length_and_cutoff(self, euclid):
+        seq = SequencePrefix([2.0**-k for k in range(12)], euclid)
+        profile = _shift_profile(seq, 0.3, 2, 3)
+        assert all(a is b for a, b in zip(_shift_profile(seq, 0.3, 2, 3), profile))
+        assert all(a is b for a, b in zip(_shift_profile(seq, 0.3, 2, 5), profile))
+        grown = seq.extend([2.0**-12])
+        longer = _shift_profile(grown, 0.3, 2, 3)
+        assert len(longer[1]) == len(profile[1]) + 1
+        assert all(a is b for a, b in zip(_shift_profile(grown, 0.3, 2, 3), longer))
+
+
 class TestRowOffsets:
     @settings(max_examples=300, deadline=None)
     @given(
         values=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=20),
         cut=st.integers(0, 20),
+        shared=st.booleans(),
         lo=st.integers(0, 22),
         data=st.data(),
     )
-    def test_view_reads_the_matrix(self, values, cut, lo, data):
-        # A fresh matrix, or (for 2 <= cut < N) one grown by extend.
+    def test_view_reads_the_matrix(self, values, cut, shared, lo, data):
+        # A fresh matrix, or (for 2 <= cut < N) one grown by extend: a corner
+        # with spare capacity, whose spare columns a longer prefix has filled
+        # when ``shared``.
         n = len(values)
         if 2 <= cut < n:
             seq = SequencePrefix(values[:cut], ASYMMETRIC)
             seq.distance_matrix()
             seq = seq.extend(values[cut:])
+            dm = seq.distance_matrix()
+            assert dm.base.size > n * (n + 2)
+            if shared:
+                child = seq.extend(values[: dm.strides[0] // dm.itemsize - n])
+                assert np.shares_memory(child.distance_matrix(), dm)
         else:
             seq = SequencePrefix(values, ASYMMETRIC)
         dm = seq.distance_matrix()
@@ -207,9 +319,14 @@ class TestRowOffsets:
             row = [dm[lo + u, lo + u + m] for m in range(min(width, n - lo - u))]
             assert view[u, : len(row)].tolist() == row
 
-    def test_needs_the_padded_buffer(self):
-        with pytest.raises(ValueError, match="matrix_buffer"):
-            metrics.row_offsets(np.zeros((3, 3)), 0, 2)
+    def test_needs_the_padded_buffer(self, euclid):
+        seq = SequencePrefix([1.0, 2.0, 4.0], euclid)
+        seq.distance_matrix()
+        dm = seq.extend([8.0, 16.0]).distance_matrix()
+        assert metrics.row_offsets(dm, 0, 2).shape == (5, 2)
+        for bad in (dm[1:, 1:], dm.T, dm[:, :4], np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="matrix_buffer"):
+                metrics.row_offsets(bad, 0, 2)
 
 
 class TestWitnessValidation:
@@ -357,6 +474,18 @@ class TestShiftContraction:
         assert not report.holds
         assert report.violating_pair == (2, 3)
         assert report.pairs_triggered == 1
+
+    def test_rescan_skips_pairs_on_the_band_edges(self, euclid):
+        # Row n = 2 meets base distances of exactly eta (2, 3) and delta - eta
+        # (2, 4), both outside the open band though their shifted distances
+        # pass the bound, before its first violating pair (2, 5).
+        high = 0.5 - ETA
+        seq = SequencePrefix([5.0, 0.0, ETA, high, 0.3, 0.6], euclid)
+        assert [pair_distance(seq, 2, m) for m in (3, 4)] == [ETA, high]
+        w = ShiftWitness(0.5, 1, 0.5, 1)
+        report = check_shift_contraction(seq, w)
+        assert report.violating_pair == (2, 5)
+        assert report == argwhere_shift_contraction(seq, w)
 
     def test_prefix_too_short(self, euclid):
         seq = SequencePrefix([1.0, 0.5, 0.25], euclid)
@@ -549,8 +678,10 @@ class TestWitnessSearch:
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(p_max=0)
-        with pytest.raises(ValueError):
-            SearchConfig(lambdas=(0.5, 1.0))
+        assert SearchConfig(p_max=1).p_max == 1
+        for lambdas in ((0.5, 1.0), (0.0, 0.5)):
+            with pytest.raises(ValueError):
+                SearchConfig(lambdas=lambdas)
         for empty in ({"lambdas": ()}, {"n0_values": ()}, {"n0_values": []}):
             with pytest.raises(ValueError, match="must not be empty"):
                 SearchConfig(**empty)
@@ -608,6 +739,7 @@ class TestGenerators:
         for gen in (arithmetic_sequence, geometric_sequence, constant_sequence):
             with pytest.raises(ValueError):
                 gen(1)
+            assert len(gen(2)) == 2
 
     def test_make_sequence(self, euclid):
         seq = make_sequence("geometric", euclid, n=5)
