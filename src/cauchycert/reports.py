@@ -3,6 +3,11 @@
 Reports are deterministic: the same command, config and seed produce
 byte-identical JSON once timestamps are suppressed.  Keys are sorted on
 serialization so dict construction order never leaks into the output.
+
+Every report is checked against the shipped ``report_schema.json`` (JSON
+Schema draft 2020-12) by the small validator below.  It implements exactly
+the keywords that schema uses (see ``_KEYWORDS``), so a CLI process needs no
+jsonschema import; the tests hold its verdicts equal to jsonschema's.
 """
 
 from __future__ import annotations
@@ -11,8 +16,6 @@ import datetime as _dt
 import importlib.resources
 import json
 from typing import Optional
-
-import jsonschema
 
 from . import __version__
 from .errors import DivergenceError
@@ -26,22 +29,259 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-_VALIDATOR: Optional[jsonschema.Draft202012Validator] = None
+class SchemaError(ValueError):
+    """A report off its schema.
+
+    ``message`` is worded as jsonschema words it, and ``path`` holds the keys
+    and list indices from the report's root to the offending value.
+    """
+
+    def __init__(self, message: str, path: tuple = ()):
+        super().__init__(message)
+        self.message = message
+        self.path = path
+
+    def __str__(self) -> str:
+        if not self.path:
+            return self.message
+        return f"{self.message} (at {'/'.join(map(str, self.path))})"
+
+
+def _is_number(instance) -> bool:
+    return isinstance(instance, (int, float)) and not isinstance(instance, bool)
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+
+
+def _has_type(instance, types) -> bool:
+    """Whether the instance has the JSON type, or one of the types in a list.
+
+    Booleans are not numbers, and an integral float is an integer.
+    """
+    for name in [types] if isinstance(types, str) else types:
+        if name == "number":
+            if _is_number(instance):
+                return True
+        elif name == "integer":
+            if _is_number(instance) and (isinstance(instance, int) or instance.is_integer()):
+                return True
+        elif isinstance(instance, _JSON_TYPES[name]):
+            return True
+    return False
+
+
+def _json_equal(a, b) -> bool:
+    """Equality of JSON values: booleans are not numbers, 1 equals 1.0."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _unexpected(extras: list) -> str:
+    verb = "was" if len(extras) == 1 else "were"
+    return f"{', '.join(map(repr, extras))} {verb} unexpected"
+
+
+class _Validator:
+    """Checks an instance against one schema; ``check`` raises :class:`SchemaError`.
+
+    Each keyword method returns the names of the instance's properties that
+    it evaluated, which ``unevaluatedProperties`` needs, or None.
+    """
+
+    def __init__(self, schema: dict):
+        self.root = schema
+
+    def check(self, instance) -> None:
+        self._descend(self.root, instance)
+
+    def _descend(self, schema: dict, instance) -> set:
+        evaluated = set()
+        for keyword, value in schema.items():
+            if keyword not in _SKIPPED:
+                names = _KEYWORDS[keyword](self, value, instance, schema)
+                if names:
+                    evaluated |= names
+        if schema.get("unevaluatedProperties") is False and isinstance(instance, dict):
+            extras = [name for name in instance if name not in evaluated]
+            if extras:
+                raise SchemaError(f"Unevaluated properties are not allowed ({_unexpected(extras)})")
+        return evaluated
+
+    def _child(self, schema, instance, key) -> set:
+        try:
+            return self._descend(schema, instance)
+        except SchemaError as exc:
+            exc.path = (key,) + exc.path
+            raise
+
+    def _resolve(self, ref: str) -> dict:
+        target = self.root
+        for token in ref.removeprefix("#/").split("/"):
+            target = target[token]
+        return target
+
+    def _meant_for(self, schema, instance) -> bool:
+        """Whether the ``type`` a schema declares, through ``$ref``, admits the instance."""
+        while "type" not in schema and "$ref" in schema:
+            schema = self._resolve(schema["$ref"])
+        return "type" in schema and _has_type(instance, schema["type"])
+
+    # -- keywords for any instance ---------------------------------------
+
+    def _type(self, types, instance, schema):
+        if not _has_type(instance, types):
+            names = [types] if isinstance(types, str) else types
+            raise SchemaError(f"{instance!r} is not of type {', '.join(map(repr, names))}")
+
+    def _const(self, const, instance, schema):
+        if not _json_equal(instance, const):
+            raise SchemaError(f"{const!r} was expected")
+
+    def _enum(self, enum, instance, schema):
+        if not any(_json_equal(instance, item) for item in enum):
+            raise SchemaError(f"{instance!r} is not one of {enum!r}")
+
+    def _ref(self, ref, instance, schema):
+        return self._descend(self._resolve(ref), instance)
+
+    def _all_of(self, subschemas, instance, schema):
+        evaluated = set()
+        for sub in subschemas:
+            evaluated |= self._descend(sub, instance)
+        return evaluated
+
+    def _any_of(self, subschemas, instance, schema):
+        evaluated, errors = set(), []
+        for sub in subschemas:
+            try:
+                evaluated |= self._descend(sub, instance)
+            except SchemaError as exc:
+                errors.append((sub, exc))
+        if len(errors) < len(subschemas):
+            return evaluated
+        # The one branch meant for this kind of value says best what is wrong.
+        typed = [exc for sub, exc in errors if self._meant_for(sub, instance)]
+        if len(typed) == 1:
+            raise typed[0]
+        raise SchemaError(f"{instance!r} is not valid under any of the given schemas")
+
+    def _if(self, condition, instance, schema):
+        try:
+            evaluated = self._descend(condition, instance)
+        except SchemaError:
+            return self._descend(schema["else"], instance) if "else" in schema else None
+        if "then" in schema:
+            evaluated |= self._descend(schema["then"], instance)
+        return evaluated
+
+    # -- numbers -----------------------------------------------------------
+
+    def _minimum(self, minimum, instance, schema):
+        if _is_number(instance) and instance < minimum:
+            raise SchemaError(f"{instance!r} is less than the minimum of {minimum!r}")
+
+    def _exclusive_minimum(self, minimum, instance, schema):
+        if _is_number(instance) and instance <= minimum:
+            raise SchemaError(f"{instance!r} is less than or equal to the minimum of {minimum!r}")
+
+    def _exclusive_maximum(self, maximum, instance, schema):
+        if _is_number(instance) and instance >= maximum:
+            raise SchemaError(f"{instance!r} is greater than or equal to the maximum of {maximum!r}")
+
+    # -- arrays ------------------------------------------------------------
+
+    def _items(self, items, instance, schema):
+        if isinstance(instance, list):
+            for index, item in enumerate(instance):
+                self._child(items, item, index)
+
+    def _min_items(self, bound, instance, schema):
+        if isinstance(instance, list) and len(instance) < bound:
+            raise SchemaError(f"{instance!r} {'should be non-empty' if bound == 1 else 'is too short'}")
+
+    def _max_items(self, bound, instance, schema):
+        if isinstance(instance, list) and len(instance) > bound:
+            raise SchemaError(f"{instance!r} {'is expected to be empty' if bound == 0 else 'is too long'}")
+
+    # -- objects -----------------------------------------------------------
+
+    def _required(self, names, instance, schema):
+        if isinstance(instance, dict):
+            for name in names:
+                if name not in instance:
+                    raise SchemaError(f"{name!r} is a required property")
+
+    def _properties(self, properties, instance, schema):
+        if not isinstance(instance, dict):
+            return None
+        evaluated = set()
+        for name, sub in properties.items():
+            if name in instance:
+                self._child(sub, instance[name], name)
+                evaluated.add(name)
+        return evaluated
+
+    def _additional_properties(self, additional, instance, schema):
+        if not isinstance(instance, dict):
+            return None
+        known = schema.get("properties", {})
+        extras = [name for name in instance if name not in known]
+        if additional is False:
+            if extras:
+                raise SchemaError(f"Additional properties are not allowed ({_unexpected(extras)})")
+        else:
+            for name in extras:
+                self._child(additional, instance[name], name)
+        return set(extras)
+
+
+#: The assertion and applicator keywords, by the method that applies each.
+_KEYWORDS = {
+    "type": _Validator._type,
+    "const": _Validator._const,
+    "enum": _Validator._enum,
+    "$ref": _Validator._ref,
+    "allOf": _Validator._all_of,
+    "anyOf": _Validator._any_of,
+    "if": _Validator._if,
+    "minimum": _Validator._minimum,
+    "exclusiveMinimum": _Validator._exclusive_minimum,
+    "exclusiveMaximum": _Validator._exclusive_maximum,
+    "items": _Validator._items,
+    "minItems": _Validator._min_items,
+    "maxItems": _Validator._max_items,
+    "required": _Validator._required,
+    "properties": _Validator._properties,
+    "additionalProperties": _Validator._additional_properties,
+}
+
+#: Keywords that ``_descend`` does not dispatch: ``then`` and ``else`` run
+#: under ``if``, ``unevaluatedProperties: false`` runs after all the others
+#: (no other value is supported), and the rest assert nothing.
+_SKIPPED = frozenset({"then", "else", "unevaluatedProperties", "$schema", "title", "$defs"})
+
+_VALIDATOR: Optional[_Validator] = None
 
 
 def validate_report(report: dict) -> None:
-    """Raise jsonschema.ValidationError if the report violates the schema.
+    """Raise :class:`SchemaError` if the report violates the shipped schema.
 
-    The error is the one ``jsonschema.validate`` would raise.  The shipped
-    schema itself is not re-checked against its metaschema here, which costs
-    more than the validation; the test suite checks it once.
+    The verdict is jsonschema's Draft 2020-12 verdict, which the tests check
+    on every golden report under many mutations.  The messages of the common
+    errors are jsonschema's too ("'x' is a required property", "Additional
+    properties are not allowed ('x' was unexpected)").  Where an ``anyOf``
+    fails, the error comes from the branch whose ``type`` matches the value.
     """
     global _VALIDATOR
     if _VALIDATOR is None:
-        _VALIDATOR = jsonschema.Draft202012Validator(load_schema())
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(report))
-    if error is not None:
-        raise error
+        _VALIDATOR = _Validator(load_schema())
+    _VALIDATOR.check(report)
 
 
 def build_report(
@@ -74,7 +314,7 @@ def build_report(
             report["timing_seconds"] = elapsed
     try:
         validate_report(report)
-    except jsonschema.ValidationError as exc:
+    except SchemaError as exc:
         raise DivergenceError(f"the report fails its schema: {exc.message}") from exc
     return report
 

@@ -80,6 +80,10 @@ class TestDeltaGrid:
         assert delta_grid() == [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]
 
     def test_validation(self):
+        # Both guards at their ties: delta0 = 0 and one level.
+        with pytest.raises(ValueError, match="need delta0 > 0"):
+            delta_grid(0.0)
+        assert delta_grid(0.5, 1) == [0.5]
         with pytest.raises(ValueError):
             delta_grid(0.0, 3)
         with pytest.raises(ValueError):

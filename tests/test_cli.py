@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cauchycert
 from cauchycert import STAGES, contractions
 from cauchycert.cli import main
-from cauchycert.reports import load_schema, validate_report
+from cauchycert.reports import SchemaError, load_schema, validate_report
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -191,7 +193,7 @@ class TestCheck:
         for key in path[:-1]:
             holder = holder[key]
         del holder[path[-1]]
-        with pytest.raises(jsonschema.ValidationError, match=path[-1]):
+        with pytest.raises(SchemaError, match=path[-1]):
             validate_report(report)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -325,7 +327,7 @@ class TestCertify:
         _, out, _ = run_cli(["certify", "--config", cfg, "--no-timestamp"], capsys)
         report = parse_report(out)
         del report["results"]["per_delta"][2]["outcome"]["certificate"]["oracle_tail_diameter"]
-        with pytest.raises(jsonschema.ValidationError, match="oracle_tail_diameter"):
+        with pytest.raises(SchemaError, match="oracle_tail_diameter"):
             validate_report(report)
 
     @pytest.mark.parametrize("field", ["failure", "stages", "shift_contraction"])
@@ -334,7 +336,7 @@ class TestCertify:
         _, out, _ = run_cli(["certify", "--config", cfg, "--no-timestamp"], capsys)
         report = parse_report(out)
         del report["results"]["per_delta"][0]["outcome"][field]
-        with pytest.raises(jsonschema.ValidationError, match=field):
+        with pytest.raises(SchemaError, match=field):
             validate_report(report)
 
     def test_large_delta_certifies(self, tmp_path, capsys):
@@ -836,17 +838,42 @@ class TestConfigErrors:
         parse_report(out)
 
 
+def test_every_export_is_its_submodules_object():
+    for name in cauchycert.__all__:
+        assert getattr(cauchycert, name) is getattr(
+            importlib.import_module(f"cauchycert.{cauchycert._MODULE_OF[name]}"), name
+        )
+    assert set(cauchycert.__all__) <= set(dir(cauchycert))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cauchycert.no_such_name
+
+
+#: ``python -c`` code that puts a finder with the body FINDER (which sees the
+#: module ``name``) first on ``sys.meta_path``, then runs ``python -m
+#: cauchycert`` with the remaining arguments.
+RUN_MAIN_WITH_FINDER = """
+import os, runpy, sys
+class Finder:
+    def find_spec(self, name, path=None, target=None):
+        {finder}
+sys.meta_path.insert(0, Finder())
+runpy.run_module("cauchycert", run_name="__main__", alter_sys=True)
+"""
+
+
 class TestSubprocess:
     """The installed entry point, exercised the way a shell user would."""
 
-    def _run(self, args, env_extra=None, cwd=None):
+    def _run(self, args, env_extra=None, cwd=None, code=None):
+        """``python -m cauchycert ARGS``, or ``python -c CODE ARGS``."""
         # The child imports this checkout's package, installed or not.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
         if env_extra:
             env.update(env_extra)
         return subprocess.run(
-            [sys.executable, "-m", "cauchycert", *args],
+            [sys.executable, *(["-c", code] if code else ["-m", "cauchycert"]), *args],
             capture_output=True,
             text=True,
             env=env,
@@ -857,6 +884,29 @@ class TestSubprocess:
         proc = self._run(["list"])
         assert proc.returncode == 0
         parse_report(proc.stdout)
+
+    def test_package_import_loads_neither_numpy_nor_jsonschema(self):
+        proc = self._run(
+            [], code="import sys, cauchycert; print(sorted(set(sys.modules) & {'numpy', 'jsonschema'}))"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_list_runs_with_jsonschema_unimportable(self):
+        proc = self._run(["list", "--no-timestamp"], code=RUN_MAIN_WITH_FINDER.format(
+            finder='if name.partition(".")[0] == "jsonschema": raise ImportError("blocked")'
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        validate_report(parse_report(proc.stdout))
+
+    @pytest.mark.parametrize("user_value, seen", [(None, "1"), ("3", "3")])
+    def test_openblas_threads_default_to_one_and_a_user_value_wins(self, user_value, seen):
+        # The finder records the variable at the moment numpy is first imported.
+        env = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
+        proc = self._run(["list", "--no-timestamp"], env_extra=env, code=RUN_MAIN_WITH_FINDER.format(
+            finder='if name == "numpy": print("numpy sees", os.environ.get("OPENBLAS_NUM_THREADS"), '
+            'file=sys.stderr)'
+        ))
+        assert (proc.returncode, proc.stderr) == (0, f"numpy sees {seen}\n")
 
     def test_info_logging_goes_to_stderr(self, tmp_path):
         cfg = write_config(tmp_path, HALVING_ORBIT_CONFIG)

@@ -9,6 +9,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchycert import (
     DivergenceError,
@@ -23,7 +25,7 @@ from cauchycert import (
     solve_fixed_point,
 )
 from cauchycert.metrics import to_json
-from cauchycert.reports import load_schema, validate_report
+from cauchycert.reports import _KEYWORDS, _SKIPPED, SchemaError, _Validator, load_schema, validate_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,7 +106,7 @@ def test_schema_refuses_a_key_more_in_any_object(golden):
     validate_report(report)
     for obj in _objects(report):
         obj["unexpected"] = 0
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(SchemaError):
             validate_report(report)
         del obj["unexpected"]
 
@@ -112,5 +114,166 @@ def test_schema_refuses_a_key_more_in_any_object(golden):
 def test_list_results_are_checked():
     report = json.loads((GOLDEN / "list.json").read_text())
     report["results"] = {"metrics": 5}
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(SchemaError):
         validate_report(report)
+
+
+# ---------------------------------------------------------------------------
+# The in-package validator against jsonschema, its oracle
+# ---------------------------------------------------------------------------
+
+ORACLE = jsonschema.Draft202012Validator(load_schema())
+
+#: What each node of a golden is set to: every JSON kind, the integral and
+#: boolean corner cases of `type`, and the schema's bounds 0 and 1.
+REPLACEMENTS = [
+    None, True, False, 0, 1, -1, 0.0, -0.0, 1.0, 1.5, -1.5, 2**70, 1e308, -1e308,
+    "", "x", "certify", [], [1], [0.5, 2], {}, {"a": 1},
+]
+
+
+def _refused(report) -> bool:
+    try:
+        validate_report(report)
+    except SchemaError:
+        return True
+    return False
+
+
+def _nodes(value, path=()):
+    """The path of every value in a JSON document, root first."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _nodes(item, path + (index,))
+
+
+def _at(report, path):
+    for key in path:
+        report = report[key]
+    return report
+
+
+def test_the_schema_uses_only_implemented_keywords():
+    # A keyword the validator does not know would be skipped by nothing and
+    # fail with a KeyError; this names it before any report meets it.
+    implemented = set(_KEYWORDS) | _SKIPPED
+    unknown = set()
+
+    def walk(schema):
+        # Every subschema is an object and every `$ref` is local; `false` is
+        # the one value of `additionalProperties` and `unevaluatedProperties`
+        # that is not an object.
+        assert isinstance(schema, dict)
+        unknown.update(set(schema) - implemented)
+        assert schema.get("$ref", "#/").startswith("#/")
+        assert schema.get("unevaluatedProperties", False) is False
+        subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
+        subschemas += schema.get("allOf", []) + schema.get("anyOf", [])
+        subschemas += [schema[k] for k in ("items", "if", "then", "else") if k in schema]
+        if schema.get("additionalProperties", False) is not False:
+            subschemas.append(schema["additionalProperties"])
+        for sub in subschemas:
+            walk(sub)
+
+    walk(load_schema())
+    assert not unknown
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_verdicts_equal_jsonschema_under_mutation(golden):
+    """Every node set to each replacement, every node deleted, a key added to every object."""
+    report = json.loads(golden.read_text())
+    checked = 0
+
+    def agree():
+        nonlocal checked
+        checked += 1
+        assert _refused(report) != ORACLE.is_valid(report), (golden.stem, path, report)
+
+    for path in list(_nodes(report)):
+        node = _at(report, path)
+        if isinstance(node, dict):
+            node["unexpected"] = 0
+            agree()
+            del node["unexpected"]
+        if not path:
+            continue
+        holder, key = _at(report, path[:-1]), path[-1]
+        for value in REPLACEMENTS:
+            holder[key] = value
+            agree()
+        if isinstance(holder, dict):
+            del holder[key]
+            agree()
+            holder[key] = node
+        else:
+            del holder[key]
+            agree()
+            holder.insert(key, node)
+    assert report == json.loads(golden.read_text())
+    assert checked > 200
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3) | st.sampled_from(["certify", "solve", "pair_scan", "cauchycert"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verdicts_equal_jsonschema_on_random_values(data):
+    golden = data.draw(st.sampled_from(sorted(GOLDEN.glob("*.json"))), label="golden")
+    report = json.loads(golden.read_text())
+    paths = [path for path in _nodes(report) if path]
+    path = data.draw(st.sampled_from(paths), label="path")
+    _at(report, path[:-1])[path[-1]] = data.draw(_JSON, label="value")
+    assert _refused(report) != ORACLE.is_valid(report)
+
+
+def test_a_failed_anyof_reports_the_branch_of_the_values_type():
+    report = json.loads((GOLDEN / "certify_certified.json").read_text())
+    del report["results"]["per_delta"][2]["outcome"]["certificate"]["oracle_tail_diameter"]
+    with pytest.raises(SchemaError) as info:
+        validate_report(report)
+    assert info.value.message == "'oracle_tail_diameter' is a required property"
+    assert info.value.path == ("results", "per_delta", 2, "outcome", "certificate")
+
+
+@pytest.mark.parametrize(
+    "schema, value, valid",
+    [
+        ({"minimum": 1}, 1, True),
+        ({"minimum": 1}, 0.5, False),
+        ({"exclusiveMinimum": 0}, 0, False),
+        ({"exclusiveMinimum": 0}, 5e-324, True),
+        ({"exclusiveMaximum": 1}, 1, False),
+        ({"exclusiveMaximum": 1}, 0.5, True),
+        ({"minItems": 2}, [1, 2], True),
+        ({"minItems": 2}, [1], False),
+        ({"maxItems": 2}, [1, 2], True),
+        ({"maxItems": 2}, [1, 2, 3], False),
+        ({"anyOf": [{"type": "null"}, {"minimum": 0}]}, 0, True),
+        ({"anyOf": [{"minimum": 0}, {"type": "null"}]}, None, True),
+        ({"anyOf": [{"minimum": 0}, {"type": "null"}]}, -1, False),
+        ({"type": "integer"}, 2.0, True),
+        ({"type": "integer"}, True, False),
+        ({"const": 1}, 1.0, True),
+        ({"const": 1}, True, False),
+        ({"enum": [[0, 1]]}, [False, True], False),
+    ],
+)
+def test_keywords_at_their_ties(schema, value, valid):
+    validator = _Validator(schema)
+    if valid:
+        validator.check(value)
+    else:
+        with pytest.raises(SchemaError):
+            validator.check(value)
+    assert jsonschema.Draft202012Validator(schema).is_valid(value) is valid
