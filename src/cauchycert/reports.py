@@ -7,7 +7,10 @@ serialization so dict construction order never leaks into the output.
 Every report is checked against the shipped ``report_schema.json`` (JSON
 Schema draft 2020-12) by the small validator below.  It implements exactly
 the keywords that schema uses (see ``_KEYWORDS``), so a CLI process needs no
-jsonschema import; the tests hold its verdicts equal to jsonschema's.
+jsonschema import; the tests hold its verdicts equal to jsonschema's.  Every
+object the schema closes is closed by ``additionalProperties: false``, which
+reads only its own schema's ``properties``, so each keyword is a check on
+its own.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ def _unexpected(extras: list) -> str:
 class _Validator:
     """Checks an instance against one schema; ``check`` raises :class:`SchemaError`.
 
-    Each keyword method returns the names of the instance's properties that
-    it evaluated, which ``unevaluatedProperties`` needs, or None.
+    Each keyword method checks its keyword and raises on the first error;
+    none depends on what another keyword evaluated.
     """
 
     def __init__(self, schema: dict):
@@ -100,22 +103,14 @@ class _Validator:
     def check(self, instance) -> None:
         self._descend(self.root, instance)
 
-    def _descend(self, schema: dict, instance) -> set:
-        evaluated = set()
+    def _descend(self, schema: dict, instance) -> None:
         for keyword, value in schema.items():
             if keyword not in _SKIPPED:
-                names = _KEYWORDS[keyword](self, value, instance, schema)
-                if names:
-                    evaluated |= names
-        if schema.get("unevaluatedProperties") is False and isinstance(instance, dict):
-            extras = [name for name in instance if name not in evaluated]
-            if extras:
-                raise SchemaError(f"Unevaluated properties are not allowed ({_unexpected(extras)})")
-        return evaluated
+                _KEYWORDS[keyword](self, value, instance, schema)
 
-    def _child(self, schema, instance, key) -> set:
+    def _child(self, schema, instance, key) -> None:
         try:
-            return self._descend(schema, instance)
+            self._descend(schema, instance)
         except SchemaError as exc:
             exc.path = (key,) + exc.path
             raise
@@ -148,23 +143,20 @@ class _Validator:
             raise SchemaError(f"{instance!r} is not one of {enum!r}")
 
     def _ref(self, ref, instance, schema):
-        return self._descend(self._resolve(ref), instance)
+        self._descend(self._resolve(ref), instance)
 
     def _all_of(self, subschemas, instance, schema):
-        evaluated = set()
         for sub in subschemas:
-            evaluated |= self._descend(sub, instance)
-        return evaluated
+            self._descend(sub, instance)
 
     def _any_of(self, subschemas, instance, schema):
-        evaluated, errors = set(), []
+        errors = []
         for sub in subschemas:
             try:
-                evaluated |= self._descend(sub, instance)
+                self._descend(sub, instance)
+                return
             except SchemaError as exc:
                 errors.append((sub, exc))
-        if len(errors) < len(subschemas):
-            return evaluated
         # The one branch meant for this kind of value says best what is wrong.
         typed = [exc for sub, exc in errors if self._meant_for(sub, instance)]
         if len(typed) == 1:
@@ -173,12 +165,13 @@ class _Validator:
 
     def _if(self, condition, instance, schema):
         try:
-            evaluated = self._descend(condition, instance)
+            self._descend(condition, instance)
         except SchemaError:
-            return self._descend(schema["else"], instance) if "else" in schema else None
-        if "then" in schema:
-            evaluated |= self._descend(schema["then"], instance)
-        return evaluated
+            branch = "else"
+        else:
+            branch = "then"
+        if branch in schema:
+            self._descend(schema[branch], instance)
 
     # -- numbers -----------------------------------------------------------
 
@@ -218,18 +211,14 @@ class _Validator:
                     raise SchemaError(f"{name!r} is a required property")
 
     def _properties(self, properties, instance, schema):
-        if not isinstance(instance, dict):
-            return None
-        evaluated = set()
-        for name, sub in properties.items():
-            if name in instance:
-                self._child(sub, instance[name], name)
-                evaluated.add(name)
-        return evaluated
+        if isinstance(instance, dict):
+            for name, sub in properties.items():
+                if name in instance:
+                    self._child(sub, instance[name], name)
 
     def _additional_properties(self, additional, instance, schema):
         if not isinstance(instance, dict):
-            return None
+            return
         known = schema.get("properties", {})
         extras = [name for name in instance if name not in known]
         if additional is False:
@@ -238,7 +227,6 @@ class _Validator:
         else:
             for name in extras:
                 self._child(additional, instance[name], name)
-        return set(extras)
 
 
 #: The assertion and applicator keywords, by the method that applies each.
@@ -262,9 +250,8 @@ _KEYWORDS = {
 }
 
 #: Keywords that ``_descend`` does not dispatch: ``then`` and ``else`` run
-#: under ``if``, ``unevaluatedProperties: false`` runs after all the others
-#: (no other value is supported), and the rest assert nothing.
-_SKIPPED = frozenset({"then", "else", "unevaluatedProperties", "$schema", "title", "$defs"})
+#: under ``if``, and the rest assert nothing.
+_SKIPPED = frozenset({"then", "else", "$schema", "title", "$defs"})
 
 _VALIDATOR: Optional[_Validator] = None
 

@@ -86,11 +86,11 @@ class SequencePrefix:
     built on first use and kept for every later scan.  It keeps the shift
     profile of the last (delta, p) scanned the same way, in one slot.
 
-    A prefix grown by :meth:`extend` inherits both from the shorter prefix,
-    so that each grown block costs O(N * block) distance evaluations and
-    scans, not O(N^2): its matrix is the top-left corner of a buffer with
-    spare rows and columns that later prefixes grow into, and its profile
-    scans only the pairs with a new index.
+    A prefix grown by :meth:`extend` from a prefix with a built matrix
+    inherits both, so that each grown block costs O(N * block) distance
+    evaluations and scans, not O(N^2): its matrix is written when it is made,
+    as the top-left corner of a buffer with spare rows and columns that later
+    prefixes grow into, and its profile scans only the pairs with a new index.
     """
 
     def __init__(self, points: Sequence, metric: DbMetric):
@@ -117,8 +117,6 @@ class SequencePrefix:
         self._matrix: Optional[np.ndarray] = None
         # The writable (C, C) buffer whose corner is ``_matrix``, until a child takes it.
         self._spare: Optional[np.ndarray] = None
-        # The matrix of a leading sub-prefix, and the buffer this prefix takes.
-        self._base: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None
         self._profile: Optional[tuple] = None  # the last shift profile, see _shift_profile
 
     def __len__(self) -> int:
@@ -133,54 +131,46 @@ class SequencePrefix:
     def extend(self, points: Sequence) -> "SequencePrefix":
         """This prefix followed by ``points``, validated like a new prefix.
 
-        If this prefix's distance matrix was built, the longer prefix keeps
-        it and its shift profile.  Its own matrix then evaluates only the
-        rows and columns of the new points: the first longer prefix that fits
-        in this matrix's buffer takes the buffer and fills them in place,
-        and any other copies this matrix into a new buffer with spare
-        capacity.  This prefix's own matrix never changes.
+        If this prefix's distance matrix was built, the longer prefix's
+        matrix is written at once, and the longer prefix keeps this one's
+        shift profile.  Only the rows and columns of the new points are
+        evaluated (a :class:`MetricError` among them is raised here), into
+        the top-left corner of a ``(C, C)`` :func:`matrix_buffer`: the first
+        longer prefix that fits in this matrix's buffer takes the buffer, and
+        any other copies this matrix into a new one with C = ceil(5 N / 4).
+        This prefix's own matrix never changes.
         """
         new = _stack(points)
         if not len(new):
             return self
         grown = SequencePrefix(np.concatenate([self.coords, new]), self.metric)
         if self._matrix is not None:
-            spare = self._spare
-            if spare is not None and spare.shape[0] >= len(grown):
+            n, size = len(self), len(grown)
+            top = self.metric.cross(grown.coords[:n], grown.coords[n:])
+            bottom = self.metric.cross(grown.coords[n:], grown.coords)
+            buf = self._spare
+            if buf is not None and buf.shape[0] >= size:
                 self._spare = None
             else:
-                spare = None
-            grown._base = (self._matrix, spare)
+                cap = -(-5 * size // 4)
+                buf = matrix_buffer(cap, cap)
+                buf[:n, :n] = self._matrix
+            buf[:n, n:size] = top
+            buf[n:size, :size] = bottom
+            grown._matrix = buf[:size, :size]
+            grown._matrix.setflags(write=False)
+            grown._spare = buf
             grown._profile = self._profile
         return grown
 
     def distance_matrix(self) -> np.ndarray:
         """Validated read-only all-pairs matrix; entry [i, j] is rho(x_{i+1}, x_{j+1}).
 
-        A fresh prefix builds it with :meth:`DbMetric.matrix`.  A grown one
-        writes it into the top-left corner of a ``(C, C)``
-        :func:`matrix_buffer`: the buffer it took from the shorter prefix, or
-        a new one with C = ceil(5 N / 4) that the shorter prefix's matrix is
-        copied into.
+        Built with :meth:`DbMetric.matrix` on first use, unless :meth:`extend`
+        wrote it when the prefix was made.
         """
         if self._matrix is None:
-            base, self._base = self._base, None
-            if base is None:
-                self._matrix = self.metric.matrix(self.coords)
-            else:
-                old, buf = base
-                n, size = old.shape[0], len(self)
-                top = self.metric.cross(self.coords[:n], self.coords[n:])
-                bottom = self.metric.cross(self.coords[n:], self.coords)
-                if buf is None:
-                    cap = -(-5 * size // 4)
-                    buf = matrix_buffer(cap, cap)
-                    buf[:n, :n] = old
-                buf[:n, n:size] = top
-                buf[n:size, :size] = bottom
-                matrix = buf[:size, :size]
-                matrix.setflags(write=False)
-                self._spare, self._matrix = buf, matrix
+            self._matrix = self.metric.matrix(self.coords)
         return self._matrix
 
 

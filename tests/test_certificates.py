@@ -232,6 +232,21 @@ class TestChainStage:
         w = ShiftWitness(0.5, p, 0.5, 1)
         assert _result(_chain_stage, seq, w, n_low) == _result(matmul_chain_stage, seq, w, n_low)
 
+    @pytest.mark.parametrize(
+        "entries, where",
+        # A self-distance ETA above its doubled zero step passes; the first row
+        # more than ETA above fails, past an earlier one at the tie.
+        [({(2, 2): ETA}, None), ({(1, 1): ETA, (3, 3): 2 * ETA}, (3, 0))],
+    )
+    def test_gap_of_exactly_eta_passes(self, entries, where):
+        seq, w = _table_prefix(4, entries), ShiftWitness(1.0, 1, 0.5, 1)
+        if where is None:
+            assert [tuple(b) for b in _chain_stage(seq, w, 0)] == [(0, 0.0), (1, 0.0)]
+        else:
+            with pytest.raises(CertificateFailure, match="chain bound violated") as exc:
+                _chain_stage(seq, w, 0)
+            assert exc.value.where == where
+
     @settings(max_examples=300, deadline=None)
     @given(
         # Arbitrary floats make the sums round, so the order of summation shows.
@@ -278,6 +293,20 @@ class TestSettlingIndex:
         with pytest.raises(PrefixTooShort):
             find_settling_index(seq, ShiftWitness(0.1, 1, 0.5, 1))
 
+    def test_shortest_prefix_scans_one_row(self):
+        # N = n0 + p + 1 leaves the one row n = n0 + 1 to scan.  The replay
+        # never meets it: the shift check needs N >= n0 + p + 2.
+        w = ShiftWitness(1.0, 2, 0.5, 2)
+        assert find_settling_index(_table_prefix(5, {}), w) == 2
+
+    def test_offset_of_exactly_the_threshold_does_not_settle(self):
+        # Offsets below the threshold pass; one equal to it fails its row.
+        w = ShiftWitness(1.0, 1, 0.5, 1)
+        threshold = w.delta * (1.0 - w.lam) / 1.0 - ETA
+        below = _table_prefix(5, {(2, 3): np.nextafter(threshold, 0.0)})
+        assert find_settling_index(below, w) == 1
+        assert find_settling_index(_table_prefix(5, {(2, 3): threshold}), w) == 2
+
 
 class TestBlockInduction:
     def test_halving_trace(self, halving_orbit):
@@ -321,11 +350,16 @@ class TestBlockInduction:
         assert exc.value.stage == "block_induction"
         assert exc.value.where == (2, 1)
 
-    def test_wrong_settling_index_surfaces_as_divergence(self, euclid):
+    @pytest.mark.parametrize(
+        "values, k",
+        # The previous block of (2, 2) is exactly ETA: a zero block.
+        [([9.0, 1.5, 0.4, 1.0], 1), ([9.0, 0.0, ETA, 1.5], 2)],
+    )
+    def test_wrong_settling_index_surfaces_as_divergence(self, euclid, values, k):
         # With an honest settling index the justification cannot fail after
         # the direct bound passes; feeding a wrong one must not be accepted.
-        seq = SequencePrefix([9.0, 1.5, 0.4, 1.0], euclid)
-        with pytest.raises(DivergenceError):
+        seq = SequencePrefix(values, euclid)
+        with pytest.raises(DivergenceError, match=rf"zero-branch justification failed at \(n=2, k={k}\)"):
             run_block_induction(seq, ShiftWitness(2.0, 1, 0.5, 1), settling=1)
 
 

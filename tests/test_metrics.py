@@ -298,6 +298,14 @@ class TestToleranceTies:
         estimate = estimate_minimal_s(make_metric("euclid_1d"), (zero, zero, tiny))
         assert estimate.min_s == 0.0 and estimate.worst is None
 
+    def test_estimated_s_of_exactly_the_declared_s_plus_eta_holds(self):
+        # sq_abs needs s = 2.0, which is (2 - ETA) + ETA in floats.
+        metric = make_metric("sq_abs", s=2.0 - ETA)
+        assert metric.s + ETA == 2.0
+        report = run_axiom_report(metric, SamplerConfig(pair_count=8, triple_count=8))
+        assert report.estimated_min_s == 2.0
+        assert report.triangle_ok
+
     def test_smallest_sampler(self):
         cfg = SamplerConfig(pair_count=1, triple_count=1, grid_points=2)
         assert len(sample_pairs(cfg, 2)[0]) == 1 + 4

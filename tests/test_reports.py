@@ -56,7 +56,10 @@ def reports(halving_orbit, euclid):
 )
 def test_serialized_keys_are_the_schema_properties(reports, name):
     definition = load_schema()["$defs"][name]
-    assert set(reports[name].to_dict()) == set(definition["properties"])
+    keys = set(reports[name].to_dict())
+    if name == "solve_result":
+        keys.add("solved")  # the `solve` command puts it next to the result's keys
+    assert keys == set(definition["properties"])
     assert set(definition["required"]) == set(definition["properties"])
 
 
@@ -165,12 +168,10 @@ def test_the_schema_uses_only_implemented_keywords():
 
     def walk(schema):
         # Every subschema is an object and every `$ref` is local; `false` is
-        # the one value of `additionalProperties` and `unevaluatedProperties`
-        # that is not an object.
+        # the one value of `additionalProperties` that is not an object.
         assert isinstance(schema, dict)
         unknown.update(set(schema) - implemented)
         assert schema.get("$ref", "#/").startswith("#/")
-        assert schema.get("unevaluatedProperties", False) is False
         subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
         subschemas += schema.get("allOf", []) + schema.get("anyOf", [])
         subschemas += [schema[k] for k in ("items", "if", "then", "else") if k in schema]
@@ -183,39 +184,81 @@ def test_the_schema_uses_only_implemented_keywords():
     assert not unknown
 
 
-@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
-def test_verdicts_equal_jsonschema_under_mutation(golden):
-    """Every node set to each replacement, every node deleted, a key added to every object."""
-    report = json.loads(golden.read_text())
-    checked = 0
-
-    def agree():
-        nonlocal checked
-        checked += 1
-        assert _refused(report) != ORACLE.is_valid(report), (golden.stem, path, report)
-
+def _mutations(report):
+    """Mutate the report in place and yield the path of each mutation: every
+    node set to each replacement, every node deleted, a key added to every
+    object.  Each is undone before the next."""
     for path in list(_nodes(report)):
         node = _at(report, path)
         if isinstance(node, dict):
             node["unexpected"] = 0
-            agree()
+            yield path
             del node["unexpected"]
         if not path:
             continue
         holder, key = _at(report, path[:-1]), path[-1]
         for value in REPLACEMENTS:
             holder[key] = value
-            agree()
+            yield path
+        del holder[key]
+        yield path
         if isinstance(holder, dict):
-            del holder[key]
-            agree()
             holder[key] = node
         else:
-            del holder[key]
-            agree()
             holder.insert(key, node)
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_verdicts_equal_jsonschema_under_mutation(golden):
+    report = json.loads(golden.read_text())
+    checked = 0
+    for path in _mutations(report):
+        checked += 1
+        assert _refused(report) != ORACLE.is_valid(report), (golden.stem, path, report)
     assert report == json.loads(golden.read_text())
     assert checked > 200
+
+
+def _unevaluated_schema() -> dict:
+    """The shipped schema with `solve` results closed the older way: an open
+    `solve_result` without `solved`, an open `else`, and
+    `unevaluatedProperties: false` on `solve_results`."""
+    schema = load_schema()
+    results, result = schema["$defs"]["solve_results"], schema["$defs"]["solve_result"]
+    del result["properties"]["solved"], result["additionalProperties"]
+    result["required"].remove("solved")
+    results["else"] = {"required": ["error"], "properties": {"error": {"type": "string"}}}
+    results["unevaluatedProperties"] = False
+    return schema
+
+
+UNEVALUATED = jsonschema.Draft202012Validator(_unevaluated_schema())
+
+
+# The two schemas differ only under `command: solve`, which no mutation of
+# another golden sets: there a missing `command` fails `required` under both.
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("solve_*.json")), ids=lambda path: path.stem)
+def test_closed_objects_give_the_verdicts_of_unevaluated_properties(golden):
+    report = json.loads(golden.read_text())
+    for path in _mutations(report):
+        assert ORACLE.is_valid(report) == UNEVALUATED.is_valid(report), (golden.stem, path, report)
+
+
+@pytest.mark.parametrize(
+    "golden, change",
+    [
+        ("solve_certified", {"error": "x"}),
+        ("solve_contraction_error", {"fixed_point": [1.0]}),
+        ("solve_certified", {"solved": False}),
+        ("solve_contraction_error", {"solved": True}),
+    ],
+)
+def test_a_solve_result_of_the_other_shape_is_refused(golden, change):
+    report = json.loads((GOLDEN / f"{golden}.json").read_text())
+    report["results"].update(change)
+    assert _refused(report)
+    assert not ORACLE.is_valid(report)
+    assert not UNEVALUATED.is_valid(report)
 
 
 _JSON = st.recursive(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -175,6 +177,21 @@ class TestExtend:
         seq = SequencePrefix([1.0, 2.0], make_metric("euclid_1d")).extend([4.0])
         seq.distance_matrix()
         assert calls == [3, 3]
+
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_a_copy_holds_nothing_of_the_shorter_prefix(self, euclid, spare):
+        # Past the capacity of the shorter prefix's buffer (a fresh build has
+        # none to spare, a grown one C = 5 here), the longer prefix copies its
+        # matrix; the shorter one's buffer dies with it, without gc.
+        a = SequencePrefix([1.0, 2.0, 4.0], euclid)
+        a.distance_matrix()
+        if spare:
+            a = a.extend([8.0])
+        buffer = weakref.ref(a.distance_matrix().base)
+        b = a.extend(np.arange(8.0))
+        del a
+        assert buffer() is None
+        assert b.distance_matrix().tobytes() == SequencePrefix(b.coords, euclid).distance_matrix().tobytes()
 
     def test_new_points_are_validated(self, euclid):
         seq = SequencePrefix([1.0, 2.0], euclid)

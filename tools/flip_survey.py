@@ -7,6 +7,8 @@ back), runs the given test files (by default the certificate, golden,
 acceptance and CLI tests) on a copy of ``src`` and ``tests`` in a temporary
 directory, and prints one line per mutant: ``killed`` or ``SURVIVED`` with the
 line of the flipped comparison.  The repository itself is never edited.
+Hypothesis runs with a fixed seed, so a run is reproducible.  Exits 1 when
+any mutant survives.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ def main(target: str, *tests: str) -> int:
         for line, mutated in mutants(original):
             (Path(tmp) / target).write_text(mutated)
             run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                                  *(tests or DEFAULT_TESTS)], cwd=tmp, capture_output=True)
+                                  "--hypothesis-seed=0", *(tests or DEFAULT_TESTS)],
+                                 cwd=tmp, capture_output=True)
             survivors += run.returncode == 0
             print(f"{target}:{line}: {'SURVIVED' if run.returncode == 0 else 'killed'}", flush=True)
         (Path(tmp) / target).write_text(original)
     print(f"{survivors} survived")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
