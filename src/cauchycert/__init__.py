@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "errors": (
         "CauchyCertError", "CertificateFailure", "ConfigError", "ContractionError",
-        "DivergenceError", "MetricError", "PrefixTooShort", "SolverError", "TriangleViolation",
+        "DivergenceError", "MetricError", "PrefixTooShort", "SolverError",
     ),
     "metrics": (
         "ETA", "AxiomReport", "DbMetric", "Point", "SamplerConfig", "check_symmetry",

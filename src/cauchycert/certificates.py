@@ -337,6 +337,9 @@ def _slabs(e: np.ndarray, t: int, p: int, q0: int):
     r = t - k p, the pairs (u, k p + q), u < r, q0 <= q < p, read as direct =
     E[:r, k p + q0 : k p + p], A = E[k p : t, q0 : p] and B = E[:r, k p]."""
     rows = chunk_rows(p)
+    # flip-equivalent: the callers pass q0 = 0 or 1, so q0 <= p differs only at
+    # q0 = p = 1, where each slab has the empty column range kp + 1 .. kp and
+    # _earlier skips its empty mask: only time changes.
     n_blocks = -(-t // p) if q0 < p else 0  # no offset q0 .. p - 1, no slab
     for k in range(q0, n_blocks):
         r, kp = t - k * p, k * p
@@ -455,6 +458,11 @@ def certify_cauchy(
     else:
         fb = diameter_bound(w, seq.metric.s)
         oracle = tail_diameter(seq, settling + 1)
+        # flip-equivalent: the oracle is the largest distance over the pairs
+        # settling < n <= m <= N, or 0, and the stages above have each held every
+        # such pair below the finite, positive fb (the settling scan and the last
+        # p rows at k = 0, block induction at q = 0, the slabs elsewhere), so the
+        # oracle never equals fb and < and <= agree.
         if not (oracle < fb):
             raise DivergenceError(
                 f"certificate issued but oracle tail diameter {oracle} >= bound {fb}"

@@ -150,19 +150,10 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
     for e in entries:
         if e.outcome is not None:
             log.info("delta=%g certified=%s", e.delta, e.outcome.certified)
-        per_delta.append(
-            {
-                "delta": e.delta,
-                "witness": e.witness,
-                "witness_source": source,
-                "outcome": e.outcome,
-                "note": (
-                    (e.note or "no holding witness on the search grid")
-                    if e.witness is None
-                    else e.note
-                ),
-            }
-        )
+        entry = e._asdict() | {"witness_source": source}
+        if e.witness is None:
+            entry["note"] = e.note or "no holding witness on the search grid"
+        per_delta.append(entry)
 
     all_certified = all(e.outcome is not None and e.outcome.certified for e in entries)
     results = {"length": len(seq), "all_certified": all_certified, "per_delta": per_delta}
@@ -252,13 +243,14 @@ def cmd_list(args) -> tuple[dict, dict, int]:
     return {}, results, 0
 
 
+#: Each command's handler and ``--help`` line, in the order the help lists them.
 COMMANDS = {
-    "axioms": cmd_axioms,
-    "check": cmd_check,
-    "certify": cmd_certify,
-    "solve": cmd_solve,
-    "counterexample": cmd_counterexample,
-    "list": cmd_list,
+    "axioms": (cmd_axioms, "sampled metric axiom checks"),
+    "check": (cmd_check, "decay + witness search + oracle"),
+    "certify": (cmd_certify, "full certification over the delta grid"),
+    "solve": (cmd_solve, "certified fixed-point iteration"),
+    "counterexample": (cmd_counterexample, "canned non-Cauchy regression"),
+    "list": (cmd_list, "registered metrics, generators, contractions"),
 }
 
 
@@ -287,12 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true", dest="list_flag",
                         help="shorthand for the 'list' command")
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("axioms", parents=[common], help="sampled metric axiom checks")
-    sub.add_parser("check", parents=[common], help="decay + witness search + oracle")
-    sub.add_parser("certify", parents=[common], help="full certification over the delta grid")
-    sub.add_parser("solve", parents=[common], help="certified fixed-point iteration")
-    sub.add_parser("counterexample", parents=[common], help="canned non-Cauchy regression")
-    sub.add_parser("list", parents=[common], help="registered metrics, generators, contractions")
+    for name, (_, summary) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=summary)
     return parser
 
 
@@ -309,7 +297,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     started = time.monotonic()
     try:
-        config_echo, results, exit_code = COMMANDS[args.command](args)
+        handler, _ = COMMANDS[args.command]
+        config_echo, results, exit_code = handler(args)
         seed = config_echo.get("parameters", {}).get("seed", args.seed or 0)
         report = build_report(
             command=args.command,

@@ -51,10 +51,21 @@ def _float_range_int(text: str) -> int:
     return int(text)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct; JSON would keep the last of two."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config repeats the key {key!r}; only one value can hold")
+        data[key] = value
+    return data
+
+
 def load_config_text(text: str) -> dict:
     try:
         data = json.loads(
             text,
+            object_pairs_hook=_unique_keys,
             parse_float=_finite_float,
             parse_int=_float_range_int,
             parse_constant=_finite_float,

@@ -11,18 +11,6 @@ class MetricError(CauchyCertError):
     """Malformed metric instance or invalid distance evaluation."""
 
 
-class TriangleViolation(MetricError):
-    """A triple violates the relaxed triangle inequality for every s.
-
-    Raised when the two legs of a triple sum to (numerically) zero while the
-    direct distance does not; no relaxation constant can repair that.
-    """
-
-    def __init__(self, message: str, triple=None):
-        super().__init__(message)
-        self.triple = triple
-
-
 class PrefixTooShort(CauchyCertError):
     """The sequence prefix is too short for the requested scan."""
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, MetricError, TriangleViolation
+from .errors import DivergenceError, MetricError
 
 #: Comparison tolerance used for every equality / strictness test on distances.
 ETA = 1e-9
@@ -431,7 +431,7 @@ def estimate_minimal_s(metric: DbMetric, triples: Triples) -> TriangleEstimate:
     maximizer, or None when every ratio is zero.  Triples whose two legs sum
     to (numerically) zero are skipped, unless the direct distance is
     positive -- that violates the relaxed triangle inequality for every s,
-    and the first such triple raises :class:`TriangleViolation`.
+    so the estimate is ``inf`` and ``worst`` is the first such triple.
     """
     x, y, z = triples
     _nonempty(x, "triple")
@@ -440,11 +440,7 @@ def estimate_minimal_s(metric: DbMetric, triples: Triples) -> TriangleEstimate:
     degenerate = legs <= ETA
     violation = degenerate & (direct > ETA)
     if np.any(violation):
-        i = int(np.argmax(violation))
-        raise TriangleViolation(
-            f"rho(x, z) = {float(direct[i])} with both legs zero: no s can hold",
-            triple=_row(i, x, y, z),
-        )
+        return TriangleEstimate(math.inf, _row(int(np.argmax(violation)), x, y, z))
     ratio = np.divide(direct, legs, out=np.zeros_like(direct), where=~degenerate)
     i = int(np.argmax(ratio))
     best = float(ratio[i])
@@ -580,17 +576,8 @@ def run_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) -> 
     symmetry = check_symmetry(metric, pairs)
     zero_identity = check_zero_identity(metric, pairs)
 
-    violating: Optional[tuple[Point, Point, Point]] = None
-    try:
-        estimate = estimate_minimal_s(metric, triples)
-        min_s = estimate.min_s
-        triangle_ok = min_s <= metric.s + ETA
-        if not triangle_ok:
-            violating = estimate.worst
-    except TriangleViolation as exc:
-        min_s = math.inf
-        triangle_ok = False
-        violating = exc.triple
+    estimate = estimate_minimal_s(metric, triples)
+    triangle_ok = estimate.min_s <= metric.s + ETA
 
     converse: Optional[bool] = None
     if metric.zero_self_distance:
@@ -603,10 +590,10 @@ def run_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) -> 
         symmetry_ok=symmetry.ok,
         zero_identity_ok=zero_identity.ok,
         triangle_ok=triangle_ok,
-        estimated_min_s=min_s,
+        estimated_min_s=estimate.min_s,
         symmetry_counterexample=symmetry.counterexample,
         zero_identity_counterexample=zero_identity.counterexample,
-        violating_triple=violating,
+        violating_triple=None if triangle_ok else estimate.worst,
         self_distance_zero_ok=converse,
         samples_used=len(pairs[0]) + len(triples[0]),
         seed=cfg.seed,

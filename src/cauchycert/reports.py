@@ -302,7 +302,7 @@ def build_report(
     try:
         validate_report(report)
     except SchemaError as exc:
-        raise DivergenceError(f"the report fails its schema: {exc.message}") from exc
+        raise DivergenceError(f"the report fails its schema: {exc}") from exc
     return report
 
 

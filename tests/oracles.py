@@ -78,7 +78,6 @@ from cauchycert import (
     SolverError,
     SolveResult,
     TailConfig,
-    TriangleViolation,
     WitnessSearch,
     certify_cauchy,
     check_consecutive_decay,
@@ -1047,10 +1046,7 @@ def loop_estimate_minimal_s(
         direct = metric.distance(x, z)
         if legs <= ETA:
             if direct > ETA:
-                raise TriangleViolation(
-                    f"rho(x, z) = {direct} with both legs zero: no s can hold",
-                    triple=(x, y, z),
-                )
+                return TriangleEstimate(math.inf, (x, y, z))
             continue
         ratio = direct / legs
         if ratio > best:
@@ -1086,17 +1082,8 @@ def loop_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) ->
     triples = loop_sample_triples(cfg, dim)
     symmetry = loop_check_symmetry(metric, pairs)
     zero_identity = loop_check_zero_identity(metric, pairs)
-    violating: Optional[tuple[Point, Point, Point]] = None
-    try:
-        estimate = loop_estimate_minimal_s(metric, triples)
-        min_s = estimate.min_s
-        triangle_ok = min_s <= metric.s + ETA
-        if not triangle_ok:
-            violating = estimate.worst
-    except TriangleViolation as exc:
-        min_s = math.inf
-        triangle_ok = False
-        violating = exc.triple
+    estimate = loop_estimate_minimal_s(metric, triples)
+    triangle_ok = estimate.min_s <= metric.s + ETA
     converse: Optional[bool] = None
     if metric.zero_self_distance:
         points = [x for x, _ in pairs[: max(len(pairs) // 4, 8)]]
@@ -1107,10 +1094,10 @@ def loop_axiom_report(metric: DbMetric, cfg: SamplerConfig = SamplerConfig()) ->
         symmetry_ok=symmetry.ok,
         zero_identity_ok=zero_identity.ok,
         triangle_ok=triangle_ok,
-        estimated_min_s=min_s,
+        estimated_min_s=estimate.min_s,
         symmetry_counterexample=symmetry.counterexample,
         zero_identity_counterexample=zero_identity.counterexample,
-        violating_triple=violating,
+        violating_triple=None if triangle_ok else estimate.worst,
         self_distance_zero_ok=converse,
         samples_used=len(pairs) + len(triples),
         seed=cfg.seed,

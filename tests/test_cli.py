@@ -55,6 +55,53 @@ GEOMETRIC_CHECK_CONFIG = {
 }
 
 
+#: The options every command takes, as ``<command> --help`` lists them at 80 columns.
+COMMAND_OPTIONS = """
+options:
+  -h, --help      show this help message and exit
+  --config PATH   JSON config path, or '-' for stdin
+  --out PATH      write the report here instead of stdout
+  --seed U64      override the config seed
+  --no-timestamp  omit timestamp and timing from the report (for byte-stable
+                  output)
+  --header        csv sources: skip the first row
+"""
+
+#: ``--help`` at 80 columns, keyed by the arguments before it.
+HELP_TEXT = {
+    (): """\
+usage: cauchycert [-h] [--list]
+                  {axioms,check,certify,solve,counterexample,list} ...
+
+Finite-prefix Cauchy certification for dislocated b-metric spaces.
+
+positional arguments:
+  {axioms,check,certify,solve,counterexample,list}
+    axioms              sampled metric axiom checks
+    check               decay + witness search + oracle
+    certify             full certification over the delta grid
+    solve               certified fixed-point iteration
+    counterexample      canned non-Cauchy regression
+    list                registered metrics, generators, contractions
+
+options:
+  -h, --help            show this help message and exit
+  --list                shorthand for the 'list' command
+""",
+    **{
+        (command,): f"""\
+usage: cauchycert {command} [-h] [--config PATH] [--out PATH] [--seed U64]
+{' ' * (19 + len(command))}[--no-timestamp] [--header]
+{COMMAND_OPTIONS}"""
+        for command in ["axioms", "check", "certify", "solve", "list"]
+    },
+    ("counterexample",): f"""\
+usage: cauchycert counterexample [-h] [--config PATH] [--out PATH]
+                                 [--seed U64] [--no-timestamp] [--header]
+{COMMAND_OPTIONS}""",
+}
+
+
 class TestListing:
     def test_list_command(self, capsys):
         code, out, _ = run_cli(["list"], capsys)
@@ -75,6 +122,16 @@ class TestListing:
         assert code == 2
         assert out == ""
         assert "usage" in err.lower()
+
+    @pytest.mark.parametrize("before", list(HELP_TEXT), ids=lambda before: " ".join(before) or "top")
+    def test_help_text(self, capsys, monkeypatch, before):
+        # The command table drives both the subparsers and dispatch; the help
+        # keeps its order and wording.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*before, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP_TEXT[before], "")
 
 
 class TestEnvelope:
@@ -421,7 +478,20 @@ class TestCertify:
         assert (code, out) == (3, "")
         assert err == (
             "internal divergence: the report fails its schema: "
-            "Additional properties are not allowed ('extra' was unexpected)\n"
+            "Additional properties are not allowed ('extra' was unexpected) (at results)\n"
+        )
+
+    def test_off_schema_message_names_the_nested_path(self, tmp_path, capsys, monkeypatch):
+        from cauchycert.metrics import to_json
+
+        monkeypatch.setattr(
+            "cauchycert.reports.to_json", lambda res: {**to_json(res), "consecutive_decay": None}
+        )
+        code, out, err = run_cli(["check", "--config", write_config(tmp_path, GEOMETRIC_CHECK_CONFIG)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal divergence: the report fails its schema: "
+            "None is not of type 'object' (at results/consecutive_decay)\n"
         )
 
 
@@ -671,11 +741,12 @@ class TestConfigErrors:
             ("solve", '{"contraction": {"name": "halving"}, "solver": {"target_delta": 0.1, "blocks": 8}}',
              'unknown key \'blocks\' in "parameters.solver"'),
             ("counterexample", '{"deltas": ["a"]}', 'unknown key \'deltas\' in "parameters"'),
+            # A repeated key used to keep its last value silently, top level
+            # or nested.
+            ("check", '{}, "source": {"csv": "data.csv"}', "config repeats the key 'source'"),
+            ("check", '{"tail": {"eps": 0.5}, "tail": {"tau": 0.9}}', "config repeats the key 'tail'"),
+            ("check", '{"tail": {"eps": 0.5, "eps": 0.1}}', "config repeats the key 'eps'"),
             # Each value below used to be read from stdin, crash or be ignored.
-            # The first two replace the source: JSON keeps the last of two
-            # equal keys.
-            ("check", '{}, "source": {"csv": 0}', '"source.csv" must be a string, got 0'),
-            ("check", '{}, "source": {"csv": true}', '"source.csv" must be a string, got True'),
             ("check", '{"seed": true}', '"parameters.seed" must be an integer, got True'),
             ("counterexample", '{"delta_grid": 5}', '"parameters.delta_grid" must be an object, got 5'),
             ("counterexample", '{"delta_grid": "abc"}',
@@ -737,6 +808,17 @@ class TestConfigErrors:
                  "parameters": {"contraction": {"name": "halving"},
                                 "solver": {"target_delta": 0.1, "x0": [0.5, False]}}},
                 '"parameters.solver.x0" must be a number or a list of numbers, got [0.5, False]',
+            ),
+            # The next two used to be read from stdin or crash.
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"}, "source": {"csv": 0}},
+                '"source.csv" must be a string, got 0',
+            ),
+            (
+                "check",
+                {"metric": {"name": "euclid_1d"}, "source": {"csv": True}},
+                '"source.csv" must be a string, got True',
             ),
             # Each of the next three used to run: the object's keys, or the
             # strings, were read as numbers.
