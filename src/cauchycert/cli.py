@@ -188,8 +188,6 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
     params = exp.raw.get("parameters", {})
 
     n = params.get("n", COUNTEREXAMPLE_N)
-    if n < 4:
-        raise ConfigError(f'"parameters.n" must be an integer >= 4, got {n!r}')
     override_mode = exp.explicit_deltas()
     deltas = exp.deltas() if override_mode else list(COUNTEREXAMPLE_DELTAS)
 

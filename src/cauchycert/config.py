@@ -9,10 +9,13 @@ A config is a JSON object with up to three sections:
                    witness, axiom sampler, solver settings, contraction.
 
 Everything is optional except what the invoked command needs.  The key table
-gives every accepted key its JSON kind, and :func:`make_experiment` checks the
-whole config against it once, whichever command runs.  Unknown keys, values
-of the wrong kind, and missing or contradictory pieces raise
-:class:`ConfigError`, which the CLI maps to its configuration exit code.
+gives every accepted key its JSON kind, and some keys a range, and
+:func:`make_experiment` checks the whole config against it once, whichever
+command runs.  Unknown keys, values of the wrong kind or out of range, and
+missing or contradictory pieces raise :class:`ConfigError`, which the CLI
+maps to its configuration exit code.  The ranges that a library type checks
+(``TailConfig``, ``SearchConfig`` and the like) are checked when a command
+builds that type from its section.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def _free(value) -> bool:
     return _number(value) or isinstance(value, list) and all(map(_free, value))
 
 
-#: Leaf kinds: the name an error gives each, and its test.
+#: Leaf kinds: the name an error gives each, and its test.  In the key table
+#: a kind may be followed by a range, a second name and test, for a value
+#: that no library type checks when the config is read.
 NUMBER = ("a number", _number)
 INTEGER = ("an integer", _integer)
 STRING = ("a string", lambda value: isinstance(value, str))
@@ -109,9 +114,10 @@ FREE = ("a number or a list of numbers", _free)
 PARAMS = {"*": FREE}
 _CONTRACTION = {"name": STRING, "params": PARAMS}
 
-#: Every key a config accepts, with its kind.  A dict is an object that
-#: takes exactly the listed keys: a misspelt key would otherwise be ignored
-#: and its default used.  ``parameters.n`` is read by ``counterexample``.
+#: Every key a config accepts, with its kind and, for some, its range.  A
+#: dict is an object that takes exactly the listed keys: a misspelt key would
+#: otherwise be ignored and its default used.  ``parameters.n`` is read by
+#: ``counterexample``.
 _TABLE = {
     "metric": {"name": STRING, "s": NUMBER, "params": PARAMS},
     "source": {
@@ -121,33 +127,38 @@ _TABLE = {
         "orbit": {"contraction": _CONTRACTION, "n": INTEGER, "x0": FREE},
     },
     "parameters": {
-        "seed": INTEGER,
+        "seed": INTEGER + ("a nonnegative integer", lambda v: v >= 0),
         "tail": {"tau": NUMBER, "eps": NUMBER},
-        "delta_grid": {"values": NUMBERS, "delta0": NUMBER, "levels": INTEGER},
+        "delta_grid": {
+            "values": NUMBERS + ("positive numbers", lambda v: bool(v) and min(v) > 0),
+            "delta0": NUMBER,
+            "levels": INTEGER,
+        },
         "search": {"p_max": INTEGER, "lambdas": NUMBERS, "n0_values": INTEGERS},
         "witness": {"p": INTEGER, "lambda": NUMBER, "n0": INTEGER},
         "axioms": {
-            "box": NUMBERS,
+            "box": NUMBERS + ("[low, high]", lambda v: len(v) == 2),
             "pair_count": INTEGER,
             "triple_count": INTEGER,
             "grid_points": INTEGER,
         },
         "solver": {
-            "target_delta": NUMBER,
+            "target_delta": NUMBER + ("a positive number", lambda v: v > 0),
             "x0": FREE,
-            "lambda": NUMBER,
-            "n0": INTEGER,
+            "lambda": NUMBER + ("a number in (0, 1)", lambda v: 0 < v < 1),
+            "n0": INTEGER + ("an integer >= 1", lambda v: v >= 1),
             "block": INTEGER,
             "max_iterations": INTEGER,
         },
         "contraction": _CONTRACTION,
-        "n": INTEGER,
+        "n": INTEGER + ("an integer >= 4", lambda v: v >= 4),
     },
 }
 
 
 def _check(value, kind, path: str) -> None:
-    """Raise :class:`ConfigError` unless ``value``, found at ``path``, has ``kind``."""
+    """Raise :class:`ConfigError` unless ``value``, found at ``path``, has
+    ``kind`` and lies in the kind's range, if it has one."""
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ConfigError(f'"{path}" must be an object, got {value!r}')
@@ -159,8 +170,10 @@ def _check(value, kind, path: str) -> None:
                     f"unknown key {key!r} in {where}; expected one of {', '.join(kind)}"
                 )
             _check(item, sub, f"{path}.{key}" if path else key)
-    elif not kind[1](value):
-        raise ConfigError(f'"{path}" must be {kind[0]}, got {value!r}')
+    else:
+        for name, test in zip(kind[::2], kind[1::2]):
+            if not test(value):
+                raise ConfigError(f'"{path}" must be {name}, got {value!r}')
 
 
 def _required(spec: dict, key: str, where: str):
@@ -269,12 +282,7 @@ class Experiment:
     def deltas(self) -> list[float]:
         spec = self._section("delta_grid")
         if "values" in spec:
-            values = spec["values"]
-            if not values or min(values) <= 0:
-                raise ConfigError(
-                    f'"parameters.delta_grid.values" must be positive numbers, got {values!r}'
-                )
-            return [float(v) for v in values]
+            return [float(v) for v in spec["values"]]
         with _building("delta grid"):
             return delta_grid(**spec)
 
@@ -300,10 +308,8 @@ class Experiment:
     def sampler(self) -> SamplerConfig:
         spec = dict(self._section("axioms"))
         if "box" in spec:
-            box = spec.pop("box")
-            if len(box) != 2:
-                raise ConfigError(f'"parameters.axioms.box" must be [low, high], got {box!r}')
-            spec.update(box_low=float(box[0]), box_high=float(box[1]))
+            low, high = spec.pop("box")
+            spec.update(box_low=float(low), box_high=float(high))
         with _building("axiom sampler parameters"):
             return SamplerConfig(seed=self.seed, **spec)
 
@@ -318,22 +324,10 @@ class Experiment:
     def solver(self) -> tuple[SolverConfig, Point, float]:
         """Solver settings, the seed point x0 and the target delta.
 
-        ``SolverConfig`` takes ``lambda`` and ``n0`` unchecked, and
-        ``target_delta`` is not part of it, so their ranges are checked here.
         A setting left out takes the ``SolverConfig`` default.
         """
         spec = self._section("solver")
         target_delta = _required(spec, "target_delta", "parameters.solver")
-        if target_delta <= 0:
-            raise ConfigError(
-                f'"parameters.solver.target_delta" must be a positive number, got {target_delta!r}'
-            )
-        if "n0" in spec and spec["n0"] < 1:
-            raise ConfigError(f'"parameters.solver.n0" must be an integer >= 1, got {spec["n0"]!r}')
-        if "lambda" in spec and not 0 < spec["lambda"] < 1:
-            raise ConfigError(
-                f'"parameters.solver.lambda" must be a number in (0, 1), got {spec["lambda"]!r}'
-            )
         settings = {
             "lam" if key == "lambda" else key: value
             for key, value in spec.items()
@@ -347,12 +341,11 @@ class Experiment:
 
 def make_experiment(raw: dict, seed_override: Optional[int] = None) -> Experiment:
     """Check every key and value of ``raw`` against the key table, whichever
-    command runs, and fix the effective seed."""
+    command runs, and fix the effective seed.  ``seed_override`` is the
+    CLI's ``--seed``, whose parser takes only a nonnegative integer."""
     _check(raw, _TABLE, "")
     params = raw.get("parameters", {})
     seed = params.get("seed", 0) if seed_override is None else seed_override
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     # Echo the effective seed so the recorded config is self-contained.
     echoed = dict(raw, parameters=dict(params, seed=seed))
     return Experiment(raw=echoed, seed=seed)

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .certificates import CauchyCertificate, certify_cauchy, diameter_bound
-from .errors import ContractionError, SolverError
+from .errors import ContractionError, MetricError, SolverError
 from .metrics import ETA, DbMetric, JsonReport, Pairs, Point
 from .sequences import SequencePrefix, ShiftWitness, TailConfig, consecutive_distances
 
@@ -71,10 +71,22 @@ def _orbit(f: Contraction, x: np.ndarray, n: int) -> np.ndarray:
     return block
 
 
+def _seed_dim(f: Contraction, metric: DbMetric, x0: Point) -> int:
+    """The dimension of x0, which must be the one the map and the metric
+    declare, if they declare one: :class:`MetricError` otherwise."""
+    for what, name, dim in (("map", f.name, f.dim), ("metric", metric.name, metric.dim)):
+        if dim is not None and dim != x0.dim:
+            raise MetricError(
+                f"x0 has dimension {x0.dim}, but the {what} {name!r} declares dimension {dim}"
+            )
+    return x0.dim
+
+
 def iterate(f: Contraction, x0: Point, n: int, metric: DbMetric) -> SequencePrefix:
     """The orbit prefix x_1 = f(x0), ..., x_n = f^n(x0)."""
     if n < 2:
         raise ValueError("an orbit prefix needs at least 2 iterates")
+    _seed_dim(f, metric, x0)
     return SequencePrefix(_orbit(f, x0.coords, n), metric)
 
 
@@ -176,8 +188,7 @@ class SolveResult(JsonReport):
     contraction_ratio: float
 
 
-def _verification_pairs(f: Contraction, metric: DbMetric, rng: np.random.Generator) -> Pairs:
-    dim = metric.dim if metric.dim is not None else (f.dim or 1)
+def _verification_pairs(f: Contraction, dim: int, rng: np.random.Generator) -> Pairs:
     a = rng.uniform(f.sample_low, f.sample_high, size=(VERIFY_PAIRS, dim))
     b = rng.uniform(f.sample_low, f.sample_high, size=(VERIFY_PAIRS, dim))
     return a, b
@@ -202,11 +213,14 @@ def solve_fixed_point(
     and the last step distance rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``;
     exhausting the iteration budget first raises SolverError, and so does,
     before any iteration, a diameter bound at target_delta that overflows a
-    float.
+    float.  The map and the metric work in x0's dimension, which the
+    verification pairs are sampled in; a map or metric that declares another
+    dimension raises MetricError.
     """
     if target_delta <= 0.0:
         raise ValueError(f"target delta must be positive, got {target_delta}")
-    sample = _verification_pairs(f, metric, np.random.default_rng(cfg.seed))
+    dim = _seed_dim(f, metric, x0)
+    sample = _verification_pairs(f, dim, np.random.default_rng(cfg.seed))
     estimate = estimate_contraction_constant(f, metric, sample)
     if estimate.violation:
         raise ContractionError(

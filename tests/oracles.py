@@ -384,15 +384,15 @@ def blockwise_solve_fixed_point(
     target_delta: float,
     cfg: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """``solve_fixed_point`` with its own orbit loop, 32 verification pairs,
+    """``solve_fixed_point`` with its own orbit loop, 32 verification pairs
+    in x0's dimension (which the map and the metric must work in),
     certification at the default tail, and the stopping step evaluated once
     more through the scalar ``pair_distance``."""
     if target_delta <= 0.0:
         raise ValueError(f"target delta must be positive, got {target_delta}")
     rng = np.random.default_rng(cfg.seed)
-    dim = metric.dim if metric.dim is not None else (f.dim or 1)
-    a = rng.uniform(f.sample_low, f.sample_high, size=(32, dim))
-    b = rng.uniform(f.sample_low, f.sample_high, size=(32, dim))
+    a = rng.uniform(f.sample_low, f.sample_high, size=(32, x0.dim))
+    b = rng.uniform(f.sample_low, f.sample_high, size=(32, x0.dim))
     estimate = estimate_contraction_constant(f, metric, (a, b))
     if estimate.violation:
         raise ContractionError(

@@ -55,6 +55,35 @@ GEOMETRIC_CHECK_CONFIG = {
 }
 
 
+#: The commands that read a config.
+CONFIG_COMMANDS = ["axioms", "check", "certify", "solve", "counterexample"]
+
+#: A config that every command in CONFIG_COMMANDS runs, and quickly.
+ALL_COMMANDS_CONFIG = {
+    "metric": {"name": "euclid_1d"},
+    "source": {"inline": [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]},
+    "parameters": {
+        "seed": 5,
+        "delta_grid": {"values": [0.5]},
+        "axioms": {"box": [0, 1], "pair_count": 8, "triple_count": 8},
+        "contraction": {"name": "halving"},
+        "solver": {"target_delta": 0.1, "x0": 1.0, "lambda": 0.5, "n0": 2},
+        "n": 8,
+    },
+}
+
+
+def _with_parameter(config: dict, key: str, value) -> dict:
+    """``config`` with ``parameters.<key>`` (a dotted path) set to ``value``."""
+    config = json.loads(json.dumps(config))
+    *sections, leaf = key.split(".")
+    spec = config["parameters"]
+    for name in sections:
+        spec = spec[name]
+    spec[leaf] = value
+    return config
+
+
 #: The options every command takes, as ``<command> --help`` lists them at 80 columns.
 COMMAND_OPTIONS = """
 options:
@@ -282,6 +311,15 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "non-finite distance" in err
+
+    @pytest.mark.parametrize("rows, code", [("1\n", 2), ("1\n0.5\n", 0)])
+    def test_csv_needs_two_points(self, tmp_path, capsys, rows, code):
+        csv = tmp_path / "pts.csv"
+        csv.write_text(rows)
+        cfg = write_config(tmp_path, {"metric": {"name": "euclid_1d"}, "source": {"csv": str(csv)}})
+        got, _, err = run_cli(["check", "--config", cfg], capsys)
+        assert got == code
+        assert ("need at least 2 points, got 1" in err) == (code == 2)
 
     def test_csv_malformed_row_is_config_error(self, tmp_path, capsys):
         csv = tmp_path / "pts.csv"
@@ -620,6 +658,30 @@ class TestSolve:
         assert repr(value) in err
 
 
+    @pytest.mark.parametrize(
+        "metric, x0, message",
+        [
+            ("euclid_1d", [0, 0], "x0 has dimension 2, but the metric 'euclid_1d' declares dimension 1"),
+            ("euclid_nd", [0, 0, 0], "x0 has dimension 3, but the map 'affine_nd' declares dimension 2"),
+        ],
+    )
+    def test_dimension_mismatch_is_an_error(self, tmp_path, capsys, metric, x0, message):
+        # Both used to end in numpy's matmul ValueError, with exit 1.
+        contraction = {
+            "name": "affine_nd",
+            "params": {"matrix": [[0.5, 0], [0, 0.5]], "offset": [1, 1], "c": 0.5},
+        }
+        cfg = write_config(
+            tmp_path,
+            {
+                "metric": {"name": metric},
+                "parameters": {"contraction": contraction, "solver": {"target_delta": 0.1, "x0": x0}},
+            },
+        )
+        code, out, err = run_cli(["solve", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestCounterexample:
     def test_default_regression(self, capsys):
         code, out, _ = run_cli(["counterexample"], capsys)
@@ -895,6 +957,43 @@ class TestConfigErrors:
         code, out, err = run_cli([command, "--config", write_config(tmp_path, config)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", -1, '"parameters.seed" must be a nonnegative integer, got -1'),
+            ("delta_grid.values", [], '"parameters.delta_grid.values" must be positive numbers, got []'),
+            ("delta_grid.values", [0.5, 0.0],
+             '"parameters.delta_grid.values" must be positive numbers, got [0.5, 0.0]'),
+            ("delta_grid.values", [-1], '"parameters.delta_grid.values" must be positive numbers, got [-1]'),
+            ("axioms.box", [1], '"parameters.axioms.box" must be [low, high], got [1]'),
+            ("axioms.box", [0, 1, 2], '"parameters.axioms.box" must be [low, high], got [0, 1, 2]'),
+            ("solver.target_delta", 0, '"parameters.solver.target_delta" must be a positive number, got 0'),
+            ("solver.target_delta", -1,
+             '"parameters.solver.target_delta" must be a positive number, got -1'),
+            ("solver.lambda", 0, '"parameters.solver.lambda" must be a number in (0, 1), got 0'),
+            ("solver.lambda", 1, '"parameters.solver.lambda" must be a number in (0, 1), got 1'),
+            ("solver.lambda", 2.0, '"parameters.solver.lambda" must be a number in (0, 1), got 2.0'),
+            ("solver.n0", 0, '"parameters.solver.n0" must be an integer >= 1, got 0'),
+            ("n", 3, '"parameters.n" must be an integer >= 4, got 3'),
+        ],
+    )
+    def test_out_of_range_value_is_refused_under_every_command(
+        self, tmp_path, capsys, command, key, value, message
+    ):
+        # A section the command does not read is bounded all the same.
+        cfg = write_config(tmp_path, _with_parameter(ALL_COMMANDS_CONFIG, key, value))
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    @pytest.mark.parametrize("key, value", [("seed", 0), ("solver.n0", 1), ("n", 4)])
+    def test_a_bound_admits_its_edge(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, _with_parameter(ALL_COMMANDS_CONFIG, key, value))
+        code, out, _ = run_cli([command, "--config", cfg, "--no-timestamp"], capsys)
+        assert code == 0
+        assert parse_report(out)["config"] == _with_parameter(ALL_COMMANDS_CONFIG, key, value)
 
     @pytest.mark.parametrize("s", ["x", "2", True])
     def test_non_numeric_metric_s_is_config_error(self, tmp_path, capsys, s):

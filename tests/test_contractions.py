@@ -13,6 +13,7 @@ from cauchycert import (
     Contraction,
     ContractionError,
     DbMetric,
+    MetricError,
     Point,
     ShiftWitness,
     SolverConfig,
@@ -26,6 +27,7 @@ from cauchycert import (
     solve_fixed_point,
 )
 from cauchycert.contractions import (
+    SHIFT_CAP,
     affine_1d,
     affine_nd,
     available_contractions,
@@ -73,6 +75,7 @@ class TestIterate:
     def test_needs_two_iterates(self, euclid):
         with pytest.raises(ValueError):
             iterate(halving(), Point(1.0), 1, euclid)
+        assert iterate(halving(), Point(1.0), 2, euclid).coords[:, 0].tolist() == [0.5, 0.25]
 
     def test_non_finite_iterate_names_its_input(self, euclid):
         # Halving on the sampling box [0, 10], so the sampled ratio is 0.5;
@@ -92,6 +95,55 @@ class TestIterate:
         with pytest.raises(ContractionError) as got:
             solve_fixed_point(f, euclid, Point(20.0), 0.01)
         assert str(got.value) == message
+
+
+#: A map, a metric and an x0 whose dimensions disagree, and the message.
+_DIMENSION_MISMATCHES = [
+    (affine_1d(0.5), "euclid_nd", [0.0, 0.0], "x0 has dimension 2, but the map 'affine_1d' declares dimension 1"),
+    (halving(), "euclid_1d", [0.0, 0.0], "x0 has dimension 2, but the metric 'euclid_1d' declares dimension 1"),
+    (affine_nd(0.5 * np.eye(2), [1.0, 1.0], 0.5), "euclid_nd", [0.0, 0.0, 0.0],
+     "x0 has dimension 3, but the map 'affine_nd' declares dimension 2"),
+]
+
+
+class TestSeedDimension:
+    @pytest.mark.parametrize("f, metric_name, x0, message", _DIMENSION_MISMATCHES)
+    def test_iterate_and_solve_refuse_a_dimension_mismatch(self, f, metric_name, x0, message):
+        metric = make_metric(metric_name)
+        with pytest.raises(MetricError) as got:
+            iterate(f, Point(x0), 8, metric)
+        assert str(got.value) == message
+        with pytest.raises(MetricError) as got:
+            solve_fixed_point(f, metric, Point(x0), 0.01)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_verification_pairs_take_the_dimension_of_x0(self, dim, monkeypatch):
+        # Neither halving nor euclid_nd declares a dimension.
+        shapes = []
+        estimate = estimate_contraction_constant
+
+        def spy(f, metric, pairs):
+            shapes.append([side.shape for side in pairs])
+            return estimate(f, metric, pairs)
+
+        monkeypatch.setattr("cauchycert.contractions.estimate_contraction_constant", spy)
+        result = solve_fixed_point(halving(), make_metric("euclid_nd"), Point([1.0] * dim), 0.01)
+        assert shapes == [[(32, dim), (32, dim)]]
+        assert result.fixed_point.dim == dim
+
+
+def _scripted(orbit: list, c: float = 0.5) -> Contraction:
+    """Halving, except that it maps each ``orbit[i]`` to ``orbit[i + 1]`` and
+    fixes the last point: an orbit with chosen steps, whose sampled ratio on
+    the box [0, 10] is exactly 1/2."""
+    def fn(x):
+        out = 0.5 * x
+        for a, b in zip(orbit, orbit[1:] + orbit[-1:]):
+            out = np.where(x == a, b, out)
+        return out
+
+    return Contraction(name="scripted", fn=fn, c=c, dim=1)
 
 
 def _stacks(*rows):
@@ -121,6 +173,16 @@ class TestEstimateContractionConstant:
         pairs = _stacks((2.0, 2.0), (0.0, 1.0))
         est = estimate_contraction_constant(halving(), euclid, pairs)
         assert est.ratio == 0.5
+
+    def test_a_pair_at_distance_eta_is_degenerate(self, euclid):
+        with pytest.raises(ContractionError, match="degenerate"):
+            estimate_contraction_constant(halving(), euclid, _stacks((0.0, ETA)))
+
+    def test_ratio_at_c_plus_eta_is_no_violation(self, euclid):
+        f = Contraction(name="edge", fn=lambda x: (0.5 + ETA) * x, c=0.5, dim=1)
+        est = estimate_contraction_constant(f, euclid, _stacks((0.0, 1.0)))
+        assert est.ratio == 0.5 + ETA
+        assert not est.violation
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -184,10 +246,20 @@ class TestDeriveShift:
     def test_target_below_tolerance_is_unsatisfiable(self):
         with pytest.raises(ContractionError):
             derive_shift(0.5, 1e-10, 1.0)
+        # lam / s - eta is exactly 0 here.
+        with pytest.raises(ContractionError, match="below tolerance"):
+            derive_shift(0.5, ETA, 1.0)
+
+    def test_a_power_equal_to_the_target_does_not_satisfy_it(self):
+        lam = 0.25 + ETA
+        assert lam / 1.0 - ETA == 0.25 == 0.5**2
+        assert derive_shift(0.5, lam, 1.0) == 3
 
     def test_cap_guards_runaway_constants(self):
         with pytest.raises(ContractionError):
             derive_shift(0.999999, 0.5, 1.0)
+        # The cap itself is still a shift.
+        assert derive_shift(0.9993067464838122, 0.5, 1.0) == SHIFT_CAP
 
     @given(
         c=st.floats(min_value=0.01, max_value=0.95),
@@ -316,8 +388,20 @@ class TestSolveFixedPoint:
         assert "mid-run" in str(exc.value)
 
     def test_target_delta_must_be_positive(self, euclid):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target delta must be positive, got 0.0"):
             solve_fixed_point(halving(), euclid, Point(1.0), 0.0)
+
+    def test_a_step_at_eta_is_no_ratio_base(self, euclid):
+        # Steps eta, 0.9 eta, 0, ...: a base at eta would give the ratio 0.9.
+        f = _scripted([-1.0, 0.0, ETA, 1.9 * ETA])
+        result = solve_fixed_point(f, euclid, Point(-1.0), 0.01)
+        assert result.contraction_ratio == 0.5
+
+    def test_a_step_ratio_at_c_plus_eta_holds(self, euclid):
+        # Steps 1, 0.5 + eta, 0, ...
+        f = _scripted([2.0, 1.0, 0.0, 0.5 + ETA])
+        result = solve_fixed_point(f, euclid, Point(2.0), 0.01)
+        assert result.contraction_ratio == 0.5 + ETA
 
     def test_result_serializes(self, euclid):
         import json
@@ -339,6 +423,7 @@ _SOLVE_CASES = st.one_of(
         _coord,
     ),
     st.tuples(st.just(halving()), st.sampled_from(["euclid_1d", "sq_abs"]), _coord),
+    st.tuples(st.just(halving()), st.just("euclid_nd"), st.lists(_coord, min_size=1, max_size=3)),
     st.tuples(
         st.builds(logistic_damped, st.floats(0.05, 0.95)),
         st.just("euclid_1d"),
@@ -403,6 +488,12 @@ class TestRegistry:
             make_contraction("affine_1d", a=1.5)
         with pytest.raises(ContractionError):
             make_contraction("logistic_damped", r=1.2)
+        for a in (1.0, -1.0):
+            with pytest.raises(ContractionError, match="affine slope must satisfy"):
+                affine_1d(a)
+        for r in (0.0, 1.0):
+            with pytest.raises(ContractionError, match="damping must satisfy"):
+                logistic_damped(r)
         with pytest.raises(ContractionError):
             affine_nd(np.eye(2), np.zeros(3), 0.5)
 
