@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import CertificateFailure, DivergenceError, PrefixTooShort
-from .metrics import ETA, JsonReport, chunk_rows, row_offsets
+from .metrics import ETA, JsonReport, chunk_rows
 from .sequences import (
     ConsecutiveDecayReport,
     SequencePrefix,
@@ -82,11 +82,10 @@ def find_settling_index(seq: SequencePrefix, w: ShiftWitness) -> int:
         raise PrefixTooShort(
             f"need N >= n0 + p + 1 = {w.n0 + w.p + 1} for a nonempty settling scan, got N = {n}"
         )
-    dm = seq.distance_matrix()
     threshold = w.delta * (1.0 - w.lam) / seq.metric.s - ETA
 
     # Row i holds the offsets 0..p of n = n0 + i + 1.
-    worst = np.max(row_offsets(dm, w.n0, w.p + 1)[: hi - w.n0], axis=1)
+    worst = np.max(seq.offsets(w.n0, w.p + 1)[: hi - w.n0], axis=1)
     bad = np.flatnonzero(~(worst < threshold))
     m0 = w.n0 + int(bad[-1]) + 1 if bad.size else w.n0  # the last bad n, or n0
     if m0 > hi - 1:
@@ -134,10 +133,11 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     delta * lam + delta * (1 - lam) = delta).  A step whose direct bound holds
     but whose justification does not raises :class:`DivergenceError`.
 
-    With u = n - n_low - 1 and E of :func:`row_offsets`, block k of row u is
-    V[u, k] on V = E[:, ::p], its previous block V[u, k - 1] and its shifted
-    block V[u + p, k - 1]; its step E[u + (k - 1) p, p] and its settled offset
-    E[u, p] are offsets p, judged once per row.  Rows are scanned in chunks.
+    With u = n - n_low - 1 and E = ``seq.offsets(n_low, width)``, block k of
+    row u is V[u, k] on V = E[:, ::p], its previous block V[u, k - 1] and its
+    shifted block V[u + p, k - 1]; its step E[u + (k - 1) p, p] and its
+    settled offset E[u, p] are offsets p, judged once per row.  Rows are
+    scanned in chunks.
     """
     dm = seq.distance_matrix()
     s = seq.metric.s
@@ -148,7 +148,7 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     depth = max((t - 1) // p, 0)
     if depth == 0:
         return InductionTrace(0, 0, 0)
-    e = row_offsets(dm, n_low, depth * p + 1)
+    e = seq.offsets(n_low, depth * p + 1)
     blocks = e[:, ::p]
     offset_bad = np.zeros(t + depth * p, dtype=bool)  # rows past t are never in range
     offset_bad[:t] = s * e[:, p] >= delta * (1.0 - lam)
@@ -283,9 +283,11 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
     :class:`CertificateFailure` at the first offending (n, q), as does a
     bound that overflows a float, as s**(q - 1) does at large q.
     """
-    dm = seq.distance_matrix()
     s = seq.metric.s
-    steps = np.diagonal(dm, offset=1)[n_low:]  # steps[i] = rho(x_n, x_{n+1}) at n = n_low + i + 1
+    # e[i, q] = rho(x_n, x_{n+q}) at n = n_low + i + 1; the clamp keeps the
+    # width inside the 2N + 1 entries that the buffer's padding covers.
+    e = seq.offsets(n_low, min(w.p, len(seq)) + 1)
+    steps = e[:-1, 1]  # steps[i] = rho(x_n, x_{n+1})
     partial = np.zeros_like(steps)  # P_0
     coefs = [_power(s, k) for k in range(w.p)]  # s**p is not needed
     out: list[tuple[int, float]] = []  # plain tuples, cheaper than a ChainBound per offset
@@ -295,14 +297,13 @@ def _chain_stage(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> tuple[Chai
             break
         if q == 0:
             bounds = 2.0 * s * steps
-            direct = np.diagonal(dm)[n_low:-1]
         else:
             last = steps[q - 1 :]
             prev = partial[: len(last)]  # P_{q-1}
             bounds = prev + coefs[q - 1] * last
             if q < w.p:
                 partial = prev + coefs[q] * last
-            direct = np.diagonal(dm, q)[n_low:]
+        direct = e[: len(bounds), q]
         worst = float(np.max(bounds))
         if not math.isfinite(worst):
             n = n_low + int(np.argmin(np.isfinite(bounds))) + 1
@@ -364,8 +365,8 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     Contract: run by :func:`certify_cauchy` after :func:`find_settling_index`
     and :func:`run_block_induction` have passed, with ``n_low`` the settling
     index, it checks only what they left unchecked.  With u = n - n_low - 1,
-    t = N - n_low and E of :func:`row_offsets`, A is E[u + k p, q], B is
-    E[u, k p] and the direct distance E[u, k p + q]:
+    t = N - n_low and E = ``seq.offsets(n_low, width)``, A is E[u + k p, q],
+    B is E[u, k p] and the direct distance E[u, k p + q]:
 
     * settling held E[x, q], q <= p, on the rows x < t - p: A there, and B at
       k = 0 (theta <= delta); induction held B at k >= 1.  The last p rows of
@@ -386,7 +387,7 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
         )
 
     t = len(seq) - n_low  # more than p: the settling scan left a nonempty range
-    e = row_offsets(dm, n_low, -(-t // p) * p)
+    e = seq.offsets(n_low, -(-t // p) * p)
     first_comp = first_assembled = None  # the smallest offending (u, m - n)
     x0 = t // p * p  # the last p rows: u = x - x0 from x0 on, u = x - x0 + p before
     for lo, hi, at in ((x0, t, (0, x0)), (t - p, x0, (t - x0, x0 - p))):

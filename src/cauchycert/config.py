@@ -65,9 +65,10 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_config_text(text: str) -> dict:
+    """The config object in ``text``, after one leading byte-order mark."""
     try:
         data = json.loads(
-            text,
+            text.removeprefix("\ufeff"),
             object_pairs_hook=_unique_keys,
             parse_float=_finite_float,
             parse_int=_float_range_int,
@@ -200,19 +201,24 @@ def _building(what: str):
 
 def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
     """One point per row, comma-separated coordinates; malformed rows are
-    hard errors reported with their line number."""
+    hard errors reported with their line number.
+
+    Blank lines are skipped; with ``header``, so is the first nonblank line.
+    The file is UTF-8, and one leading byte-order mark is dropped.
+    """
     rows: list[list[float]] = []
     width: Optional[int] = None
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read csv {path!r}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, 1):
-            if header and lineno == 1:
-                continue
             line = raw.strip()
             if not line:
+                continue
+            if header:
+                header = False
                 continue
             cells = [c.strip() for c in line.split(",")]
             try:

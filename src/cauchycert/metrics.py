@@ -39,33 +39,6 @@ def matrix_buffer(rows: int, cols: int) -> np.ndarray:
     return np.zeros(rows * cols + rows + cols)[: rows * cols].reshape(rows, cols)
 
 
-def row_offsets(dm: np.ndarray, lo: int, width: int) -> np.ndarray:
-    """The read-only ``(max(N - lo, 0), width)`` view E[u, m] = dm[lo + u, lo + u + m].
-
-    ``dm`` is the top-left ``(N, N)`` corner of a square ``(C, C)``
-    :func:`matrix_buffer`, C >= N (C = N for a fresh build).  Its rows are
-    windows of the flat buffer that start on the diagonal, C + 1 entries
-    apart.  Where lo + u + m >= N they run on into the buffer's spare columns,
-    the next row or the spare zeros after it, all finite, which cover widths
-    up to 2N + 1; callers mask those.
-    """
-    n = dm.shape[0]
-    flat = dm.base
-    cap = dm.strides[0] // dm.itemsize
-    if (
-        flat is None
-        or flat.ndim != 1
-        or dm.shape != (n, n)
-        or dm.strides[1] != dm.itemsize
-        or cap < n
-        or flat.size != cap * (cap + 2)
-        or dm.ctypes.data != flat.ctypes.data
-    ):
-        raise ValueError("row_offsets needs the top-left corner of a square matrix built by matrix_buffer")
-    windows = np.lib.stride_tricks.sliding_window_view(flat, width)
-    return windows[lo * (cap + 1) : n * (cap + 1) : cap + 1]
-
-
 class Point:
     """A point of the ground set: a fixed-length vector of finite reals.
 

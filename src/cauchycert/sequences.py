@@ -173,6 +173,21 @@ class SequencePrefix:
             self._matrix = self.metric.matrix(self.coords)
         return self._matrix
 
+    def offsets(self, lo: int, width: int) -> np.ndarray:
+        """The read-only ``(max(N - lo, 0), width)`` view E[u, m] = rho(x_{lo+u+1}, x_{lo+u+m+1}).
+
+        The distance matrix is the top-left corner of a ``(C, C)``
+        :func:`matrix_buffer` (C = N unless :meth:`extend` wrote it), so its
+        rows are windows of the flat buffer that start on the diagonal, C + 1
+        entries apart.  Where lo + u + m >= N they run on into the buffer's
+        spare columns, the next row or the spare zeros after it, all finite,
+        which cover widths up to 2N + 1; callers mask those.
+        """
+        dm = self.distance_matrix()
+        step = dm.strides[0] // dm.itemsize + 1
+        windows = np.lib.stride_tricks.sliding_window_view(dm.base, width)
+        return windows[lo * step : len(self) * step : step]
+
 
 def consecutive_distances(seq: SequencePrefix) -> np.ndarray:
     """[rho(x_2, x_1), rho(x_3, x_2), ...]; length N - 1."""

@@ -46,6 +46,9 @@ translates each stage's own failure signal by hand (a report with
 ``holds=False``, a ``None`` settling index from ``scan_settling_index``, a
 raised failure) and appends each stage's verdict to a list as it goes; its
 pair scan is ``triu_pair_scan``, so it is independent of ``_pair_scan``.
+``row_offsets`` is the offset view that ``SequencePrefix.offsets`` replaced:
+it finds the matrix's buffer from ``dm.base`` and the strides, and checks the
+layout on every call.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ from cauchycert import (
 from cauchycert.certificates import _chain_stage, _first_true, _induction_failure
 from cauchycert.contractions import Contraction, ContractionEstimate
 from cauchycert.metrics import (
-    PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows, matrix_buffer, row_offsets,
+    PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows, matrix_buffer,
 )
 from cauchycert.sequences import consecutive_distances, default_n0_grid
 
@@ -99,6 +102,33 @@ from cauchycert.sequences import consecutive_distances, default_n0_grid
 def pair_distance(seq: SequencePrefix, n: int, m: int) -> float:
     """rho(x_n, x_m) for 1-based n and m, evaluated on its own."""
     return seq.metric.distance(seq.point(n), seq.point(m))
+
+
+def row_offsets(dm: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """The read-only ``(max(N - lo, 0), width)`` view E[u, m] = dm[lo + u, lo + u + m].
+
+    ``dm`` is the top-left ``(N, N)`` corner of a square ``(C, C)``
+    :func:`matrix_buffer`, C >= N (C = N for a fresh build).  Its rows are
+    windows of the flat buffer that start on the diagonal, C + 1 entries
+    apart.  Where lo + u + m >= N they run on into the buffer's spare columns,
+    the next row or the spare zeros after it, all finite, which cover widths
+    up to 2N + 1; callers mask those.
+    """
+    n = dm.shape[0]
+    flat = dm.base
+    cap = dm.strides[0] // dm.itemsize
+    if (
+        flat is None
+        or flat.ndim != 1
+        or dm.shape != (n, n)
+        or dm.strides[1] != dm.itemsize
+        or cap < n
+        or flat.size != cap * (cap + 2)
+        or dm.ctypes.data != flat.ctypes.data
+    ):
+        raise ValueError("row_offsets needs the top-left corner of a square matrix built by matrix_buffer")
+    windows = np.lib.stride_tricks.sliding_window_view(flat, width)
+    return windows[lo * (cap + 1) : n * (cap + 1) : cap + 1]
 
 
 def loop_consecutive_decay(

@@ -333,6 +333,51 @@ class TestCheck:
         assert out == ""
         assert "malformed row" in err
 
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        # --header skips the first nonblank line: leading blank lines give
+        # the report of the file without them.
+        csv = tmp_path / "pts.csv"
+        cfg = write_config(tmp_path, {"metric": {"name": "euclid_1d"}, "source": {"csv": str(csv)}})
+        argv = ["check", "--config", cfg, "--header", "--no-timestamp"]
+        reports = []
+        for text in ("x\n1\n0.5\n0.25\n0.125\n", "\n \nx\n1\n0.5\n0.25\n0.125\n"):
+            csv.write_text(text)
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[0] == reports[1]
+        csv.write_text("\n\nx\n1\nbad\n")  # messages keep physical line numbers
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"{csv}:5: malformed row 'bad'" in err
+
+    def test_byte_order_marks_are_dropped(self, tmp_path, capsys, monkeypatch):
+        # A UTF-8 byte-order mark before the CSV, the config file or the
+        # config on stdin changes nothing in the report.
+        csv = tmp_path / "pts.csv"
+        config = json.dumps({"metric": {"name": "euclid_1d"}, "source": {"csv": str(csv)}})
+        cfg = tmp_path / "config.json"
+        argv = ["check", "--config", str(cfg), "--no-timestamp"]
+        csv.write_text("1\n0.5\n0.25\n0.125\n")
+        cfg.write_text(config)
+        code, plain, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        csv.write_bytes(b"\xef\xbb\xbf1\n0.5\n0.25\n0.125\n")
+        assert run_cli(argv, capsys) == (0, plain, "")
+        csv.write_text("1\n0.5\n0.25\n0.125\n")
+        cfg.write_bytes(b"\xef\xbb\xbf" + config.encode())
+        assert run_cli(argv, capsys) == (0, plain, "")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + config))
+        assert run_cli(["check", "--config", "-", "--no-timestamp"], capsys) == (0, plain, "")
+
+    def test_non_utf8_csv_is_config_error(self, tmp_path, capsys):
+        csv = tmp_path / "pts.csv"
+        csv.write_bytes(b"1\n0.5\n\xff\n")
+        cfg = write_config(tmp_path, {"metric": {"name": "euclid_1d"}, "source": {"csv": str(csv)}})
+        code, out, err = run_cli(["check", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: bad source: 'utf-8")
+
 
 class TestCertify:
     def test_halving_orbit_over_default_grid(self, tmp_path, capsys):
