@@ -188,7 +188,7 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
     params = exp.raw.get("parameters", {})
 
     n = params.get("n", COUNTEREXAMPLE_N)
-    override_mode = exp.explicit_deltas()
+    override_mode = "delta_grid" in params
     deltas = exp.deltas() if override_mode else list(COUNTEREXAMPLE_DELTAS)
 
     metric = make_metric("euclid_1d")
@@ -274,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cauchycert",
         description="Finite-prefix Cauchy certification for dislocated b-metric spaces.",
     )
-    parser.add_argument("--list", action="store_true", dest="list_flag",
-                        help="shorthand for the 'list' command")
     sub = parser.add_subparsers(dest="command")
     for name, (_, summary) in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=summary)
@@ -287,11 +285,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        if getattr(args, "list_flag", False):
-            args = parser.parse_args(["list"])
-        else:
-            parser.print_help(sys.stderr)
-            return 2
+        parser.print_help(sys.stderr)
+        return 2
 
     started = time.monotonic()
     try:

@@ -20,6 +20,7 @@ builds that type from its section.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from contextlib import contextmanager
@@ -200,38 +201,48 @@ def _building(what: str):
 
 
 def read_csv_points(path: str, header: bool = False) -> list[list[float]]:
-    """One point per row, comma-separated coordinates; malformed rows are
-    hard errors reported with their line number.
+    """One point per row, comma-separated coordinates; malformed rows,
+    non-finite values and lines that are not UTF-8 are hard errors reported
+    with their line number.
 
     Blank lines are skipped; with ``header``, so is the first nonblank line.
-    The file is UTF-8, and one leading byte-order mark is dropped.
+    The file is UTF-8, and one leading byte-order mark is dropped.  Lines end
+    at ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode.
     """
     rows: list[list[float]] = []
     width: Optional[int] = None
     try:
-        fh = open(path, encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read csv {path!r}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if header:
-                header = False
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed row {line!r}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {width} coordinates, got {len(row)}"
-                )
-            rows.append(row)
+    # Each line is decoded on its own: text I/O decodes in blocks, so its
+    # error cannot name the line.
+    for lineno, raw in enumerate(data.removeprefix(codecs.BOM_UTF8).splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8") from None
+        if not line:
+            continue
+        if header:
+            header = False
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: malformed row {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            bad = next(c for c, v in zip(cells, row) if not math.isfinite(v))
+            raise ConfigError(f"{path}:{lineno}: non-finite value {bad!r}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ConfigError(
+                f"{path}:{lineno}: expected {width} coordinates, got {len(row)}"
+            )
+        rows.append(row)
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least 2 points, got {len(rows)}")
     return rows
@@ -291,9 +302,6 @@ class Experiment:
             return [float(v) for v in spec["values"]]
         with _building("delta grid"):
             return delta_grid(**spec)
-
-    def explicit_deltas(self) -> bool:
-        return "values" in self._section("delta_grid")
 
     def search(self) -> SearchConfig:
         # The grids are JSON lists; SearchConfig holds tuples.

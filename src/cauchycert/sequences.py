@@ -449,15 +449,11 @@ def search_witness(
 
 def arithmetic_sequence(n: int, start: float = 1.0, step: float = 1.0) -> list[float]:
     """x_k = start + (k - 1) * step; the defaults give x_k = k."""
-    if n < 2:
-        raise ValueError("need at least 2 terms")
     return [start + (k - 1) * step for k in range(1, n + 1)]
 
 
 def geometric_sequence(n: int, start: float = 1.0, ratio: float = 0.5) -> list[float]:
     """x_k = start * ratio**(k - 1)."""
-    if n < 2:
-        raise ValueError("need at least 2 terms")
     try:
         return [start * ratio ** (k - 1) for k in range(1, n + 1)]
     except OverflowError:
@@ -465,8 +461,6 @@ def geometric_sequence(n: int, start: float = 1.0, ratio: float = 0.5) -> list[f
 
 
 def constant_sequence(n: int, value: float = 1.0) -> list[float]:
-    if n < 2:
-        raise ValueError("need at least 2 terms")
     return [float(value)] * n
 
 

@@ -48,7 +48,10 @@ raised failure) and appends each stage's verdict to a list as it goes; its
 pair scan is ``triu_pair_scan``, so it is independent of ``_pair_scan``.
 ``row_offsets`` is the offset view that ``SequencePrefix.offsets`` replaced:
 it finds the matrix's buffer from ``dm.base`` and the strides, and checks the
-layout on every call.
+layout on every call.  ``text_mode_read_csv_points`` is the CSV reader that
+``config.read_csv_points`` replaced: it iterates a file opened in text mode as
+``utf-8-sig``, so a decode error escapes without its line, and it passes
+non-finite values on to the prefix.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ from cauchycert import (
 )
 from cauchycert.certificates import _chain_stage, _first_true, _induction_failure
 from cauchycert.contractions import Contraction, ContractionEstimate
+from cauchycert.errors import ConfigError
 from cauchycert.metrics import (
     PairCheck, SamplerConfig, TriangleEstimate, _rng_points, chunk_rows, matrix_buffer,
 )
@@ -102,6 +106,44 @@ from cauchycert.sequences import consecutive_distances, default_n0_grid
 def pair_distance(seq: SequencePrefix, n: int, m: int) -> float:
     """rho(x_n, x_m) for 1-based n and m, evaluated on its own."""
     return seq.metric.distance(seq.point(n), seq.point(m))
+
+
+def text_mode_read_csv_points(path: str, header: bool = False) -> list[list[float]]:
+    """One point per row, comma-separated coordinates; malformed rows are
+    hard errors reported with their line number.
+
+    Blank lines are skipped; with ``header``, so is the first nonblank line.
+    The file is UTF-8, and one leading byte-order mark is dropped.
+    """
+    rows: list[list[float]] = []
+    width: Optional[int] = None
+    try:
+        fh = open(path, encoding="utf-8-sig")
+    except OSError as exc:
+        raise ConfigError(f"cannot read csv {path!r}: {exc}") from exc
+    with fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if header:
+                header = False
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: malformed row {line!r}") from None
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {width} coordinates, got {len(row)}"
+                )
+            rows.append(row)
+    if len(rows) < 2:
+        raise ConfigError(f"{path}: need at least 2 points, got {len(rows)}")
+    return rows
 
 
 def row_offsets(dm: np.ndarray, lo: int, width: int) -> np.ndarray:

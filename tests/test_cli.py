@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cauchycert
-from cauchycert import STAGES, contractions
+from cauchycert import STAGES, contractions, metrics, sequences
 from cauchycert.cli import main
 from cauchycert.reports import SchemaError, load_schema, validate_report
 
@@ -99,8 +100,7 @@ options:
 #: ``--help`` at 80 columns, keyed by the arguments before it.
 HELP_TEXT = {
     (): """\
-usage: cauchycert [-h] [--list]
-                  {axioms,check,certify,solve,counterexample,list} ...
+usage: cauchycert [-h] {axioms,check,certify,solve,counterexample,list} ...
 
 Finite-prefix Cauchy certification for dislocated b-metric spaces.
 
@@ -115,7 +115,6 @@ positional arguments:
 
 options:
   -h, --help            show this help message and exit
-  --list                shorthand for the 'list' command
 """,
     **{
         (command,): f"""\
@@ -141,10 +140,31 @@ class TestListing:
         assert "euclid_1d" in report["results"]["metrics"]
         assert "halving" in report["results"]["contractions"]
 
-    def test_list_flag_shorthand(self, capsys):
-        code, out, _ = run_cli(["--list"], capsys)
+    def test_list_flag_is_a_usage_error(self, capsys):
+        # "list" is the one spelling of the command.
+        with pytest.raises(SystemExit) as exc:
+            main(["--list"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cauchycert")
+        assert err.endswith("cauchycert: error: unrecognized arguments: --list\n")
+
+    def test_params_match_the_factories(self, capsys):
+        # The list report is where a user learns each factory's params; the
+        # hand-written docs name exactly the factory's parameters.
+        registries = {
+            "metrics": metrics.METRIC_BUILDERS,
+            "generators": sequences.GENERATORS,
+            "contractions": contractions.CONTRACTION_BUILDERS,
+        }
+        code, out, _ = run_cli(["list", "--no-timestamp"], capsys)
         assert code == 0
-        assert parse_report(out)["command"] == "list"
+        results = parse_report(out)["results"]
+        for kind, registry in registries.items():
+            assert results[kind] == {name: docs for name, (_, docs) in registry.items()}
+            for name, (factory, docs) in registry.items():
+                assert list(docs) == list(inspect.signature(factory).parameters), (kind, name)
 
     def test_no_command_prints_help(self, capsys):
         code, out, err = run_cli([], capsys)
@@ -312,6 +332,14 @@ class TestCheck:
         assert out == ""
         assert "non-finite distance" in err
 
+    @pytest.mark.parametrize("name", ["arithmetic", "geometric", "constant"])
+    def test_one_term_generator(self, tmp_path, capsys, name):
+        # The prefix, not the generator, refuses a short source.
+        source = {"generator": {"name": name, "params": {"n": 1}}}
+        cfg = write_config(tmp_path, {"metric": {"name": "euclid_1d"}, "source": source})
+        code, out, err = run_cli(["check", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "config error: a prefix needs at least 2 points, got 1\n")
+
     @pytest.mark.parametrize("rows, code", [("1\n", 2), ("1\n0.5\n", 0)])
     def test_csv_needs_two_points(self, tmp_path, capsys, rows, code):
         csv = tmp_path / "pts.csv"
@@ -370,13 +398,42 @@ class TestCheck:
         monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + config))
         assert run_cli(["check", "--config", "-", "--no-timestamp"], capsys) == (0, plain, "")
 
-    def test_non_utf8_csv_is_config_error(self, tmp_path, capsys):
+    @staticmethod
+    def _csv_error(tmp_path, capsys, data: bytes, *flags) -> tuple[Path, str]:
+        """The CSV path and the stderr of a ``check`` on ``data`` that exits 2."""
         csv = tmp_path / "pts.csv"
-        csv.write_bytes(b"1\n0.5\n\xff\n")
+        csv.write_bytes(data)
         cfg = write_config(tmp_path, {"metric": {"name": "euclid_1d"}, "source": {"csv": str(csv)}})
-        code, out, err = run_cli(["check", "--config", cfg], capsys)
+        code, out, err = run_cli(["check", "--config", cfg, *flags], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("config error: bad source: 'utf-8")
+        return csv, err
+
+    def test_non_utf8_csv_names_its_line(self, tmp_path, capsys):
+        csv, err = self._csv_error(tmp_path, capsys, b"1\n0.5\n\xff\n0.25\n")
+        assert err == f"config error: {csv}:3: not UTF-8\n"
+
+    def test_non_utf8_line_past_the_decode_block(self, tmp_path, capsys):
+        # Text I/O decodes 8 KiB at a time, so its error comes before the
+        # loop reaches the bad line; the line is still named.
+        lines = [b"%.17f" % (1.0 / k) for k in range(1, 5000)]
+        lines[2999] = b"0.\xff"
+        data = b"\n".join(lines) + b"\n"
+        assert data.index(b"\xff") > 8192
+        csv, err = self._csv_error(tmp_path, capsys, data)
+        assert err == f"config error: {csv}:3000: not UTF-8\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_csv_value_names_its_line(self, tmp_path, capsys, cell):
+        csv, err = self._csv_error(tmp_path, capsys, b"1, 2\n0.5, 1\n0.25, %s\n" % cell.encode())
+        assert err == f"config error: {csv}:3: non-finite value {cell!r}\n"
+
+    @pytest.mark.parametrize(
+        "row, message", [(b"\xff", "not UTF-8"), (b"nan", "non-finite value 'nan'")]
+    )
+    def test_csv_errors_give_the_physical_line(self, tmp_path, capsys, row, message):
+        # A blank line and the header are skipped, but still counted.
+        csv, err = self._csv_error(tmp_path, capsys, b"\nx\n1\n" + row + b"\n0.5\n", "--header")
+        assert err == f"config error: {csv}:4: {message}\n"
 
 
 class TestCertify:
@@ -756,6 +813,22 @@ class TestCounterexample:
         assert wide["shift_contraction"]["holds"] is False
         assert wide["shift_contraction"]["violating_pair"] == [2, 3]
         assert narrow["shift_contraction"]["holds"] is True
+
+    def test_halving_grid_override(self, tmp_path, capsys):
+        # Any delta_grid section replaces the canned grid, as it does for
+        # check and certify.
+        cfg = write_config(tmp_path, {"parameters": {"delta_grid": {"delta0": 0.1, "levels": 3}}})
+        code, out, _ = run_cli(["counterexample", "--config", cfg], capsys)
+        assert code == 0
+        results = parse_report(out)["results"]
+        assert results["deltas"] == [0.1, 0.05, 0.025]
+        assert results["override_mode"] is True
+
+    def test_zero_levels_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"parameters": {"delta_grid": {"levels": 0}}})
+        code, out, err = run_cli(["counterexample", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: bad delta grid: ")
 
     def test_n_below_minimum(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"parameters": {"n": 3}})

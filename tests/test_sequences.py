@@ -28,6 +28,7 @@ from cauchycert import (
 from cauchycert import metrics
 from cauchycert.metrics import available_metrics
 from cauchycert.sequences import (
+    GENERATORS,
     _shift_profile,
     arithmetic_sequence,
     available_generators,
@@ -747,11 +748,12 @@ class TestGenerators:
     def test_constant(self):
         assert constant_sequence(3, value=2.5) == [2.5, 2.5, 2.5]
 
-    def test_minimum_length(self):
-        for gen in (arithmetic_sequence, geometric_sequence, constant_sequence):
-            with pytest.raises(ValueError):
-                gen(1)
-            assert len(gen(2)) == 2
+    def test_minimum_length(self, euclid):
+        # The generators leave the length to the prefix.
+        for name in GENERATORS:
+            with pytest.raises(PrefixTooShort, match="needs at least 2 points, got 1"):
+                make_sequence(name, euclid, n=1)
+            assert len(make_sequence(name, euclid, n=2)) == 2
 
     def test_make_sequence(self, euclid):
         seq = make_sequence("geometric", euclid, n=5)
