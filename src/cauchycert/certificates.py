@@ -133,13 +133,14 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     delta * lam + delta * (1 - lam) = delta).  A step whose direct bound holds
     but whose justification does not raises :class:`DivergenceError`.
 
-    With u = n - n_low - 1 and E = ``seq.offsets(n_low, width)``, block k of
-    row u is V[u, k] on V = E[:, ::p], its previous block V[u, k - 1] and its
-    shifted block V[u + p, k - 1]; its step E[u + (k - 1) p, p] and its
-    settled offset E[u, p] are offsets p, judged once per row.  Rows are
-    scanned in chunks.
+    Every check compares a distance that depends on neither delta nor lam
+    with a threshold that does, so each row's checks are answered from the
+    maxima of :func:`_induction_summaries`: rounding is monotone, so
+    s * max(x) < c exactly when every s * x < c.  The prefix keeps the
+    summaries of the last p, from the smallest n_low asked, and the calls of a
+    delta grid share them.  The first failing row is scanned again, block by
+    block, for its k.
     """
-    dm = seq.distance_matrix()
     s = seq.metric.s
     n_low = max(settling, w.n0)
     delta, lam, p = w.delta, w.lam, w.p
@@ -148,29 +149,101 @@ def run_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> 
     depth = max((t - 1) // p, 0)
     if depth == 0:
         return InductionTrace(0, 0, 0)
-    e = seq.offsets(n_low, depth * p + 1)
-    blocks = e[:, ::p]
-    offset_bad = np.zeros(t + depth * p, dtype=bool)  # rows past t are never in range
-    offset_bad[:t] = s * e[:, p] >= delta * (1.0 - lam)
-    step_bad = np.lib.stride_tricks.sliding_window_view(offset_bad, depth * p)[:, ::p]
-    zero_steps = 0
+    slot = seq._induction
+    if slot is None or slot[0] != p or slot[1] > n_low:
+        slot = seq._induction = (p, n_low, *_induction_summaries(seq, p, n_low))
+    _, start, maxima, zeros = slot
+    # One row of scales and thresholds per maximum; 1.0 * x is x.
+    scale = np.array([1.0, s, s, s])[:, None]
+    bound = np.array([delta - ETA, delta * (1.0 - lam), delta * lam, delta * (1.0 - lam)])[:, None]
+    bad = np.any(scale * maxima[:, n_low - start :] >= bound, axis=0)
+    first = int(np.argmax(bad))
+    if bad[first]:
+        raise _row_failure(seq, w, n_low + first)
+    zero_steps = int(zeros[n_low - start :].sum())
     all_steps = p * depth * (depth - 1) // 2 + depth * (t - depth * p)  # sum of (t - 1 - u) // p
-    rows = chunk_rows(depth)
-    for u0 in range(0, t - p, rows):
-        u1 = min(u0 + rows, t - p)
-        k0, k1 = (t - u1) // p, (t - 1 - u0) // p  # every row reaches block k0, the first k1
-        zero = blocks[u0:u1, :k1] <= ETA
-        band_bad = (s * blocks[u0 + p : u1 + p, :k1] >= delta * lam) | offset_bad[u0:u1, None]
-        bad = np.where(zero, step_bad[u0:u1, :k1], band_bad)
-        bad |= blocks[u0:u1, 1 : k1 + 1] >= delta - ETA
-        in_range = np.arange(u0, u1)[:, None] + np.arange(k0 + 1, k1 + 1) * p < t
-        bad[:, k0:] &= in_range
-        zero[:, k0:] &= in_range
-        hit = _first_true(bad)
-        if hit is not None:
-            raise _induction_failure(dm, s, w, n_low + 1 + u0 + hit[0], hit[1] + 1)
-        zero_steps += int(np.count_nonzero(zero))
     return InductionTrace(depth, zero_steps, all_steps - zero_steps)
+
+
+def _induction_summaries(seq: SequencePrefix, p: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """(maxima, zeros) over the 0-based rows i in [lo, N - p), column i - lo.
+
+    Over the blocks k >= 1 of row i in range (i + k p < N), the rows of
+    ``maxima`` are: the largest block dm[i, i + k p]; the largest step
+    dm[i + (k - 1) p, i + k p] of the zero-branch blocks, whose previous
+    block dm[i, i + (k - 1) p] is at most eta, and ``zeros`` counts them;
+    the largest shifted block dm[i + p, i + k p] of the others; the settled
+    offset dm[i, i + p] (a maximum with no entry is -inf).  Block 1 judges
+    that offset on either branch, as its step or its settled offset, so it is
+    judged once per row.  A row covers the same blocks from every n_low, so
+    summaries from ``lo`` answer every n_low >= lo.
+
+    With u = i - lo, t = N - lo and E = ``seq.offsets(lo, width)``, block k
+    of row u is V[u, k] on V = E[:, ::p], its previous block V[u, k - 1], its
+    shifted block V[u + p, k - 1] and its step E[u + (k - 1) p, p].  Rows are
+    scanned in chunks, and a chunk masks the blocks its later rows lack.
+    """
+    t = len(seq) - lo
+    depth = (t - 1) // p
+    e = seq.offsets(lo, depth * p + 1)
+    blocks = e[:, ::p]
+    padded = np.zeros(t + depth * p)  # rows past t are never in range
+    padded[:t] = e[:, p]
+    step_of = np.lib.stride_tricks.as_strided(  # step_of[u, k - 1] = padded[u + (k - 1) p]
+        padded, (t, depth), (padded.itemsize, p * padded.itemsize), writeable=False
+    )
+    rows_in = t - p
+    maxima = np.empty((4, rows_in))
+    most, steps, shifted, offset = maxima
+    offset[:] = e[:rows_in, p]
+    zeros = np.empty(rows_in, dtype=np.int64)
+    counter = np.min_scalar_type(depth)  # see sequences._triggered
+    top = np.maximum.reduce  # np.max's Python wrapper costs more than a short prefix's rows
+    rows = chunk_rows(depth)
+    for u0 in range(0, rows_in, rows):
+        u1 = min(u0 + rows, rows_in)
+        k0, k1 = (t - u1) // p, (t - 1 - u0) // p  # every row reaches block k0, the first k1
+        # The chunk's rows u0 .. u1 - 1 and, p rows down, their shifted blocks.
+        # A row reduction is slow over a few blocks a row unless the rows are
+        # the inner axis, so a chunk with fewer blocks than rows is copied so.
+        # flip-equivalent: the copy changes only the layout; the counts do not
+        # depend on it, and the maxima only up to the sign of a zero, which
+        # no comparison sees.
+        chunk = blocks[u0 : u1 + p, : k1 + 1]
+        if k1 < u1 - u0:
+            chunk = np.asfortranarray(chunk)
+        in_range = (np.arange(k0 + 1, k1 + 1)[:, None] * p + np.arange(u0, u1) < t).T
+        zero = chunk[: u1 - u0, :k1] <= ETA
+        band = ~zero
+        zero[:, k0:] &= in_range
+        band[:, k0:] &= in_range
+        top(chunk[: u1 - u0, 1 : k0 + 1], axis=1, out=most[u0:u1])
+        last = top(chunk[: u1 - u0, k0 + 1 : k1 + 1], axis=1, where=in_range, initial=-np.inf)
+        np.maximum(most[u0:u1], last, out=most[u0:u1])
+        top(step_of[u0:u1, :k1], axis=1, where=zero, initial=-np.inf, out=steps[u0:u1])
+        top(chunk[p:, :k1], axis=1, where=band, initial=-np.inf, out=shifted[u0:u1])
+        zeros[u0:u1] = np.add.reduce(zero.view(np.uint8), axis=1, dtype=counter)
+    maxima.setflags(write=False)
+    zeros.setflags(write=False)
+    return maxima, zeros
+
+
+def _row_failure(seq: SequencePrefix, w: ShiftWitness, i: int) -> Exception:
+    """The failure of the first failing block of 0-based row i, its checks
+    evaluated block by block; the settled offset is judged at every block, as
+    block 1 judges it on either branch."""
+    dm = seq.distance_matrix()
+    s, n = seq.metric.s, len(seq)
+    delta, lam, p = w.delta, w.lam, w.p
+    row = dm[i, i:n:p]  # blocks k = 0 .. K
+    bad = row[1:] >= delta - ETA
+    bad |= np.where(
+        row[:-1] <= ETA,
+        s * np.diagonal(dm, p)[i : n - p : p] >= delta * (1.0 - lam),
+        s * dm[i + p, i + p : n : p] >= delta * lam,
+    )
+    bad |= s * dm[i, i + p] >= delta * (1.0 - lam)
+    return _induction_failure(dm, s, w, i + 1, int(np.argmax(bad)) + 1)
 
 
 def _induction_failure(dm: np.ndarray, s: float, w: ShiftWitness, n: int, k: int) -> Exception:

@@ -259,24 +259,29 @@ def _seed(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config path, or '-' for stdin")
-    common.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    common.add_argument("--seed", type=_seed, metavar="U64", help="override the config seed")
-    common.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit timestamp and timing from the report (for byte-stable output)",
-    )
-    common.add_argument("--header", action="store_true", help="csv sources: skip the first row")
-
+    """One subparser per command, with only the flags that command reads:
+    ``--config`` and ``--seed`` for all but ``list``, ``--header`` for the
+    two commands that read a sequence source, ``--out`` and
+    ``--no-timestamp`` for all."""
     parser = argparse.ArgumentParser(
         prog="cauchycert",
         description="Finite-prefix Cauchy certification for dislocated b-metric spaces.",
     )
     sub = parser.add_subparsers(dest="command")
     for name, (_, summary) in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=summary)
+        command = sub.add_parser(name, help=summary)
+        if name != "list":
+            command.add_argument("--config", metavar="PATH", help="JSON config path, or '-' for stdin")
+        command.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+        if name != "list":
+            command.add_argument("--seed", type=_seed, metavar="U64", help="override the config seed")
+        command.add_argument(
+            "--no-timestamp",
+            action="store_true",
+            help="omit timestamp and timing from the report (for byte-stable output)",
+        )
+        if name in ("check", "certify"):
+            command.add_argument("--header", action="store_true", help="csv sources: skip the first row")
     return parser
 
 
@@ -292,7 +297,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         handler, _ = COMMANDS[args.command]
         config_echo, results, exit_code = handler(args)
-        seed = config_echo.get("parameters", {}).get("seed", args.seed or 0)
+        seed = config_echo.get("parameters", {}).get("seed", getattr(args, "seed", None) or 0)
         report = build_report(
             command=args.command,
             config_echo=config_echo,

@@ -83,14 +83,22 @@ class SequencePrefix:
     The points are stored once, as the read-only ``(N, d)`` float64 array
     ``coords``, validated at construction (finiteness, one dimension, the
     metric's dimension).  A prefix is immutable, so its distance matrix is
-    built on first use and kept for every later scan.  It keeps the shift
-    profile of the last (delta, p) scanned the same way, in one slot.
+    built on first use and kept for every later scan.  Three per-row
+    summaries of it are kept the same way, one slot each, so that the calls
+    of a delta grid share one O(N^2) pass each: the shift profile of the last
+    (delta, p) scanned (:func:`_shift_profile`), the suffix maxima that
+    :func:`tail_diameter` answers from, and the block-induction summaries of
+    the last shift p (``certificates.run_block_induction``).  Each covers the
+    rows from the smallest cutoff it was built for and is rebuilt for a
+    smaller one.
 
     A prefix grown by :meth:`extend` from a prefix with a built matrix
-    inherits both, so that each grown block costs O(N * block) distance
-    evaluations and scans, not O(N^2): its matrix is written when it is made,
-    as the top-left corner of a buffer with spare rows and columns that later
-    prefixes grow into, and its profile scans only the pairs with a new index.
+    inherits the matrix and the shift profile, so that each grown block costs
+    O(N * block) distance evaluations and scans, not O(N^2): its matrix is
+    written when it is made, as the top-left corner of a buffer with spare
+    rows and columns that later prefixes grow into, and its profile scans
+    only the pairs with a new index.  It starts with neither of the other
+    two slots.
     """
 
     def __init__(self, points: Sequence, metric: DbMetric):
@@ -118,6 +126,8 @@ class SequencePrefix:
         # The writable (C, C) buffer whose corner is ``_matrix``, until a child takes it.
         self._spare: Optional[np.ndarray] = None
         self._profile: Optional[tuple] = None  # the last shift profile, see _shift_profile
+        self._tail: Optional[tuple] = None  # (start, suffix), see tail_diameter
+        self._induction: Optional[tuple] = None  # (p, start, summaries), see run_block_induction
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -133,7 +143,8 @@ class SequencePrefix:
 
         If this prefix's distance matrix was built, the longer prefix's
         matrix is written at once, and the longer prefix keeps this one's
-        shift profile.  Only the rows and columns of the new points are
+        shift profile (but not its oracle or induction summaries, whose rows
+        all change).  Only the rows and columns of the new points are
         evaluated (a :class:`MetricError` among them is raised here), into
         the top-left corner of a ``(C, C)`` :func:`matrix_buffer`: the first
         longer prefix that fits in this matrix's buffer takes the buffer, and
@@ -359,15 +370,27 @@ def tail_diameter(seq: SequencePrefix, n0: int) -> float:
     Self-distances are included, so a dislocated tail cannot hide.  This is
     the ground truth every certificate is compared against; it is monotone
     nonincreasing in n0.
+
+    One chunked pass over the triangle from row n0 - 1 takes each row's
+    maximum, and their suffix maxima answer every larger cutoff with one
+    lookup.  The prefix keeps them as ``(start, suffix)``: suffix[r] is the
+    largest dm[i, j] over start - 1 + r <= i <= j < N.  A cutoff below
+    ``start`` rebuilds them from its own row.
     """
     n = len(seq)
     if not (1 <= n0 < n):
         raise PrefixTooShort(f"cutoff n0 = {n0} leaves no tail pairs in a prefix of length {n}")
-    tail = seq.distance_matrix()[n0 - 1 :, n0 - 1 :]
-    rows = chunk_rows(tail.shape[0])
-    return max(
-        float(np.max(np.triu(tail[i : i + rows, i:]))) for i in range(0, tail.shape[0], rows)
-    )
+    if seq._tail is None or seq._tail[0] > n0:
+        tail = seq.distance_matrix()[n0 - 1 :, n0 - 1 :]
+        rows = chunk_rows(tail.shape[0])
+        rowmax = np.concatenate(
+            [np.max(np.triu(tail[i : i + rows, i:]), axis=1) for i in range(0, tail.shape[0], rows)]
+        )
+        suffix = np.maximum.accumulate(rowmax[::-1])[::-1]
+        suffix.setflags(write=False)
+        seq._tail = (n0, suffix)
+    start, suffix = seq._tail
+    return float(suffix[n0 - start])
 
 
 # ---------------------------------------------------------------------------

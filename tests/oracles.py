@@ -24,6 +24,11 @@ prefix's matrix copied into a new buffer of exactly N x N;
 ``chunked_shift_contraction``, and
 ``blockwise_solve_fixed_point`` grows the orbit point by point and reads the
 last step through the scalar ``pair_distance``.
+``chunked_block_induction`` is block induction as one chunked pass over the
+blocks of its own ``n_low``, which stops at the first chunk with a failing
+block, and ``triu_tail_diameter`` the oracle as one pass over the ``np.triu``
+row chunks of its own cutoff; the per-row summaries that a prefix keeps for
+every ``n_low`` and every cutoff replaced them.
 ``loop_block_induction`` checks the blocks of one n per Python iteration, and
 ``triu_pair_scan`` gathers every tail pair through ``np.triu_indices``; both
 replay the same float expressions as the row-offset scans in
@@ -45,7 +50,9 @@ checks in ``metrics`` and ``contractions`` must agree with them exactly.
 translates each stage's own failure signal by hand (a report with
 ``holds=False``, a ``None`` settling index from ``scan_settling_index``, a
 raised failure) and appends each stage's verdict to a list as it goes; its
-pair scan is ``triu_pair_scan``, so it is independent of ``_pair_scan``.
+pair scan is ``triu_pair_scan``, its induction ``chunked_block_induction`` and
+its oracle ``triu_tail_diameter``, so it is independent of ``_pair_scan``,
+``run_block_induction`` and ``tail_diameter``.
 ``row_offsets`` is the offset view that ``SequencePrefix.offsets`` replaced:
 it finds the matrix's buffer from ``dm.base`` and the strides, and checks the
 layout on every call.  ``text_mode_read_csv_points`` is the CSV reader that
@@ -91,8 +98,6 @@ from cauchycert import (
     derive_shift,
     diameter_bound,
     estimate_contraction_constant,
-    run_block_induction,
-    tail_diameter,
 )
 from cauchycert.certificates import _chain_stage, _first_true, _induction_failure
 from cauchycert.contractions import Contraction, ContractionEstimate
@@ -786,6 +791,62 @@ def class_loop_pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> No
     )
 
 
+def chunked_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
+    """``run_block_induction`` as one chunked pass over the blocks of its own n_low.
+
+    With u = n - n_low - 1 and E = ``seq.offsets(n_low, width)``, block k of
+    row u is V[u, k] on V = E[:, ::p], its previous block V[u, k - 1] and its
+    shifted block V[u + p, k - 1]; its step E[u + (k - 1) p, p] and its
+    settled offset E[u, p] are offsets p, judged once per row.  Rows are
+    scanned in chunks, and the first chunk with a failing block raises.
+    """
+    dm = seq.distance_matrix()
+    s = seq.metric.s
+    n_low = max(settling, w.n0)
+    delta, lam, p = w.delta, w.lam, w.p
+
+    t = max(len(seq) - n_low, 0)
+    depth = max((t - 1) // p, 0)
+    if depth == 0:
+        return InductionTrace(0, 0, 0)
+    e = seq.offsets(n_low, depth * p + 1)
+    blocks = e[:, ::p]
+    offset_bad = np.zeros(t + depth * p, dtype=bool)  # rows past t are never in range
+    offset_bad[:t] = s * e[:, p] >= delta * (1.0 - lam)
+    step_bad = np.lib.stride_tricks.sliding_window_view(offset_bad, depth * p)[:, ::p]
+    zero_steps = 0
+    all_steps = p * depth * (depth - 1) // 2 + depth * (t - depth * p)  # sum of (t - 1 - u) // p
+    rows = chunk_rows(depth)
+    for u0 in range(0, t - p, rows):
+        u1 = min(u0 + rows, t - p)
+        k0, k1 = (t - u1) // p, (t - 1 - u0) // p  # every row reaches block k0, the first k1
+        zero = blocks[u0:u1, :k1] <= ETA
+        band_bad = (s * blocks[u0 + p : u1 + p, :k1] >= delta * lam) | offset_bad[u0:u1, None]
+        bad = np.where(zero, step_bad[u0:u1, :k1], band_bad)
+        bad |= blocks[u0:u1, 1 : k1 + 1] >= delta - ETA
+        in_range = np.arange(u0, u1)[:, None] + np.arange(k0 + 1, k1 + 1) * p < t
+        bad[:, k0:] &= in_range
+        zero[:, k0:] &= in_range
+        hit = _first_true(bad)
+        if hit is not None:
+            raise _induction_failure(dm, s, w, n_low + 1 + u0 + hit[0], hit[1] + 1)
+        zero_steps += int(np.count_nonzero(zero))
+    return InductionTrace(depth, zero_steps, all_steps - zero_steps)
+
+
+def triu_tail_diameter(seq: SequencePrefix, n0: int) -> float:
+    """``tail_diameter`` as one pass over the triangle of its own cutoff:
+    the largest ``np.triu`` entry of each row chunk of the tail."""
+    n = len(seq)
+    if not (1 <= n0 < n):
+        raise PrefixTooShort(f"cutoff n0 = {n0} leaves no tail pairs in a prefix of length {n}")
+    tail = seq.distance_matrix()[n0 - 1 :, n0 - 1 :]
+    rows = chunk_rows(tail.shape[0])
+    return max(
+        float(np.max(np.triu(tail[i : i + rows, i:]))) for i in range(0, tail.shape[0], rows)
+    )
+
+
 def class_loop_block_induction(seq: SequencePrefix, w: ShiftWitness, settling: int) -> InductionTrace:
     """``run_block_induction`` with one Python iteration per residue class.
 
@@ -1280,7 +1341,7 @@ def appended_certify_cauchy(
     stages.append(("chain_bounds", True))
 
     try:
-        induction = run_block_induction(seq, w, settling)
+        induction = chunked_block_induction(seq, w, settling)
     except CertificateFailure as exc:
         return outcome_failure(exc.stage, str(exc), shift=shift)
     stages.append(("block_induction", True))
@@ -1292,7 +1353,7 @@ def appended_certify_cauchy(
     stages.append(("pair_scan", True))
 
     fb = diameter_bound(w, seq.metric.s)
-    oracle = tail_diameter(seq, n_low + 1)
+    oracle = triu_tail_diameter(seq, n_low + 1)
     if not (oracle < fb):
         raise DivergenceError(
             f"certificate issued but oracle tail diameter {oracle} >= bound {fb}"

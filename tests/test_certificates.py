@@ -43,6 +43,7 @@ from cauchycert.metrics import available_metrics
 from oracles import (
     appended_certify_cauchy,
     chain_bound,
+    chunked_block_induction,
     class_loop_block_induction,
     class_loop_pair_scan,
     loop_block_induction,
@@ -418,9 +419,10 @@ SCAN_ARGS = dict(
 
 
 class TestResidueScansMatchOracles:
-    """The row-offset induction equals the residue-class scan it replaced and
-    the per-n loop; the padded pair scan, which checks every pair on any
-    ``n_low``, equals the residue-class, slab and triu-index scans.
+    """The induction from per-row summaries equals the chunked pass it
+    replaced, the residue-class scan and the per-n loop; the padded pair
+    scan, which checks every pair on any ``n_low``, equals the residue-class,
+    slab and triu-index scans.
 
     A chunk of 7 elements makes most scans cross chunk edges, and one of 400
     puts several rows in one pair-scan chunk; ``cut`` is the settling index of the induction (arbitrary, so
@@ -456,6 +458,7 @@ class TestResidueScansMatchOracles:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
             got = _result(run_block_induction, seq, w, cut)
+            assert got == _result(chunked_block_induction, seq, w, cut)
             assert got == _result(class_loop_block_induction, seq, w, cut)
         assert got == _result(loop_block_induction, seq, w, cut)
 
@@ -489,6 +492,92 @@ class TestResidueScansMatchOracles:
             assert got == _result(slab_pair_scan, seq, w, cut)
             assert got == _result(class_loop_pair_scan, seq, w, cut)
         assert got == _result(triu_pair_scan, seq, w, cut)
+
+
+#: (entries, delta, lam, the outcome): the first failing block of n = 2 on a
+#: table prefix of 5 points at p = 1, from n_low = 1, fails at a tie.  Each
+#: failure sits at a block k past another block of its row, or with a later
+#: block failing too, so the rescan of the row finds its k by the comparison
+#: at the tie alone.
+INDUCTION_TIES = {
+    # Block 2 is exactly delta - eta.
+    "block": ({(2, 4): 1.0 - ETA}, 1.0, 0.5, (CertificateFailure, (2, 2))),
+    # Block 2 takes the zero branch, and its step is exactly delta (1 - lam).
+    "step": ({(3, 4): 0.25}, 1.0, 0.75, (DivergenceError, "zero-branch justification failed at (n=2, k=2)")),
+    # Block 2 takes the band branch, and its shifted block is exactly delta lam.
+    "shifted": ({(2, 3): 2 * ETA, (3, 4): 0.75}, 1.0, 0.75,
+                (DivergenceError, "band-branch justification failed at (n=2, k=2)")),
+    # Block 1 takes the band branch (x_2's self-distance is positive), and
+    # the settled offset is exactly delta (1 - lam); block 2 is delta - eta.
+    "offset": ({(2, 2): 0.125, (2, 3): 0.25, (2, 4): 1.0 - ETA}, 1.0, 0.75,
+               (DivergenceError, "band-branch justification failed at (n=2, k=1)")),
+    # The previous block of block 2 is exactly eta: the zero branch, whose
+    # step fails where the band branch's shifted block would pass.
+    "zero": ({(2, 3): ETA, (3, 4): 0.5}, 1.0, 0.75,
+             (DivergenceError, "zero-branch justification failed at (n=2, k=2)")),
+}
+
+
+class TestInductionSummaries:
+    """``run_block_induction`` answers every call from the summaries the prefix
+    keeps for the last p, from the smallest ``n_low`` asked, as one chunked
+    pass over the blocks of each call's own ``n_low`` answers it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=SCAN_VALUES,
+        name=SCAN_ARGS["name"],
+        s=SCAN_ARGS["s"],
+        n0=st.integers(1, 4),
+        calls=st.lists(
+            st.tuples(st.sampled_from([1, 2, 3, 5]), st.integers(0, 12),
+                      st.floats(0.005, 4.0), st.floats(0.05, 0.95)),
+            min_size=2, max_size=8,
+        ),
+        chunk=SCAN_ARGS["chunk"],
+    )
+    # The same p with the settling index rising, then falling below the
+    # summaries' start; then another p, and the first p again.
+    @example(values=[2.0 ** -k for k in range(30)], name="euclid_1d", s=None, n0=1,
+             calls=[(2, 3, 0.1, 0.5), (2, 6, 0.05, 0.5), (2, 1, 0.5, 0.5), (1, 1, 0.5, 0.5),
+                    (2, 9, 0.05, 0.3)],
+             chunk=7)
+    def test_one_prefix_answers_many_calls(self, values, name, s, n0, calls, chunk):
+        seq, _ = _scan_setup(values, name, s, 1.0, 1, 0.5, n0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            for p, settling, delta, lam in calls:
+                w = ShiftWitness(delta, p, lam, n0)
+                fresh = SequencePrefix(values, seq.metric)
+                expected = _result(chunked_block_induction, fresh, w, settling)
+                assert _result(run_block_induction, seq, w, settling) == expected
+
+    @pytest.mark.parametrize("case", list(INDUCTION_TIES))
+    def test_ties_fail_at_their_block(self, case):
+        entries, delta, lam, (kind, where) = INDUCTION_TIES[case]
+        seq = _table_prefix(5, entries)
+        w = ShiftWitness(delta, 1, lam, 1)
+        got = _result(run_block_induction, seq, w, 0)
+        assert got == _result(chunked_block_induction, seq, w, 0)
+        assert got == _result(loop_block_induction, seq, w, 0)
+        assert got[0] is kind
+        if kind is CertificateFailure:
+            assert got[2] == where
+        else:
+            assert where in got[1]
+
+    def test_summaries_are_kept_for_their_shift_and_later_cutoffs(self, euclid):
+        seq = iterate(make_contraction("halving"), Point(1.0), 60, euclid)
+        run_block_induction(seq, HALVING_WITNESS, 3)
+        slot = seq._induction
+        assert slot[:2] == (2, 3)
+        for settling in (3, 5):  # the summaries' own start, then a later one
+            _result(run_block_induction, seq, ShiftWitness(0.05, 2, 0.3, 1), settling)
+            assert seq._induction is slot
+        _result(run_block_induction, seq, HALVING_WITNESS, 2)
+        assert seq._induction[:2] == (2, 2)
+        _result(run_block_induction, seq, ShiftWitness(0.1, 1, 0.5, 1), 3)
+        assert seq._induction[:2] == (1, 3)
 
 
 def _table_prefix(n: int, entries: dict) -> SequencePrefix:
@@ -712,6 +801,17 @@ class TestCertifyMemory:
         # profile instead of reading one an earlier test left on the orbit.
         report, peak = _traced_peak(check_shift_contraction, orbit, ShiftWitness(0.15, 1, 0.95, 1))
         assert report.holds and report.pairs_triggered > 0
+        assert peak < orbit.distance_matrix().nbytes / 16
+
+    def test_induction_summary_temporaries_stay_below_a_sixteenth_of_the_matrix(self, orbit):
+        # A p no other test here uses on the orbit, so the call builds its
+        # summaries instead of reading the ones an earlier test left.
+        w = ShiftWitness(0.1, 3, 0.95, 1)
+        settling = find_settling_index(orbit, w)
+        assert orbit._induction is None or orbit._induction[0] != w.p
+        trace, peak = _traced_peak(run_block_induction, orbit, w, settling)
+        assert orbit._induction[:2] == (w.p, settling)
+        assert trace.depth > 900
         assert peak < orbit.distance_matrix().nbytes / 16
 
     def test_search_keeps_one_shift_profile(self, orbit):

@@ -85,17 +85,20 @@ def _with_parameter(config: dict, key: str, value) -> dict:
     return config
 
 
-#: The options every command takes, as ``<command> --help`` lists them at 80 columns.
-COMMAND_OPTIONS = """
-options:
-  -h, --help      show this help message and exit
-  --config PATH   JSON config path, or '-' for stdin
-  --out PATH      write the report here instead of stdout
-  --seed U64      override the config seed
-  --no-timestamp  omit timestamp and timing from the report (for byte-stable
-                  output)
-  --header        csv sources: skip the first row
-"""
+#: The options of ``<command> --help`` at 80 columns: the command's config
+#: options, then ``--no-timestamp`` and, for the commands that read a
+#: sequence source, ``--header``.
+def _command_options(config: bool, header: bool) -> str:
+    return "".join([
+        "\noptions:\n  -h, --help      show this help message and exit\n",
+        "  --config PATH   JSON config path, or '-' for stdin\n" if config else "",
+        "  --out PATH      write the report here instead of stdout\n",
+        "  --seed U64      override the config seed\n" if config else "",
+        "  --no-timestamp  omit timestamp and timing from the report (for byte-stable\n"
+        "                  output)\n",
+        "  --header        csv sources: skip the first row\n" if header else "",
+    ])
+
 
 #: ``--help`` at 80 columns, keyed by the arguments before it.
 HELP_TEXT = {
@@ -120,13 +123,23 @@ options:
         (command,): f"""\
 usage: cauchycert {command} [-h] [--config PATH] [--out PATH] [--seed U64]
 {' ' * (19 + len(command))}[--no-timestamp] [--header]
-{COMMAND_OPTIONS}"""
-        for command in ["axioms", "check", "certify", "solve", "list"]
+{_command_options(True, True)}"""
+        for command in ["check", "certify"]
+    },
+    **{
+        (command,): f"""\
+usage: cauchycert {command} [-h] [--config PATH] [--out PATH] [--seed U64]
+{' ' * (19 + len(command))}[--no-timestamp]
+{_command_options(True, False)}"""
+        for command in ["axioms", "solve"]
     },
     ("counterexample",): f"""\
 usage: cauchycert counterexample [-h] [--config PATH] [--out PATH]
-                                 [--seed U64] [--no-timestamp] [--header]
-{COMMAND_OPTIONS}""",
+                                 [--seed U64] [--no-timestamp]
+{_command_options(True, False)}""",
+    ("list",): f"""\
+usage: cauchycert list [-h] [--out PATH] [--no-timestamp]
+{_command_options(False, False)}""",
 }
 
 
@@ -171,6 +184,30 @@ class TestListing:
         assert code == 2
         assert out == ""
         assert "usage" in err.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["list", "--config", "/nonexistent.json"],
+        ["list", "--seed", "3"],
+        ["list", "--header"],
+        ["axioms", "--header"],
+        ["solve", "--header"],
+        ["counterexample", "--header"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        # Each command takes only the flags it reads: "list" reads no config
+        # and no seed, and only check and certify read a sequence source.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cauchycert")
+        assert err.endswith(f"cauchycert: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+    def test_list_records_seed_zero(self, capsys):
+        code, out, _ = run_cli(["list", "--no-timestamp"], capsys)
+        assert code == 0
+        assert parse_report(out)["seed"] == 0
 
     @pytest.mark.parametrize("before", list(HELP_TEXT), ids=lambda before: " ".join(before) or "top")
     def test_help_text(self, capsys, monkeypatch, before):
@@ -1123,9 +1160,9 @@ class TestConfigErrors:
         assert f'"metric.s" must be a number, got {s!r}' in err
 
     def test_negative_seed_flag_is_usage_error(self, capsys):
-        # "list" reads no config, so the flag is checked where it is parsed.
+        # The flag is checked where it is parsed, before any config is read.
         with pytest.raises(SystemExit) as exc:
-            main(["list", "--seed", "-1"])
+            main(["counterexample", "--seed", "-1"])
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (2, "")
         assert "--seed: must be a nonnegative integer, got '-1'" in captured.err

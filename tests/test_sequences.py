@@ -47,6 +47,7 @@ from oracles import (
     pair_distance,
     rebuilt_shift_profile,
     row_offsets,
+    triu_tail_diameter,
 )
 
 
@@ -643,6 +644,54 @@ class TestTailDiameter:
     def test_cutoff_validation(self, halving_orbit, bad):
         with pytest.raises(PrefixTooShort):
             tail_diameter(halving_orbit, bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=40),
+        name=st.sampled_from(["euclid_1d", "shifted_dislocated", "broken_asym"]),
+        data=st.data(),
+        chunk=st.sampled_from([7, 400, metrics._CHUNK]),
+    )
+    def test_one_prefix_answers_every_cutoff(self, values, name, data, chunk):
+        # The suffix maxima kept from the first cutoff answer every later one,
+        # and a smaller cutoff rebuilds them; the refusals come first.
+        seq = SequencePrefix(values, make_metric(name))
+        n = len(seq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            for n0 in data.draw(st.permutations(range(1, n)), label="cutoffs"):
+                assert tail_diameter(seq, n0) == triu_tail_diameter(seq, n0)
+        assert seq._tail[0] == 1
+        for bad in (0, n):
+            with pytest.raises(PrefixTooShort, match=f"cutoff n0 = {bad} leaves no tail pairs"):
+                tail_diameter(seq, bad)
+
+    def test_suffix_maxima_are_kept_from_their_cutoff_on(self, euclid):
+        seq = SequencePrefix([2.0**-k for k in range(20)], euclid)
+        tail_diameter(seq, 5)
+        slot = seq._tail
+        assert slot[0] == 5
+        for n0 in (5, 9):  # the slot's own cutoff, then a later one
+            tail_diameter(seq, n0)
+            assert seq._tail is slot
+        assert tail_diameter(seq, 4) == 2.0**-3 - 2.0**-19
+        assert seq._tail[0] == 4
+
+    def test_a_grown_prefix_keeps_neither_slot(self, euclid):
+        # The oracle's suffix maxima and the induction summaries cover the
+        # rows of the shorter prefix only: the grown prefix builds its own.
+        seq = SequencePrefix([2.0**-k for k in range(40)], euclid)
+        w = ShiftWitness(0.1, 2, 0.5, 1)
+        short = certify_cauchy(seq, w)
+        assert short.certified and tail_diameter(seq, 3) == 2.0**-2 - 2.0**-39
+        assert seq._tail is not None and seq._induction is not None
+        grown = seq.extend([2.0**-k for k in range(40, 60)])
+        assert grown._tail is None and grown._induction is None
+        fresh = SequencePrefix(grown.coords, euclid)
+        assert tail_diameter(grown, 3) == tail_diameter(fresh, 3) == 2.0**-2 - 2.0**-59
+        long = certify_cauchy(grown, w)
+        assert long.to_dict() == certify_cauchy(fresh, w).to_dict()
+        assert long.certificate.band_branch_steps > short.certificate.band_branch_steps
 
 
 class TestWitnessSearch:
