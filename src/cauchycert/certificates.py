@@ -203,13 +203,12 @@ def _induction_summaries(seq: SequencePrefix, p: int, lo: int) -> tuple[np.ndarr
     for u0 in range(0, rows_in, rows):
         u1 = min(u0 + rows, rows_in)
         k0, k1 = (t - u1) // p, (t - 1 - u0) // p  # every row reaches block k0, the first k1
-        # The chunk's rows u0 .. u1 - 1 and, p rows down, their shifted blocks.
+        chunk = blocks[u0 : u1 + p, : k1 + 1]  # the rows, and p rows down their shifted blocks
         # A row reduction is slow over a few blocks a row unless the rows are
         # the inner axis, so a chunk with fewer blocks than rows is copied so.
         # flip-equivalent: the copy changes only the layout; the counts do not
         # depend on it, and the maxima only up to the sign of a zero, which
         # no comparison sees.
-        chunk = blocks[u0 : u1 + p, : k1 + 1]
         if k1 < u1 - u0:
             chunk = np.asfortranarray(chunk)
         in_range = (np.arange(k0 + 1, k1 + 1)[:, None] * p + np.arange(u0, u1) < t).T

@@ -382,10 +382,16 @@ def tail_diameter(seq: SequencePrefix, n0: int) -> float:
         raise PrefixTooShort(f"cutoff n0 = {n0} leaves no tail pairs in a prefix of length {n}")
     if seq._tail is None or seq._tail[0] > n0:
         tail = seq.distance_matrix()[n0 - 1 :, n0 - 1 :]
-        rows = chunk_rows(tail.shape[0])
-        rowmax = np.concatenate(
-            [np.max(np.triu(tail[i : i + rows, i:]), axis=1) for i in range(0, tail.shape[0], rows)]
-        )
+        t = tail.shape[0]
+        rowmax = np.empty(t)
+        rows = chunk_rows(t)
+        for i in range(0, t, rows):
+            k = min(rows, t - i)
+            # Only a chunk's leading square meets the diagonal: the columns
+            # past it are read in place, with no masked copy.
+            np.max(np.triu(tail[i : i + k, i : i + k]), axis=1, out=rowmax[i : i + k])
+            right = np.max(tail[i : i + k, i + k :], axis=1, initial=-np.inf)
+            np.maximum(rowmax[i : i + k], right, out=rowmax[i : i + k])
         suffix = np.maximum.accumulate(rowmax[::-1])[::-1]
         suffix.setflags(write=False)
         seq._tail = (n0, suffix)
