@@ -204,11 +204,6 @@ class TestListing:
         assert err.startswith("usage: cauchycert")
         assert err.endswith(f"cauchycert: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
-    def test_list_records_seed_zero(self, capsys):
-        code, out, _ = run_cli(["list", "--no-timestamp"], capsys)
-        assert code == 0
-        assert parse_report(out)["seed"] == 0
-
     @pytest.mark.parametrize("before", list(HELP_TEXT), ids=lambda before: " ".join(before) or "top")
     def test_help_text(self, capsys, monkeypatch, before):
         # The command table drives both the subparsers and dispatch; the help
