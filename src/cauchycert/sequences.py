@@ -336,22 +336,29 @@ def _triggered(
     """The triggered count and shifted maximum of each row r in [lo, end),
     over the pairs (r, j) with max(r, left) <= j < end."""
     t = end - lo
-    width = end - max(lo, left)  # the widest row's columns
+    mid = max(lo, left)  # the first row that starts on the diagonal
+    width = end - mid  # the widest row's columns
     high = delta - ETA
     count = np.empty(t, dtype=np.int64)
-    rowmax = np.empty(t)
+    rowmax = np.full(t, -np.inf)
     # Row chunks: 0-based rows/cols r < N - p hold 1-based n <= N - p, and
     # the same block shifted by p.  A chunk reads the columns from its first
     # row or from ``left``, whichever is later; its rows from ``left`` on
     # meet the triangle's edge inside the chunk, in a square masked by ``upper``.
+    # The rows before ``left`` read one rectangle in chunks of ``chunk_rows``;
+    # the rows from it on take at most 64 rows a chunk, so that the square's
+    # masked-off half stays a small part of the entries a chunk reads.
     rows = chunk_rows(width)
-    upper = np.triu(np.ones((min(rows, width),) * 2, dtype=bool))
+    square = min(rows, 64)
+    starts = [*range(lo, mid, rows), *range(mid, end, square)]
+    ar = np.arange(min(square, width))
+    upper = ar[:, None] <= ar
     # Summing the mask's bytes into the narrowest type that holds a row's
     # count is several times faster than ``np.count_nonzero(..., axis=1)``.
     counter = np.min_scalar_type(width)
-    for i in range(0, t, rows):
-        k = min(rows, t - i)
-        r = lo + i
+    for r, stop in zip(starts, [*starts[1:], end]):
+        k = stop - r
+        i = r - lo
         c = max(r, left)
         block = dm[r : r + k, c:end]
         triggered = block > ETA
@@ -359,8 +366,24 @@ def _triggered(
         d = min(c - r, k)  # the chunk's rows before ``left``; the rest start on the diagonal
         triggered[d:, : k - d] &= upper[: k - d, : k - d]
         count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
-        shifted = dm[r + p : r + p + k, c + p : end + p]
-        np.max(shifted, axis=1, where=triggered, initial=-np.inf, out=rowmax[i : i + k])
+        live = np.flatnonzero(count[i : i + k])
+        if not len(live):
+            continue  # every row keeps -inf
+        # The maximum over the live span, where rows without a triggered pair
+        # reduce to -inf.  A masked reduction (``where=``) pays once per run
+        # of true entries, a blend with -inf and a plain reduction once per
+        # entry.  With at most one run a row (two edges), as a converging
+        # orbit gives, the masked reduction reads less; a period-2 mask has
+        # runs of one entry, and the blend is several times faster there.
+        a, b = live[0], live[-1] + 1
+        mask = triggered[a:b]
+        shifted = dm[r + p + a : r + p + b, c + p : end + p]
+        out = rowmax[i + a : i + b]
+        edges = np.count_nonzero(mask[:, 1:] != mask[:, :-1])
+        if edges <= 2 * (b - a):  # flip-equivalent: both branches give the same maxima
+            np.maximum.reduce(shifted, axis=1, where=mask, initial=-np.inf, out=out)
+        else:
+            np.maximum.reduce(np.where(mask, shifted, -np.inf), axis=1, out=out)
     return count, rowmax
 
 
@@ -408,7 +431,9 @@ class SearchConfig:
     """Grids for the witness search.
 
     ``n0_values`` of None derives the cutoff grid {1, ceil(N/8), ceil(N/4)}
-    from the prefix length.
+    from the prefix length.  The grids may be given in any order and with
+    repeats; they are stored sorted ascending without duplicates, the order
+    :func:`search_witness` scans them in.
     """
 
     p_max: int = 8
@@ -425,6 +450,9 @@ class SearchConfig:
         for lam in self.lambdas:
             if not (0.0 < lam < 1.0):
                 raise ValueError(f"lambda grid entries must lie in (0, 1), got {lam}")
+        object.__setattr__(self, "lambdas", tuple(sorted(set(self.lambdas))))
+        if self.n0_values is not None:
+            object.__setattr__(self, "n0_values", tuple(sorted(set(self.n0_values))))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,11 @@ that the shift profile replaced (one full pass per witness), and
 ``argwhere_shift_contraction`` lists every violating pair with ``np.argwhere``
 and keeps the first; ``rebuilt_shift_profile`` is the shift profile built
 over every pair, as ``_shift_profile`` built it before a grown prefix kept the
-shorter prefix's profile, and ``copied_extension_matrix`` the grown matrix as
+shorter prefix's profile; ``masked_triggered`` is the profile's row kernel
+with row chunks bounded by their element count alone and every row maximum
+a masked (``where=``) reduction, which chunks of at most 64 rows from the
+diagonal on, each choosing that reduction or a blend with -inf by its mask's
+edges, replaced; ``copied_extension_matrix`` is the grown matrix as
 ``distance_matrix`` built it before it kept spare capacity: the shorter
 prefix's matrix copied into a new buffer of exactly N x N;
 ``loop_search_witness`` is the witness search over
@@ -386,6 +390,34 @@ def rebuilt_shift_profile(
         shifted = dm[n0 + p + i : n0 + p + i + k, n0 + p + i :]
         np.max(shifted, axis=1, where=triggered, initial=-np.inf, out=rowmax[i : i + k])
     return n0, count, rowmax
+
+
+def masked_triggered(
+    dm: np.ndarray, delta: float, p: int, lo: int, left: int, end: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sequences._triggered`` with each row chunk as wide as ``chunk_rows``
+    allows and the shifted maximum as one masked reduction (``where=``)."""
+    t = end - lo
+    width = end - max(lo, left)
+    high = delta - ETA
+    count = np.empty(t, dtype=np.int64)
+    rowmax = np.empty(t)
+    rows = chunk_rows(width)
+    upper = np.triu(np.ones((min(rows, width),) * 2, dtype=bool))
+    counter = np.min_scalar_type(width)
+    for i in range(0, t, rows):
+        k = min(rows, t - i)
+        r = lo + i
+        c = max(r, left)
+        block = dm[r : r + k, c:end]
+        triggered = block > ETA
+        triggered &= block < high
+        d = min(c - r, k)
+        triggered[d:, : k - d] &= upper[: k - d, : k - d]
+        count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
+        shifted = dm[r + p : r + p + k, c + p : end + p]
+        np.max(shifted, axis=1, where=triggered, initial=-np.inf, out=rowmax[i : i + k])
+    return count, rowmax
 
 
 def copied_extension_matrix(base: np.ndarray, seq: SequencePrefix) -> np.ndarray:

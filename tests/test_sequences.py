@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cauchycert import (
     ETA,
@@ -30,6 +30,7 @@ from cauchycert.metrics import available_metrics
 from cauchycert.sequences import (
     GENERATORS,
     _shift_profile,
+    _triggered,
     arithmetic_sequence,
     available_generators,
     constant_sequence,
@@ -43,6 +44,7 @@ from oracles import (
     loop_consecutive_decay,
     loop_search_witness,
     copied_extension_matrix,
+    masked_triggered,
     oneshot_shift_contraction,
     pair_distance,
     rebuilt_shift_profile,
@@ -302,6 +304,110 @@ class TestGrownPrefix:
         longer = _shift_profile(grown, 0.3, 2, 3)
         assert len(longer[1]) == len(profile[1]) + 1
         assert all(a is b for a, b in zip(_shift_profile(grown, 0.3, 2, 3), longer))
+
+
+def _kernel_points(pieces, delta: float, seed: int) -> np.ndarray:
+    """1-D points built from (kind, length) pieces at one ``delta``.
+
+    ``period2`` alternates between 0 and 2 delta with noise below delta / 5,
+    so its rows trigger every other column; ``decay`` is delta * 0.9^k, whose
+    rows trigger one run of columns each; ``ties`` draws from
+    {0, ETA, delta - ETA, delta}, whose distances tie both trigger bounds;
+    ``dead`` points lie 10 apart and far from every other piece, so their
+    rows trigger nothing; ``random`` is uniform on [0, 2 delta).
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, (kind, size) in enumerate(pieces):
+        k = np.arange(size)
+        if kind == "period2":
+            out.append(delta + (-1.0) ** k * delta + rng.uniform(0.0, delta / 5, size))
+        elif kind == "decay":
+            out.append(delta * 0.9**k)
+        elif kind == "ties":
+            out.append(rng.choice([0.0, ETA, delta - ETA, delta], size))
+        elif kind == "dead":
+            out.append(1e4 * (i + 1) + 10.0 * k)
+        else:
+            out.append(rng.uniform(0.0, 2 * delta, size))
+    return np.concatenate(out)
+
+
+_PIECES = st.lists(
+    st.tuples(st.sampled_from(["period2", "decay", "ties", "dead", "random"]), st.integers(1, 150)),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestTriggeredKernel:
+    """``_triggered`` (at most 64 rows a chunk from the diagonal on, and a
+    masked or a blended maximum over each chunk's live rows) against
+    ``masked_triggered`` (chunks bounded by elements, ``where=`` maxima)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=_PIECES,
+        delta=st.sampled_from([0.3, 1.0]),
+        # max_dislocated has positive self-distances, so the diagonal counts.
+        name=st.sampled_from(["euclid_1d", "sq_abs", "max_dislocated"]),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 4),
+        chunk=st.sampled_from([7, 400, metrics._CHUNK]),
+        data=st.data(),
+    )
+    # Past the 64-row cap: one period-2 run, one decaying run; and dead rows
+    # before, between and after live ones, with a dead stretch that fills
+    # whole chunks.
+    @example(pieces=[("period2", 300)], delta=0.3, name="sq_abs", seed=0, p=1, chunk=metrics._CHUNK, data=None)
+    @example(pieces=[("decay", 300)], delta=0.3, name="euclid_1d", seed=0, p=1, chunk=metrics._CHUNK, data=None)
+    @example(
+        pieces=[("dead", 20), ("period2", 40), ("dead", 140), ("ties", 30), ("decay", 70), ("dead", 30)],
+        delta=1.0, name="euclid_1d", seed=1, p=2, chunk=metrics._CHUNK, data=None,
+    )
+    def test_equals_the_masked_kernel(self, pieces, delta, name, seed, p, chunk, data):
+        points = _kernel_points(pieces, delta, seed)
+        assume(len(points) >= p + 2)
+        dm = SequencePrefix(points, make_metric(name)).distance_matrix()
+        n = dm.shape[0]
+        if data is None:  # the examples: every row, a ``left`` inside
+            bounds = [(0, 0, n - p), (0, n // 3, n - p), (n // 5, n - p - 1, n - p)]
+        else:
+            end = data.draw(st.integers(1, n - p), label="end")
+            lo = data.draw(st.integers(0, end - 1), label="lo")
+            left = data.draw(st.integers(lo, end) | st.just(lo), label="left")
+            bounds = [(lo, left, end)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            for lo, left, end in bounds:
+                count, rowmax = _triggered(dm, delta, p, lo, left, end)
+                want_count, want_max = masked_triggered(dm, delta, p, lo, left, end)
+                assert count.tolist() == want_count.tolist()
+                assert rowmax.tolist() == want_max.tolist()
+                assert (rowmax == -np.inf).tolist() == (count == 0).tolist()
+
+    def test_dead_chunks_and_ties(self, euclid):
+        # Rows 0-69 trigger nothing (rows 0-63 are one whole chunk); rows
+        # 70-73 hold values that tie both trigger bounds, and row 73 is dead
+        # between live rows; rows 74-129 alternate between two levels far
+        # from the rest; rows 130-199 are dead again.
+        delta = 0.5
+        values = np.concatenate([
+            1e4 + 10.0 * np.arange(70),
+            [0.0, ETA, delta - ETA, 0.25],
+            2.0 + np.tile([0.0, 2 * delta], 28) + 0.001 * np.arange(56),
+            2e4 + 10.0 * np.arange(70),
+        ])
+        dm = SequencePrefix(values, euclid).distance_matrix()
+        count, rowmax = _triggered(dm, delta, 1, 0, 0, 199)
+        want_count, want_max = masked_triggered(dm, delta, 1, 0, 0, 199)
+        assert count.tolist() == want_count.tolist()
+        assert rowmax.tolist() == want_max.tolist()
+        # 0 meets ETA and delta - ETA, both untriggered, and 0.25; ETA meets
+        # delta - ETA (at delta - 2 ETA) and 0.25.
+        assert count[70:74].tolist() == [1, 2, 1, 0]
+        assert count[:70].sum() == count[130:].sum() == 0
+        assert count[74:128].tolist() == [27 - i // 2 for i in range(54)]
 
 
 class TestRowOffsets:
@@ -752,6 +858,53 @@ class TestWitnessSearch:
         cfg = SearchConfig(p_max=2, lambdas=(0.5,), n0_values=(1,))
         found = search_witness(halving_orbit, 0.1, cfg)
         assert found.witness == ShiftWitness(0.1, 1, 0.5, 1)
+
+    def test_grids_are_scanned_ascending(self, euclid):
+        # The smallest holding (p, lambda, n0) whatever order the grids come in.
+        seq = make_sequence("geometric", euclid, n=40)
+        for lambdas in ((0.9, 0.5), (0.5, 0.9), (0.9, 0.5, 0.9)):
+            cfg = SearchConfig(p_max=3, lambdas=lambdas, n0_values=(5, 5, 1))
+            assert (cfg.lambdas, cfg.n0_values) == ((0.5, 0.9), (1, 5))
+            assert search_witness(seq, 0.5, cfg).witness == ShiftWitness(0.5, 1, 0.5, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats(0.0, 2.0), min_size=2, max_size=30),
+            st.builds(lambda n, r: [r**k for k in range(n)], st.integers(2, 30), st.floats(0.3, 0.9)),
+        ),
+        delta=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
+        p_max=st.integers(1, 6),
+        lambdas=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=8),
+        n0_values=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_grid_order_and_repeats_do_not_matter(self, values, delta, p_max, lambdas, n0_values, rng):
+        seq = SequencePrefix(values, make_metric("euclid_1d"))
+        rng.shuffle(lambdas)
+        rng.shuffle(n0_values)
+        given_cfg = SearchConfig(p_max=p_max, lambdas=tuple(lambdas), n0_values=tuple(n0_values))
+        sorted_cfg = SearchConfig(
+            p_max=p_max, lambdas=tuple(sorted(set(lambdas))), n0_values=tuple(sorted(set(n0_values)))
+        )
+        assert given_cfg == sorted_cfg
+        got = _search_outcome(search_witness, seq, delta, given_cfg)
+        assert got == _search_outcome(
+            search_witness, SequencePrefix(values, make_metric("euclid_1d")), delta, sorted_cfg
+        )
+        if isinstance(got, tuple):  # too short for any shift
+            return
+        # The witness is the smallest holding (p, lambda, n0) of the raw grids.
+        holding = [
+            (p, lam, n0)
+            for p in range(1, got["p_max_used"] + 1)
+            for lam in lambdas
+            for n0 in n0_values
+            if len(seq) >= n0 + p + 2
+            and chunked_shift_contraction(seq, ShiftWitness(delta, p, lam, n0)).holds
+        ]
+        w = got["witness"]
+        assert (w["p"], w["lambda"], w["n0"]) == min(holding) if holding else w is None
 
     @settings(max_examples=200, deadline=None)
     @given(
