@@ -24,13 +24,23 @@ from .errors import DivergenceError, MetricError
 #: Comparison tolerance used for every equality / strictness test on distances.
 ETA = 1e-9
 
-#: Elements per row chunk of a pass over a distance matrix -- its build and
-#: the scans over it; bounds the pass's temporaries independently of N.
+#: Elements per row chunk of a scan over a distance matrix; bounds the
+#: scan's temporaries independently of N.  The build has its own, smaller
+#: budget, :data:`_BUILD_CHUNK`.
 _CHUNK = 2**18
+
+#: Pairs times coordinates per row chunk of a matrix build (:meth:`DbMetric.cross`).
+#: A distance function may make ``(rows, len(b), d)`` temporaries, so the
+#: budget counts coordinates.  It is smaller than :data:`_CHUNK` so that each
+#: float temporary stays at or under 128 KiB: glibc then serves it from the
+#: heap it keeps, where a larger one is mapped, trimmed on free and faulted
+#: in again by the next chunk.
+_BUILD_CHUNK = 2**14
 
 
 def chunk_rows(width: int) -> int:
-    """Rows per chunk of a pass whose rows hold ``width`` elements."""
+    """Rows per chunk of a scan whose rows hold ``width`` elements
+    (at least 1; a matrix build sizes its chunks by :data:`_BUILD_CHUNK`)."""
     return max(1, _CHUNK // max(width, 1))
 
 
@@ -178,10 +188,15 @@ class DbMetric:
                 f"metric {self.name!r}: rows_fn must broadcast over leading axes, "
                 f"got shape {block.shape} for stacks of shapes {a.shape} and {b.shape}"
             )
-        if not np.all(np.isfinite(block)):
+        # Two reductions that allocate nothing and propagate NaN; the masks
+        # that name the offending value are built only when one is there.
+        low = float(block.min(initial=0.0))
+        high = float(block.max(initial=0.0))
+        if not (math.isfinite(low) and math.isfinite(high)):
             value = float(block[~np.isfinite(block)][0])
             raise MetricError(f"metric {self.name!r} produced a non-finite distance {value}")
-        negative = float(block[block < -ETA][0]) if np.any(block < -ETA) else None
+        negative = float(block[block < -ETA][0]) if low < -ETA else None
+        # clip turns -0.0 into +0.0, where np.maximum may keep it.
         np.clip(block, 0.0, None, out=out)
         return negative
 
@@ -206,20 +221,22 @@ class DbMetric:
     def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Validated ``(len(a), len(b))`` matrix; entry [i, j] is rho(a_i, b_j).
 
-        The output is allocated once and filled in row chunks of at most
-        :func:`chunk_rows` rows, so the temporaries stay bounded whatever the
-        size.  Each chunk broadcasts the distance function over
-        ``a[rows, None]`` and ``b[None, :]``, so every entry is evaluated
-        exactly as in :meth:`rows` and the square :meth:`matrix`, and blocks
-        of a matrix built this way are bit-identical to the full build.  A
-        non-finite distance anywhere is reported before a negative one
-        anywhere, each by its first value in row-major order.
+        The output is allocated once and filled in row chunks of
+        ``_BUILD_CHUNK // (len(b) * d)`` rows, or one row when a row holds
+        more coordinates than :data:`_BUILD_CHUNK`.  The temporaries stay
+        bounded whatever N and d: a built-in metric's are at most 128 KiB
+        each, or one row's worth.  Each chunk broadcasts the distance
+        function over ``a[rows, None]`` and ``b[None, :]``, so every entry is
+        evaluated exactly as in :meth:`rows` and the square :meth:`matrix`,
+        and blocks of a matrix built this way are bit-identical to the full
+        build.  A non-finite distance anywhere is reported before a negative
+        one anywhere, each by its first value in row-major order.
         """
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         self._check_dims(a, b)
         out = matrix_buffer(len(a), len(b))
-        rows = chunk_rows(len(b))
+        rows = max(1, _BUILD_CHUNK // max(b.size, 1))
         negative = None
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(0, len(a), rows):

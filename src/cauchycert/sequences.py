@@ -196,8 +196,12 @@ class SequencePrefix:
         """
         dm = self.distance_matrix()
         step = dm.strides[0] // dm.itemsize + 1
-        windows = np.lib.stride_tricks.sliding_window_view(dm.base, width)
-        return windows[lo * step : len(self) * step : step]
+        return np.lib.stride_tricks.as_strided(
+            dm.base[lo * step :],
+            shape=(max(len(self) - lo, 0), width),
+            strides=(step * dm.itemsize, dm.itemsize),
+            writeable=False,
+        )
 
 
 def consecutive_distances(seq: SequencePrefix) -> np.ndarray:

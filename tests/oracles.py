@@ -58,9 +58,10 @@ pair scan is ``triu_pair_scan``, its induction ``chunked_block_induction`` and
 its oracle ``triu_tail_diameter``, so it is independent of ``_pair_scan``,
 ``run_block_induction`` and ``tail_diameter``.
 ``row_offsets`` is the offset view that ``SequencePrefix.offsets`` replaced:
-it finds the matrix's buffer from ``dm.base`` and the strides, and checks the
-layout on every call.  ``text_mode_read_csv_points`` is the CSV reader that
-``config.read_csv_points`` replaced: it iterates a file opened in text mode as
+it finds the matrix's buffer from ``dm.base`` and the strides, checks the
+layout on every call, and slices a sliding-window view of the whole buffer,
+where ``offsets`` makes one strided view of the rows it returns.
+``text_mode_read_csv_points`` is the CSV reader that ``config.read_csv_points`` replaced: it iterates a file opened in text mode as
 ``utf-8-sig``, so a decode error escapes without its line, and it passes
 non-finite values on to the prefix.
 """

@@ -790,7 +790,14 @@ class TestCertifyMemory:
     def test_matrix_build_allocates_little_beside_the_matrix(self, orbit):
         # The output is allocated once and filled in row chunks.
         matrix, peak = _traced_peak(orbit.metric.matrix, orbit.coords)
-        assert peak < 1.1 * matrix.nbytes
+        assert peak < matrix.nbytes + 2**20
+
+    def test_nd_matrix_build_counts_coordinates_in_its_chunks(self):
+        # euclid_nd's difference is a (rows, N, d) array: chunks sized by
+        # pairs alone would hold d times the temporaries.
+        coords = np.random.default_rng(0).normal(size=(2000, 16))
+        matrix, peak = _traced_peak(make_metric("euclid_nd").matrix, coords)
+        assert peak < 1.2 * matrix.nbytes
 
     def test_shift_scan_temporaries_stay_below_a_sixteenth_of_the_matrix(self, orbit):
         # A delta no other test here scans, so the call builds its shift

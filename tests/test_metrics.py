@@ -480,7 +480,7 @@ def _build_outcome(build):
 def metric_and_cross_stacks(draw):
     name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab", "precedence"]))
     metric = {"taxicab": TAXICAB, "precedence": PRECEDENCE}.get(name) or make_metric(name)
-    dim = metric.dim or draw(st.integers(1, 4))
+    dim = metric.dim or draw(st.integers(1, 6))
     # Values near the float range overflow sq_abs, euclid_nd and the signed
     # difference; negative ones make max_dislocated and PRECEDENCE negative.
     unit = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-1e308, 1e308, 1e160]))
@@ -493,17 +493,24 @@ def metric_and_cross_stacks(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(case=metric_and_cross_stacks(), chunk=st.sampled_from([7, 64, metrics._CHUNK]))
+@given(case=metric_and_cross_stacks(), budget=st.sampled_from([7, 64, metrics._BUILD_CHUNK]))
 # Chunks of 7 // 3 = 2 rows: negatives in row 0, NaN in row 4 and inf in row 5.
 @example(
     case=(PRECEDENCE, np.array([[0.0], [1.0], [2.0], [3.0], [6.0], [1e308]]),
           np.array([[1.0], [8.0], [-1e308]])),
-    chunk=7,
+    budget=7,
 )
-def test_chunked_cross_equals_the_oneshot_build(case, chunk):
+# A chunk whose minimum is exactly -ETA: round-off within the tolerance.
+@example(case=(PRECEDENCE, np.array([[0.0]]), np.array([[ETA]])), budget=7)
+# Rows of 24 points x 4 coordinates, each beyond the budget: one row a chunk.
+@example(
+    case=(TAXICAB, np.arange(12.0).reshape(3, 4), np.arange(96.0).reshape(24, 4) % 7.0),
+    budget=64,
+)
+def test_chunked_cross_equals_the_oneshot_build(case, budget):
     metric, a, b = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_CHUNK", chunk)
+        mp.setattr(metrics, "_BUILD_CHUNK", budget)
         assert _build_outcome(lambda: metric.cross(a, b)) == _build_outcome(
             lambda: oneshot_cross(metric, a, b)
         )

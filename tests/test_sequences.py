@@ -254,6 +254,7 @@ class TestGrownPrefix:
         built = []  # (prefix, its matrix bytes) for every prefix built
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
+            mp.setattr(metrics, "_BUILD_CHUNK", chunk)
             for i, (size, build, candidate) in enumerate(steps):
                 if build:
                     _check_grown(seq, ShiftWitness(*candidate))
@@ -444,6 +445,7 @@ class TestRowOffsets:
         # The oracle checks the layout that ``offsets`` takes on trust: the
         # corner starts a flat (C, C) buffer padded by 2C zeros.
         assert np.array_equal(view, row_offsets(dm, lo, width))
+        assert np.array_equal(seq.offsets(n, width), row_offsets(dm, n, width))
         for u in range(view.shape[0]):
             row = [dm[lo + u, lo + u + m] for m in range(min(width, n - lo - u))]
             assert view[u, : len(row)].tolist() == row
