@@ -30,7 +30,7 @@ from typing import Optional
 
 from .certificates import certify_over_grid
 from .config import Experiment, load_config_text, make_experiment
-from .contractions import available_contractions, solve_fixed_point
+from .contractions import solve_fixed_point
 from .errors import (
     CauchyCertError,
     ConfigError,
@@ -39,13 +39,13 @@ from .errors import (
     PrefixTooShort,
     SolverError,
 )
-from .metrics import AxiomReport, available_metrics, make_metric, run_axiom_report
+from .metrics import AxiomReport, make_metric, run_axiom_report
+from .registry import documented
 from .reports import build_report, dump_report
 from .sequences import (
     SequencePrefix,
     ShiftWitness,
     arithmetic_sequence,
-    available_generators,
     check_consecutive_decay,
     check_shift_contraction,
     search_witness,
@@ -77,14 +77,16 @@ def _setup_logging() -> None:
 def _load_experiment(args) -> Experiment:
     if args.config is None:
         raise ConfigError(f"command {args.command!r} requires --config (a path, or '-' for stdin)")
-    if args.config == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    # Bytes, decoded here: a config is UTF-8 whatever the locale says.
+    try:
+        if args.config == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.config, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     return make_experiment(load_config_text(text), seed_override=args.seed)
 
 
@@ -233,12 +235,7 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
 
 
 def cmd_list(args) -> tuple[dict, dict, int]:
-    results = {
-        "metrics": available_metrics(),
-        "generators": available_generators(),
-        "contractions": available_contractions(),
-    }
-    return {}, results, 0
+    return {}, documented(), 0
 
 
 #: Each command's handler and ``--help`` line, in the order the help lists them.

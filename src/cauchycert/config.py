@@ -31,13 +31,8 @@ from .certificates import delta_grid
 from .contractions import Contraction, SolverConfig, iterate, make_contraction
 from .errors import CauchyCertError, ConfigError
 from .metrics import DbMetric, Point, SamplerConfig, make_metric
-from .sequences import (
-    SearchConfig,
-    SequencePrefix,
-    ShiftWitness,
-    TailConfig,
-    make_sequence,
-)
+from .registry import factory
+from .sequences import SearchConfig, SequencePrefix, ShiftWitness, TailConfig
 
 
 def _finite_float(text: str) -> float:
@@ -188,7 +183,7 @@ def _required(spec: dict, key: str, where: str):
 def _building(what: str):
     """A library constructor's rejection of a setting, as a config error.
 
-    ``TypeError`` comes from the registries' factories, whose free-form
+    ``TypeError`` comes from the name table's factories, whose free-form
     ``params`` the table cannot type: an unknown parameter name, or a list
     where a number belongs.
     """
@@ -283,7 +278,7 @@ class Experiment:
                 return SequencePrefix(read_csv_points(spec, csv_header), metric)
             if kind == "generator":
                 name = _required(spec, "name", "source.generator")
-                return make_sequence(name, metric, **spec.get("params", {}))
+                return SequencePrefix(factory("generators", name)(**spec.get("params", {})), metric)
             f = self._contraction_from(spec.get("contraction", {}), "source.orbit.contraction")
             n = _required(spec, "n", "source.orbit")
             return iterate(f, Point(spec.get("x0", 0.0)), n, metric)
@@ -299,6 +294,8 @@ class Experiment:
     def deltas(self) -> list[float]:
         spec = self._section("delta_grid")
         if "values" in spec:
+            if len(spec) > 1:
+                raise ConfigError('"parameters.delta_grid" takes "values" or "delta0"/"levels", not both')
             return [float(v) for v in spec["values"]]
         with _building("delta grid"):
             return delta_grid(**spec)

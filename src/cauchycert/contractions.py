@@ -22,6 +22,7 @@ import numpy as np
 from .certificates import CauchyCertificate, certify_cauchy, diameter_bound
 from .errors import ContractionError, MetricError, SolverError
 from .metrics import ETA, DbMetric, JsonReport, Pairs, Point
+from .registry import factory
 from .sequences import SequencePrefix, ShiftWitness, TailConfig, consecutive_distances
 
 #: Hard cap for the derived shift; beyond this the witness is unsatisfiable.
@@ -275,7 +276,7 @@ def solve_fixed_point(
 
 
 # ---------------------------------------------------------------------------
-# Registry (CLI contraction sources)
+# Named contractions (CLI contraction sources)
 # ---------------------------------------------------------------------------
 
 def halving() -> Contraction:
@@ -331,26 +332,6 @@ def constant_map(value) -> Contraction:
     return Contraction(name="constant", fn=lambda x: arr.copy(), c=0.0, dim=arr.size)
 
 
-CONTRACTION_BUILDERS: dict[str, tuple[Callable[..., Contraction], dict[str, str]]] = {
-    "halving": (halving, {}),
-    "affine_1d": (affine_1d, {"a": "slope, |a| < 1", "b": "intercept (default 0.0)"}),
-    "affine_nd": (
-        affine_nd,
-        {"matrix": "square matrix as nested lists", "offset": "offset vector", "c": "declared constant"},
-    ),
-    "logistic_damped": (logistic_damped, {"r": "damping, 0 < r < 1 (default 0.8)"}),
-    "constant": (constant_map, {"value": "the constant image (scalar or vector)"}),
-}
-
-
 def make_contraction(name: str, **params) -> Contraction:
-    if name not in CONTRACTION_BUILDERS:
-        raise ContractionError(
-            f"unknown contraction {name!r}; available: {sorted(CONTRACTION_BUILDERS)}"
-        )
-    factory, _ = CONTRACTION_BUILDERS[name]
-    return factory(**params)
-
-
-def available_contractions() -> dict[str, dict[str, str]]:
-    return {name: dict(params) for name, (_, params) in CONTRACTION_BUILDERS.items()}
+    """Build a registered contraction."""
+    return factory("contractions", name)(**params)

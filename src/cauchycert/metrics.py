@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DivergenceError, MetricError
+from .registry import factory
 
 #: Comparison tolerance used for every equality / strictness test on distances.
 ETA = 1e-9
@@ -83,7 +84,8 @@ class Point:
         return isinstance(other, Point) and np.array_equal(self.coords, other.coords)
 
     def __hash__(self):
-        return hash(self.coords.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.coords + 0.0).tobytes())
 
     def __repr__(self) -> str:
         if self.dim == 1:
@@ -327,30 +329,12 @@ def broken_asym() -> DbMetric:
     )
 
 
-#: name -> (factory, parameter documentation) for the CLI registry.
-METRIC_BUILDERS: dict[str, tuple[Callable[..., DbMetric], dict[str, str]]] = {
-    "euclid_1d": (euclid_1d, {}),
-    "euclid_nd": (euclid_nd, {}),
-    "sq_abs": (sq_abs, {}),
-    "max_dislocated": (max_dislocated, {}),
-    "shifted_dislocated": (shifted_dislocated, {"offset": "positive shift added to |x - y| (default 1.0)"}),
-    "broken_asym": (broken_asym, {}),
-}
-
-
 def make_metric(name: str, s: Optional[float] = None, **params) -> DbMetric:
     """Build a registered metric, optionally overriding the declared ``s``."""
-    if name not in METRIC_BUILDERS:
-        raise MetricError(f"unknown metric {name!r}; available: {sorted(METRIC_BUILDERS)}")
-    factory, _ = METRIC_BUILDERS[name]
-    metric = factory(**params)
+    metric = factory("metrics", name)(**params)
     if s is not None:
         metric = dataclasses.replace(metric, s=float(s))
     return metric
-
-
-def available_metrics() -> dict[str, dict[str, str]]:
-    return {name: dict(params) for name, (_, params) in METRIC_BUILDERS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -192,13 +192,17 @@ class SequencePrefix:
         rows are windows of the flat buffer that start on the diagonal, C + 1
         entries apart.  Where lo + u + m >= N they run on into the buffer's
         spare columns, the next row or the spare zeros after it, all finite,
-        which cover widths up to 2N + 1; callers mask those.
+        which cover widths up to 2N + 1; callers mask those.  A negative
+        ``lo``, or a width outside 0..2N + 1, raises :class:`ValueError`.
         """
+        n = len(self)
+        if lo < 0 or not 0 <= width <= 2 * n + 1:
+            raise ValueError(f"need lo >= 0 and width in 0..{2 * n + 1}, got lo = {lo}, width = {width}")
         dm = self.distance_matrix()
         step = dm.strides[0] // dm.itemsize + 1
         return np.lib.stride_tricks.as_strided(
             dm.base[lo * step :],
-            shape=(max(len(self) - lo, 0), width),
+            shape=(max(n - lo, 0), width),
             strides=(step * dm.itemsize, dm.itemsize),
             writeable=False,
         )
@@ -523,30 +527,3 @@ def geometric_sequence(n: int, start: float = 1.0, ratio: float = 0.5) -> list[f
 
 def constant_sequence(n: int, value: float = 1.0) -> list[float]:
     return [float(value)] * n
-
-
-GENERATORS: dict[str, tuple[Callable[..., list[float]], dict[str, str]]] = {
-    "arithmetic": (
-        arithmetic_sequence,
-        {"n": "number of terms", "start": "first term (default 1.0)", "step": "increment (default 1.0)"},
-    ),
-    "geometric": (
-        geometric_sequence,
-        {"n": "number of terms", "start": "first term (default 1.0)", "ratio": "common ratio (default 0.5)"},
-    ),
-    "constant": (
-        constant_sequence,
-        {"n": "number of terms", "value": "repeated value (default 1.0)"},
-    ),
-}
-
-
-def make_sequence(name: str, metric: DbMetric, **params) -> SequencePrefix:
-    if name not in GENERATORS:
-        raise ValueError(f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
-    factory, _ = GENERATORS[name]
-    return SequencePrefix(factory(**params), metric)
-
-
-def available_generators() -> dict[str, dict[str, str]]:
-    return {name: dict(params) for name, (_, params) in GENERATORS.items()}

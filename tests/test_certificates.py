@@ -39,7 +39,7 @@ from cauchycert import (
 )
 from cauchycert import metrics
 from cauchycert.certificates import _chain_stage, _pair_scan
-from cauchycert.metrics import available_metrics
+from cauchycert.registry import documented
 from oracles import (
     appended_certify_cauchy,
     chain_bound,
@@ -407,7 +407,7 @@ def _result(fn, *args):
 
 SCAN_ARGS = dict(
     values=SCAN_VALUES,
-    name=st.sampled_from(sorted(available_metrics())),
+    name=st.sampled_from(sorted(documented()["metrics"])),
     s=st.sampled_from([None, 1.0, 2.0, 4.0]),
     delta=st.floats(0.005, 4.0),
     p=st.integers(1, 9),
@@ -744,7 +744,7 @@ class TestCertifyMatchesOracle:
     @settings(max_examples=400, deadline=None)
     @given(
         values=REPLAY_VALUES,
-        name=st.sampled_from(sorted(available_metrics())),
+        name=st.sampled_from(sorted(documented()["metrics"])),
         s=st.sampled_from([None, 1.0, 2.0]),
         delta=st.floats(0.005, 4.0),
         p=st.integers(1, 5),

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cauchycert
-from cauchycert import STAGES, contractions, metrics, sequences
+from cauchycert import STAGES, contractions, registry
 from cauchycert.cli import main
 from cauchycert.reports import SchemaError, load_schema, validate_report
 
@@ -36,6 +36,11 @@ def parse_report(out: str) -> dict:
     report = json.loads(out)
     validate_report(report)
     return report
+
+
+def byte_stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` whose ``buffer`` holds ``data``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def write_config(tmp_path, data) -> str:
@@ -166,17 +171,14 @@ class TestListing:
     def test_params_match_the_factories(self, capsys):
         # The list report is where a user learns each factory's params; the
         # hand-written docs name exactly the factory's parameters.
-        registries = {
-            "metrics": metrics.METRIC_BUILDERS,
-            "generators": sequences.GENERATORS,
-            "contractions": contractions.CONTRACTION_BUILDERS,
-        }
         code, out, _ = run_cli(["list", "--no-timestamp"], capsys)
         assert code == 0
         results = parse_report(out)["results"]
-        for kind, registry in registries.items():
-            assert results[kind] == {name: docs for name, (_, docs) in registry.items()}
-            for name, (factory, docs) in registry.items():
+        assert sorted(results) == sorted(registry.TABLE)
+        for kind, (_, _, names) in registry.TABLE.items():
+            assert results[kind] == {name: docs for name, (_, docs) in names.items()}
+            for name, (_, docs) in names.items():
+                factory = registry.factory(kind, name)
                 assert list(docs) == list(inspect.signature(factory).parameters), (kind, name)
 
     def test_no_command_prints_help(self, capsys):
@@ -262,7 +264,7 @@ class TestEnvelope:
 
 class TestAxioms:
     def test_relaxed_triangle_constant_from_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"metric": {"name": "sq_abs"}})))
+        monkeypatch.setattr("sys.stdin", byte_stdin(json.dumps({"metric": {"name": "sq_abs"}}).encode()))
         code, out, _ = run_cli(["axioms", "--config", "-"], capsys)
         assert code == 0
         results = parse_report(out)["results"]
@@ -427,7 +429,7 @@ class TestCheck:
         csv.write_text("1\n0.5\n0.25\n0.125\n")
         cfg.write_bytes(b"\xef\xbb\xbf" + config.encode())
         assert run_cli(argv, capsys) == (0, plain, "")
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + config))
+        monkeypatch.setattr("sys.stdin", byte_stdin(b"\xef\xbb\xbf" + config.encode()))
         assert run_cli(["check", "--config", "-", "--no-timestamp"], capsys) == (0, plain, "")
 
     @staticmethod
@@ -869,6 +871,9 @@ class TestCounterexample:
         assert "config error" in err
 
 
+DELTA_GRID_MIX = '"parameters.delta_grid" takes "values" or "delta0"/"levels", not both'
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(["check", "--config", "/nonexistent/nope.json"], capsys)
@@ -889,22 +894,38 @@ class TestConfigErrors:
         assert "requires --config" in err
 
     def test_non_object_config(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+        monkeypatch.setattr("sys.stdin", byte_stdin(b"[]"))
         code, _, err = run_cli(["axioms", "--config", "-"], capsys)
         assert code == 2
         assert "JSON object" in err
 
     def test_invalid_json(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("{"))
+        monkeypatch.setattr("sys.stdin", byte_stdin(b"{"))
         code, _, err = run_cli(["axioms", "--config", "-"], capsys)
         assert code == 2
         assert "not valid JSON" in err
 
-    def test_unknown_metric_name(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"metric": {"name": "taxicab"}})
-        code, _, err = run_cli(["axioms", "--config", cfg], capsys)
-        assert code == 2
-        assert "unknown metric" in err
+    @pytest.mark.parametrize("command, config, line", [
+        ("axioms", {"metric": {"name": "taxicab"}},
+         "unknown metric 'taxicab'; available: ['broken_asym', 'euclid_1d', 'euclid_nd', "
+         "'max_dislocated', 'shifted_dislocated', 'sq_abs']"),
+        ("check", {"metric": {"name": "euclid_1d"},
+                   "source": {"generator": {"name": "spiral", "params": {"n": 5}}}},
+         "bad source: unknown generator 'spiral'; available: ['arithmetic', 'constant', 'geometric']"),
+        ("solve", {"metric": {"name": "euclid_1d"},
+                   "parameters": {"contraction": {"name": "spiral"}, "solver": {"target_delta": 0.1}}},
+         "unknown contraction 'spiral'; available: ['affine_1d', 'affine_nd', 'constant', 'halving', "
+         "'logistic_damped']"),
+        ("check", {"metric": {"name": "euclid_1d"},
+                   "source": {"orbit": {"contraction": {"name": "spiral"}, "n": 5}}},
+         "unknown contraction 'spiral'; available: ['affine_1d', 'affine_nd', 'constant', 'halving', "
+         "'logistic_damped']"),
+    ])
+    def test_unknown_name(self, tmp_path, capsys, command, config, line):
+        # One lookup serves the three kinds; each unknown name is one line
+        # that lists the kind's names.
+        cfg = write_config(tmp_path, config)
+        assert run_cli([command, "--config", cfg], capsys) == (2, "", f"config error: {line}\n")
 
     @pytest.mark.parametrize(
         "command, parameters, message",
@@ -965,6 +986,11 @@ class TestConfigErrors:
              '"parameters.delta_grid" must be an object, got \'abc\''),
             # A section the command does not read is checked all the same.
             ("axioms", '{"search": {"p_max": 2.5}}', '"parameters.search.p_max" must be an integer'),
+            # Explicit values and the halving grid are alternatives: a mix
+            # would run one and silently drop the other.
+            ("check", '{"delta_grid": {"values": [0.3], "delta0": 0.1, "levels": 3}}', DELTA_GRID_MIX),
+            ("certify", '{"delta_grid": {"values": [0.3], "levels": 3}}', DELTA_GRID_MIX),
+            ("counterexample", '{"delta_grid": {"delta0": 0.1, "values": [0.3]}}', DELTA_GRID_MIX),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, parameters, message):
@@ -1195,7 +1221,7 @@ runpy.run_module("cauchycert", run_name="__main__", alter_sys=True)
 class TestSubprocess:
     """The installed entry point, exercised the way a shell user would."""
 
-    def _run(self, args, env_extra=None, cwd=None, code=None):
+    def _run(self, args, env_extra=None, cwd=None, code=None, stdin=None):
         """``python -m cauchycert ARGS``, or ``python -c CODE ARGS``."""
         # The child imports this checkout's package, installed or not.
         env = dict(os.environ)
@@ -1209,6 +1235,7 @@ class TestSubprocess:
             text=True,
             env=env,
             cwd=cwd,
+            stdin=stdin,
         )
 
     def test_module_invocation(self):
@@ -1221,6 +1248,30 @@ class TestSubprocess:
             [], code="import sys, cauchycert; print(sorted(set(sys.modules) & {'numpy', 'jsonschema'}))"
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_registry_lists_without_numpy(self):
+        proc = self._run([], code=(
+            "import sys; from cauchycert.registry import documented; documented(); "
+            "print('numpy' in sys.modules)"
+        ))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("env", [
+        {"LC_ALL": "C", "PYTHONIOENCODING": "", "PYTHONUTF8": ""},
+        {"PYTHONIOENCODING": "utf-8:strict"},
+    ])
+    def test_non_utf8_config_on_stdin_exits_2(self, tmp_path, env):
+        # Stdin is decoded as UTF-8 whatever the locale or PYTHONIOENCODING,
+        # so no surrogate reaches a message and no traceback is printed.
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"metric": {"name": "euclid_1d\xff"}}')
+        with open(path, "rb") as fh:
+            proc = self._run(["check", "--config", "-"], env_extra=env, stdin=fh)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "config error: cannot read config '-': "
+            "'utf-8' codec can't decode byte 0xff in position 30: invalid start byte\n"
+        )
 
     def test_list_runs_with_jsonschema_unimportable(self):
         proc = self._run(["list", "--no-timestamp"], code=RUN_MAIN_WITH_FINDER.format(
@@ -1350,7 +1401,7 @@ def test_any_one_broken_value_exits_0_or_2(case):
     # table lets through, the command runs to completion.
     command, config = case
     out = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(config))), \
+    with mock.patch("sys.stdin", byte_stdin(json.dumps(config).encode())), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--config", "-", "--no-timestamp"])
     assert code in (0, 2)

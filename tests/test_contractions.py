@@ -30,11 +30,11 @@ from cauchycert.contractions import (
     SHIFT_CAP,
     affine_1d,
     affine_nd,
-    available_contractions,
     constant_map,
     halving,
     logistic_damped,
 )
+from cauchycert.registry import documented
 from oracles import blockwise_solve_fixed_point, loop_estimate_contraction_constant
 
 
@@ -476,7 +476,7 @@ class TestSolverMatchesOracle:
 
 class TestRegistry:
     def test_available(self):
-        names = set(available_contractions())
+        names = set(documented()["contractions"])
         assert names == {"halving", "affine_1d", "affine_nd", "logistic_damped", "constant"}
 
     def test_unknown_name(self):

@@ -22,13 +22,8 @@ from cauchycert import (
     run_axiom_report,
 )
 from cauchycert import metrics
-from cauchycert.metrics import (
-    METRIC_BUILDERS,
-    available_metrics,
-    check_self_distance_zero,
-    sample_pairs,
-    sample_triples,
-)
+from cauchycert.metrics import check_self_distance_zero, sample_pairs, sample_triples
+from cauchycert.registry import documented
 from oracles import (
     loop_axiom_report,
     loop_check_self_distance_zero,
@@ -40,6 +35,8 @@ from oracles import (
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+
+METRICS = sorted(documented()["metrics"])
 
 
 class TestPoint:
@@ -77,6 +74,10 @@ class TestPoint:
         assert Point([1.0, 2.0]) == Point([1.0, 2.0])
         assert Point(1.0) != Point(2.0)
         assert hash(Point([1.0, 2.0])) == hash(Point([1.0, 2.0]))
+        # -0.0 == 0.0, so the two points are one set member.
+        assert Point([0.0, -0.0]) == Point([-0.0, 0.0])
+        assert hash(Point([0.0, -0.0])) == hash(Point([-0.0, 0.0]))
+        assert len({Point(0.0), Point(-0.0)}) == 1
         assert Point(1.0) != (1.0,)
 
 
@@ -183,7 +184,7 @@ class TestBuiltins:
             make_metric("no_such_metric")
 
     def test_available_metrics(self):
-        names = set(available_metrics())
+        names = set(documented()["metrics"])
         assert names == {
             "euclid_1d",
             "euclid_nd",
@@ -429,7 +430,7 @@ TAXICAB = DbMetric(name="taxicab", s=1.0, rows_fn=lambda a, b: np.sum(np.abs(a -
 
 @st.composite
 def metric_and_coords(draw):
-    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab"]))
+    name = draw(st.sampled_from(METRICS + ["taxicab"]))
     metric = TAXICAB if name == "taxicab" else make_metric(name)
     dim = metric.dim or draw(st.integers(1, 5))
     n = draw(st.integers(1, 12))
@@ -478,7 +479,7 @@ def _build_outcome(build):
 
 @st.composite
 def metric_and_cross_stacks(draw):
-    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab", "precedence"]))
+    name = draw(st.sampled_from(METRICS + ["taxicab", "precedence"]))
     metric = {"taxicab": TAXICAB, "precedence": PRECEDENCE}.get(name) or make_metric(name)
     dim = metric.dim or draw(st.integers(1, 6))
     # Values near the float range overflow sq_abs, euclid_nd and the signed
@@ -521,7 +522,7 @@ def test_chunked_cross_equals_the_oneshot_build(case, budget):
 
 @st.composite
 def metric_and_points(draw):
-    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab"]))
+    name = draw(st.sampled_from(METRICS + ["taxicab"]))
     metric = TAXICAB if name == "taxicab" else make_metric(name)
     dim = metric.dim or draw(st.integers(1, 33))
     n = draw(st.integers(1, 6))
@@ -558,7 +559,7 @@ THRESH = DbMetric(
 def metric_and_stacks(draw, count: int):
     """A metric and ``count`` aligned stacks of k >= 0 rows; few distinct
     dyadic values, so zero distances, ties and collapsed legs are common."""
-    name = draw(st.sampled_from(sorted(METRIC_BUILDERS) + ["taxicab", "thresh"]))
+    name = draw(st.sampled_from(METRICS + ["taxicab", "thresh"]))
     metric = {"taxicab": TAXICAB, "thresh": THRESH}.get(name) or make_metric(name)
     dim = metric.dim or draw(st.integers(1, 3))
     k = draw(st.integers(0, 12))
@@ -605,7 +606,7 @@ class TestChecksMatchLoopOracles:
         )
 
     @pytest.mark.parametrize("s", [None, 1.5])
-    @pytest.mark.parametrize("name", sorted(METRIC_BUILDERS))
+    @pytest.mark.parametrize("name", METRICS)
     def test_axiom_report(self, name, s):
         metric = make_metric(name, s=s)
         for cfg in [

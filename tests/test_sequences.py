@@ -26,17 +26,14 @@ from cauchycert import (
     tail_diameter,
 )
 from cauchycert import metrics
-from cauchycert.metrics import available_metrics
+from cauchycert.registry import documented, factory
 from cauchycert.sequences import (
-    GENERATORS,
     _shift_profile,
     _triggered,
     arithmetic_sequence,
-    available_generators,
     constant_sequence,
     default_n0_grid,
     geometric_sequence,
-    make_sequence,
 )
 from oracles import (
     argwhere_shift_contraction,
@@ -139,7 +136,7 @@ class TestExtend:
     @given(
         values=st.lists(st.floats(0.0, 4.0), min_size=3, max_size=30),
         cuts=st.tuples(st.integers(2, 30), st.integers(0, 30)),
-        name=st.sampled_from(sorted(available_metrics()) + ["asymmetric"]),
+        name=st.sampled_from(sorted(documented()["metrics"]) + ["asymmetric"]),
         built=st.tuples(st.booleans(), st.booleans()),
     )
     def test_matrix_equals_a_fresh_build(self, values, cuts, name, built):
@@ -450,6 +447,17 @@ class TestRowOffsets:
             row = [dm[lo + u, lo + u + m] for m in range(min(width, n - lo - u))]
             assert view[u, : len(row)].tolist() == row
 
+    def test_bounds(self, euclid):
+        # lo >= 0 and 0 <= width <= 2N + 1, each at its tie; lo >= N is empty.
+        seq = SequencePrefix([1.0, 0.5, 0.25], euclid)
+        assert seq.offsets(0, 7).shape == (3, 7)
+        assert seq.offsets(0, 0).shape == (3, 0)
+        assert seq.offsets(3, 7).shape == (0, 7)
+        assert seq.offsets(5, 2).shape == (0, 2)
+        for lo, width in [(-1, 3), (-2, 3), (0, 8), (1, 8), (0, -1)]:
+            with pytest.raises(ValueError, match=f"got lo = {lo}, width = {width}"):
+                seq.offsets(lo, width)
+
 
 class TestWitnessValidation:
     @pytest.mark.parametrize(
@@ -526,7 +534,7 @@ class TestConsecutiveDecay:
             st.lists(st.sampled_from([0.0, 1e-6, 2e-6, 0.5, 1.0]), min_size=2, max_size=40),
             st.builds(lambda n, r: [r**k for k in range(n)], st.integers(2, 40), st.floats(0.01, 0.9)),
         ),
-        name=st.sampled_from(sorted(available_metrics())),
+        name=st.sampled_from(sorted(documented()["metrics"])),
         tau=st.sampled_from([1e-300, 1e-9, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
         eps_from=st.sampled_from(["a step", "every step", "below every step", "free"]),
         pick=st.integers(0, 100),
@@ -642,7 +650,7 @@ class TestShiftContraction:
                 st.sampled_from([0.0, ETA, 2 * ETA, 0.125, 0.25, 0.5, 1.0]), min_size=2, max_size=40
             ),
         ),
-        name=st.sampled_from(sorted(available_metrics())),
+        name=st.sampled_from(sorted(documented()["metrics"])),
         s=st.sampled_from([1.0, 2.0]),
         delta=st.floats(0.01, 3.0),
         p=st.integers(1, 6),
@@ -672,7 +680,7 @@ class TestShiftContraction:
             min_size=2,
             max_size=40,
         ),
-        name=st.sampled_from(sorted(available_metrics())),
+        name=st.sampled_from(sorted(documented()["metrics"])),
         s=st.sampled_from([1.0, 2.0]),
         candidates=st.lists(
             st.tuples(
@@ -863,7 +871,7 @@ class TestWitnessSearch:
 
     def test_grids_are_scanned_ascending(self, euclid):
         # The smallest holding (p, lambda, n0) whatever order the grids come in.
-        seq = make_sequence("geometric", euclid, n=40)
+        seq = SequencePrefix(geometric_sequence(40), euclid)
         for lambdas in ((0.9, 0.5), (0.5, 0.9), (0.9, 0.5, 0.9)):
             cfg = SearchConfig(p_max=3, lambdas=lambdas, n0_values=(5, 5, 1))
             assert (cfg.lambdas, cfg.n0_values) == ((0.5, 0.9), (1, 5))
@@ -916,7 +924,7 @@ class TestWitnessSearch:
             # Geometric decay, so that some searches find a witness.
             st.builds(lambda n, r: [r**k for k in range(n)], st.integers(2, 40), st.floats(0.3, 0.9)),
         ),
-        name=st.sampled_from(sorted(available_metrics())),
+        name=st.sampled_from(sorted(documented()["metrics"])),
         delta=st.sampled_from([0.01, 0.1, 0.3, 1.0]),
         cfg=st.sampled_from(
             [
@@ -954,20 +962,20 @@ class TestGenerators:
 
     def test_minimum_length(self, euclid):
         # The generators leave the length to the prefix.
-        for name in GENERATORS:
+        for name in documented()["generators"]:
             with pytest.raises(PrefixTooShort, match="needs at least 2 points, got 1"):
-                make_sequence(name, euclid, n=1)
-            assert len(make_sequence(name, euclid, n=2)) == 2
+                SequencePrefix(factory("generators", name)(n=1), euclid)
+            assert len(SequencePrefix(factory("generators", name)(n=2), euclid)) == 2
 
-    def test_make_sequence(self, euclid):
-        seq = make_sequence("geometric", euclid, n=5)
+    def test_generator_factory(self, euclid):
+        seq = SequencePrefix(factory("generators", "geometric")(n=5), euclid)
         assert len(seq) == 5
         assert seq.point(5).tolist() == [0.0625]
-        with pytest.raises(ValueError):
-            make_sequence("no_such", euclid, n=5)
+        with pytest.raises(ValueError, match="unknown generator 'no_such'"):
+            factory("generators", "no_such")
 
     def test_available_generators(self):
-        assert set(available_generators()) == {"arithmetic", "geometric", "constant"}
+        assert set(documented()["generators"]) == {"arithmetic", "geometric", "constant"}
 
 
 @given(
