@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import CertificateFailure, DivergenceError, PrefixTooShort
-from .metrics import ETA, JsonReport, chunk_rows
+from .metrics import ETA, chunk_rows
+from .reports import JsonReport
 from .sequences import (
     ConsecutiveDecayReport,
     SequencePrefix,

@@ -1,47 +1,24 @@
-"""Command-line interface.
+"""The command handlers that compute, and the ``main`` they run under.
 
-Subcommands
------------
-axioms          sampled axiom checks for a configured metric
-check           decay check, per-delta witness search, brute-force oracle
-certify         full certification over the delta grid
-solve           certified fixed-point iteration for a configured contraction
-counterexample  canned non-Cauchy regression (x_n = n)
-list            registered metrics, generators, contractions
-
-Reports are JSON on stdout (or ``--out``); logs go to stderr only, at the
-verbosity selected by the ``CAUCHYCERT_LOG`` environment variable
-(error|warn|info|debug).
-
-Exit codes: 0 = run completed (even with negative check results); 1 = the
-canned counterexample assertions regressed; 2 = configuration error or an
-unwritable ``--out``; 3 = internal divergence or a report off its schema (a bug).
+Each ``cmd_<command>`` here returns ``(config_echo, results, exit_code)``
+(see :func:`~cauchycert.reports.build_report`).  Parsing, dispatch and exit
+codes live in :mod:`cauchycert.entry`, which imports this module, and with it
+every layer and numpy, only for the commands below; ``main`` is the entry's.
 """
 
 from __future__ import annotations
 
-import argparse
 import logging
 import math
-import os
 import sys
-import time
 from typing import Optional
 
 from .certificates import certify_over_grid
 from .config import Experiment, load_config_text, make_experiment
 from .contractions import solve_fixed_point
-from .errors import (
-    CauchyCertError,
-    ConfigError,
-    ContractionError,
-    DivergenceError,
-    PrefixTooShort,
-    SolverError,
-)
+from .entry import main  # noqa: F401  (re-exported: cauchycert.cli.main runs any command)
+from .errors import ConfigError, ContractionError, PrefixTooShort, SolverError
 from .metrics import AxiomReport, make_metric, run_axiom_report
-from .registry import documented
-from .reports import build_report, dump_report
 from .sequences import (
     SequencePrefix,
     ShiftWitness,
@@ -53,25 +30,6 @@ from .sequences import (
 )
 
 log = logging.getLogger("cauchycert")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
-
-
-def _setup_logging() -> None:
-    raw = os.environ.get("CAUCHYCERT_LOG", "warn").lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.WARNING
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root = logging.getLogger("cauchycert")
-    root.handlers[:] = [handler]
-    root.setLevel(level)
 
 
 def _load_experiment(args) -> Experiment:
@@ -89,10 +47,6 @@ def _load_experiment(args) -> Experiment:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     return make_experiment(load_config_text(text), seed_override=args.seed)
 
-
-# ---------------------------------------------------------------------------
-# Commands (each returns (config_echo, results, exit_code); see build_report)
-# ---------------------------------------------------------------------------
 
 def cmd_axioms(args) -> tuple[dict, AxiomReport, int]:
     exp = _load_experiment(args)
@@ -232,95 +186,6 @@ def cmd_counterexample(args) -> tuple[dict, dict, int]:
     if exit_code:
         log.error("counterexample regression failed: %s", assertions)
     return exp.raw, results, exit_code
-
-
-def cmd_list(args) -> tuple[dict, dict, int]:
-    return {}, documented(), 0
-
-
-#: Each command's handler and ``--help`` line, in the order the help lists them.
-COMMANDS = {
-    "axioms": (cmd_axioms, "sampled metric axiom checks"),
-    "check": (cmd_check, "decay + witness search + oracle"),
-    "certify": (cmd_certify, "full certification over the delta grid"),
-    "solve": (cmd_solve, "certified fixed-point iteration"),
-    "counterexample": (cmd_counterexample, "canned non-Cauchy regression"),
-    "list": (cmd_list, "registered metrics, generators, contractions"),
-}
-
-
-def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return int(text)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, with only the flags that command reads:
-    ``--config`` and ``--seed`` for all but ``list``, ``--header`` for the
-    two commands that read a sequence source, ``--out`` and
-    ``--no-timestamp`` for all."""
-    parser = argparse.ArgumentParser(
-        prog="cauchycert",
-        description="Finite-prefix Cauchy certification for dislocated b-metric spaces.",
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name, (_, summary) in COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
-        if name != "list":
-            command.add_argument("--config", metavar="PATH", help="JSON config path, or '-' for stdin")
-        command.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        if name != "list":
-            command.add_argument("--seed", type=_seed, metavar="U64", help="override the config seed")
-        command.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="omit timestamp and timing from the report (for byte-stable output)",
-        )
-        if name in ("check", "certify"):
-            command.add_argument("--header", action="store_true", help="csv sources: skip the first row")
-    return parser
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help(sys.stderr)
-        return 2
-
-    started = time.monotonic()
-    try:
-        handler, _ = COMMANDS[args.command]
-        config_echo, results, exit_code = handler(args)
-        seed = config_echo.get("parameters", {}).get("seed", getattr(args, "seed", None) or 0)
-        report = build_report(
-            command=args.command,
-            config_echo=config_echo,
-            results=results,
-            seed=seed,
-            include_timestamp=not args.no_timestamp,
-            elapsed=round(time.monotonic() - started, 6),
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"internal divergence: {exc}", file=sys.stderr)
-        return 3
-    except CauchyCertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        text = dump_report(report, args.out)
-    except OSError as exc:
-        print(f"error: cannot write report {args.out!r}: {exc}", file=sys.stderr)
-        return 2
-    if args.out is None:
-        sys.stdout.write(text)
-    return exit_code
 
 
 if __name__ == "__main__":

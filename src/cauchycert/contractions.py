@@ -21,8 +21,9 @@ import numpy as np
 
 from .certificates import CauchyCertificate, certify_cauchy, diameter_bound
 from .errors import ContractionError, MetricError, SolverError
-from .metrics import ETA, DbMetric, JsonReport, Pairs, Point
+from .metrics import ETA, DbMetric, Pairs, Point
 from .registry import factory
+from .reports import JsonReport
 from .sequences import SequencePrefix, ShiftWitness, TailConfig, consecutive_distances
 
 #: Hard cap for the derived shift; beyond this the witness is unsatisfiable.

@@ -19,8 +19,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, MetricError
+from .errors import MetricError
 from .registry import factory
+from .reports import JsonReport, to_json  # noqa: F401  (to_json: re-exported)
 
 #: Comparison tolerance used for every equality / strictness test on distances.
 ETA = 1e-9
@@ -50,11 +51,12 @@ def matrix_buffer(rows: int, cols: int) -> np.ndarray:
     return np.zeros(rows * cols + rows + cols)[: rows * cols].reshape(rows, cols)
 
 
-class Point:
+class Point(JsonReport):
     """A point of the ground set: a fixed-length vector of finite reals.
 
     Scalars are accepted and stored as 1-vectors.  Coordinates are frozen at
-    construction and non-finite components are rejected.
+    construction and non-finite components are rejected.  In a report a
+    point is the list of its coordinates.
     """
 
     __slots__ = ("coords",)
@@ -80,6 +82,8 @@ class Point:
     def tolist(self) -> list[float]:
         return self.coords.tolist()
 
+    json_items = tolist
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Point) and np.array_equal(self.coords, other.coords)
 
@@ -91,44 +95,6 @@ class Point:
         if self.dim == 1:
             return f"Point({self.coords.item()!r})"
         return f"Point({self.coords.tolist()!r})"
-
-
-def to_json(value):
-    """The JSON form of a report value.
-
-    A :class:`JsonReport` becomes an object of its :meth:`~JsonReport.json_items`,
-    a NamedTuple an object of its fields, a tuple a list, and a :class:`Point`
-    the list of its coordinates.  No report holds a non-finite float, so
-    meeting one raises :class:`DivergenceError`.
-    """
-    if isinstance(value, JsonReport):
-        value = value.json_items()
-    elif isinstance(value, Point):
-        value = value.tolist()
-    elif hasattr(value, "_fields"):
-        value = value._asdict()
-    if isinstance(value, dict):
-        return {key: to_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DivergenceError(f"a report value is {value}, which JSON cannot hold")
-    return value
-
-
-class JsonReport:
-    """A report dataclass; :func:`to_json` serializes it.
-
-    Each field is a key, under its name or the ``"json"`` entry of its
-    metadata.  Types with derived keys extend :meth:`json_items`.
-    """
-
-    def json_items(self) -> dict:
-        """The JSON object's keys and their values, before conversion."""
-        return {f.metadata.get("json", f.name): getattr(self, f.name) for f in dataclasses.fields(self)}
-
-    def to_dict(self) -> dict:
-        return to_json(self)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,56 @@ from __future__ import annotations
 import datetime as _dt
 import importlib.resources
 import json
+import math
 from typing import Optional
 
 from . import __version__
 from .errors import DivergenceError
-from .metrics import to_json
 
 REPORT_VERSION = 1
+
+
+def to_json(value):
+    """The JSON form of a report value.
+
+    A :class:`JsonReport` becomes what its :meth:`~JsonReport.json_items`
+    gives (a ``metrics.Point`` the list of its coordinates), a NamedTuple an
+    object of its fields, and a tuple a list.  No report holds a non-finite
+    float, so meeting one raises :class:`DivergenceError`.
+    """
+    if isinstance(value, JsonReport):
+        value = value.json_items()
+    elif hasattr(value, "_fields"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DivergenceError(f"a report value is {value}, which JSON cannot hold")
+    return value
+
+
+class JsonReport:
+    """A report dataclass; :func:`to_json` serializes it.
+
+    Each field is a key, under its name or the ``"json"`` entry of its
+    metadata.  Types with derived keys extend :meth:`json_items`, and a type
+    whose JSON is not an object (``metrics.Point``) replaces it.
+    """
+
+    __slots__ = ()  # so that a slotted subclass (Point) keeps no __dict__
+
+    def json_items(self) -> dict:
+        """The JSON object's keys and their values, before conversion."""
+        # Imported here: dataclasses loads inspect, which a process that
+        # builds no report dataclass (``list``) need not pay for.
+        import dataclasses
+
+        return {f.metadata.get("json", f.name): getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    def to_dict(self) -> dict:
+        return to_json(self)
 
 
 def load_schema() -> dict:
@@ -280,7 +323,7 @@ def build_report(
     elapsed: Optional[float] = None,
 ) -> dict:
     """Assemble the envelope around per-command results, which
-    :func:`~cauchycert.metrics.to_json` turns into JSON values.
+    :func:`~cauchycert.reports.to_json` turns into JSON values.
 
     The config echo is self-contained: re-running it with the recorded seed
     reproduces the report bit-for-bit.  ``include_timestamp=False`` drops both

@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MetricError, PrefixTooShort
-from .metrics import ETA, DbMetric, JsonReport, Point, chunk_rows, matrix_buffer
+from .metrics import ETA, DbMetric, Point, chunk_rows, matrix_buffer
+from .reports import JsonReport
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class TailConfig:
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not (0.0 <= self.eps < math.inf):
+            raise ValueError(f"eps must be a finite nonnegative number, got {self.eps}")
 
 
 @dataclass(frozen=True)

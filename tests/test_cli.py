@@ -19,11 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cauchycert
-from cauchycert import STAGES, contractions, registry
+from cauchycert import STAGES, cli, contractions, registry
 from cauchycert.cli import main
 from cauchycert.reports import SchemaError, load_schema, validate_report
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN_LIST = Path(__file__).resolve().parent / "golden" / "list.json"
 
 
 def run_cli(argv, capsys):
@@ -644,10 +645,10 @@ class TestCertify:
         assert err == "internal divergence: a report value is inf, which JSON cannot hold\n"
 
     def test_report_off_its_schema_is_internal_error(self, capsys, monkeypatch):
-        # A serializer slip: one key more than the schema allows in the results.
-        from cauchycert.metrics import to_json
-
-        monkeypatch.setattr("cauchycert.reports.to_json", lambda res: {**to_json(res), "extra": 1})
+        # A handler slip: one key more than the schema allows in the results.
+        monkeypatch.setattr(
+            "cauchycert.entry.cmd_list", lambda args: ({}, {**registry.documented(), "extra": 1}, 0)
+        )
         code, out, err = run_cli(["list"], capsys)
         assert (code, out) == (3, "")
         assert err == (
@@ -656,11 +657,13 @@ class TestCertify:
         )
 
     def test_off_schema_message_names_the_nested_path(self, tmp_path, capsys, monkeypatch):
-        from cauchycert.metrics import to_json
+        check = cli.cmd_check
 
-        monkeypatch.setattr(
-            "cauchycert.reports.to_json", lambda res: {**to_json(res), "consecutive_decay": None}
-        )
+        def off_schema(args):
+            config_echo, results, code = check(args)
+            return config_echo, {**results, "consecutive_decay": None}, code
+
+        monkeypatch.setattr("cauchycert.cli.cmd_check", off_schema)
         code, out, err = run_cli(["check", "--config", write_config(tmp_path, GEOMETRIC_CHECK_CONFIG)], capsys)
         assert (code, out) == (3, "")
         assert err == (
@@ -1217,6 +1220,12 @@ sys.meta_path.insert(0, Finder())
 runpy.run_module("cauchycert", run_name="__main__", alter_sys=True)
 """
 
+#: ``python -m cauchycert`` with numpy unimportable: the commands that compute
+#: nothing start without it.
+RUN_MAIN_WITHOUT_NUMPY = RUN_MAIN_WITH_FINDER.format(
+    finder='if name.partition(".")[0] == "numpy": raise ImportError("numpy blocked")'
+)
+
 
 class TestSubprocess:
     """The installed entry point, exercised the way a shell user would."""
@@ -1280,11 +1289,27 @@ class TestSubprocess:
         assert (proc.returncode, proc.stderr) == (0, "")
         validate_report(parse_report(proc.stdout))
 
+    def test_list_loads_no_numpy(self):
+        proc = self._run(["list", "--no-timestamp"], code=RUN_MAIN_WITHOUT_NUMPY)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == GOLDEN_LIST.read_text()
+
+    def test_help_loads_no_numpy(self):
+        proc = self._run(["--help"], env_extra={"COLUMNS": "80"}, code=RUN_MAIN_WITHOUT_NUMPY)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, HELP_TEXT[()], "")
+
+    def test_unknown_command_loads_no_numpy(self):
+        proc = self._run(["frobnicate"], code=RUN_MAIN_WITHOUT_NUMPY)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: cauchycert")
+        assert "cauchycert: error: argument command: invalid choice: 'frobnicate'" in proc.stderr
+
     @pytest.mark.parametrize("user_value, seen", [(None, "1"), ("3", "3")])
     def test_openblas_threads_default_to_one_and_a_user_value_wins(self, user_value, seen):
-        # The finder records the variable at the moment numpy is first imported.
+        # The finder records the variable at the moment numpy is first
+        # imported, which a computing command does.
         env = {} if user_value is None else {"OPENBLAS_NUM_THREADS": user_value}
-        proc = self._run(["list", "--no-timestamp"], env_extra=env, code=RUN_MAIN_WITH_FINDER.format(
+        proc = self._run(["counterexample", "--no-timestamp"], env_extra=env, code=RUN_MAIN_WITH_FINDER.format(
             finder='if name == "numpy": print("numpy sees", os.environ.get("OPENBLAS_NUM_THREADS"), '
             'file=sys.stderr)'
         ))

@@ -24,8 +24,17 @@ from cauchycert import (
     search_witness,
     solve_fixed_point,
 )
-from cauchycert.metrics import to_json
-from cauchycert.reports import _KEYWORDS, _SKIPPED, SchemaError, _Validator, load_schema, validate_report
+from cauchycert import metrics
+from cauchycert.reports import (
+    _KEYWORDS,
+    _SKIPPED,
+    JsonReport,
+    SchemaError,
+    _Validator,
+    load_schema,
+    to_json,
+    validate_report,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +91,14 @@ def test_fields_are_renamed_by_their_metadata(reports):
 def test_points_and_tuples_become_lists():
     value = {"point": Point([1.0, 2.0]), "pair": (3, 4)}
     assert to_json(value) == {"point": [1.0, 2.0], "pair": [3, 4]}
+
+
+def test_a_point_serializes_through_the_report_hook():
+    # Point keeps its slots, and metrics still exports the serializer.
+    point = Point([1.0, 2.0])
+    assert isinstance(point, JsonReport) and not hasattr(point, "__dict__")
+    assert point.json_items() == [1.0, 2.0]
+    assert (metrics.to_json, metrics.JsonReport) == (to_json, JsonReport)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])

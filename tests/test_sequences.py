@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 import weakref
 
 import numpy as np
@@ -487,8 +489,17 @@ class TestWitnessValidation:
             TailConfig(tau=0.0)
         with pytest.raises(ValueError):
             TailConfig(tau=1.5)
-        with pytest.raises(ValueError):
-            TailConfig(eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    def test_tail_config_refuses_a_non_finite_or_negative_eps(self, eps):
+        # Admitted, a NaN eps gives holds false with a first good index, and
+        # an infinite one a report that JSON cannot hold (DivergenceError).
+        with pytest.raises(ValueError, match="eps must be a finite nonnegative number"):
+            TailConfig(eps=eps)
+
+    @pytest.mark.parametrize("eps", [0.0, sys.float_info.max])
+    def test_tail_config_admits_the_edges_of_eps(self, eps):
+        assert TailConfig(eps=eps).eps == eps
 
 
 class TestConsecutiveDecay:
