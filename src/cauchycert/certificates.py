@@ -34,12 +34,9 @@ from .errors import CertificateFailure, DivergenceError, PrefixTooShort
 from .metrics import ETA, chunk_rows
 from .reports import JsonReport
 from .sequences import (
-    ConsecutiveDecayReport,
     SequencePrefix,
     ShiftContractionReport,
     ShiftWitness,
-    TailConfig,
-    check_consecutive_decay,
     check_shift_contraction,
     tail_diameter,
 )
@@ -57,8 +54,8 @@ def diameter_bound(w: ShiftWitness, s: float) -> float:
 
 def delta_grid(delta0: float = 0.5, levels: int = 7) -> list[float]:
     """The default halving grid delta0 * 2**-j, j = 0 .. levels - 1."""
-    if delta0 <= 0.0 or levels < 1:
-        raise ValueError("need delta0 > 0 and at least one level")
+    if not (0.0 < delta0 < math.inf) or levels < 1:
+        raise ValueError("need a finite delta0 > 0 and at least one level")
     if delta0 * 2.0 ** (1 - levels) == 0.0:
         raise ValueError(f"delta grid underflows: {delta0} * 2**-{levels - 1} is zero")
     return [delta0 * 2.0 ** (-j) for j in range(levels)]
@@ -299,11 +296,8 @@ class CauchyCertificate(JsonReport):
     oracle_tail_diameter: float
 
 
-#: The replay stages in the order :func:`certify_cauchy` runs them.
-STAGES = (
-    "consecutive_decay", "shift_contraction", "settling_index",
-    "chain_bounds", "block_induction", "pair_scan",
-)
+#: The replay stages in the order :func:`certify_cauchy` runs them; each can fail.
+STAGES = ("shift_contraction", "settling_index", "chain_bounds", "block_induction", "pair_scan")
 
 
 @dataclass(frozen=True)
@@ -312,7 +306,6 @@ class CertifyOutcome(JsonReport):
     certificate: Optional[CauchyCertificate]
     failure_stage: Optional[str]
     failure_detail: Optional[str]
-    decay: ConsecutiveDecayReport = field(metadata={"json": "consecutive_decay"})
     shift: ShiftContractionReport = field(metadata={"json": "shift_contraction"})
 
     @property
@@ -498,25 +491,20 @@ def _pair_scan(seq: SequencePrefix, w: ShiftWitness, n_low: int) -> None:
     )
 
 
-def certify_cauchy(
-    seq: SequencePrefix, w: ShiftWitness, tail: TailConfig = TailConfig()
-) -> CertifyOutcome:
+def certify_cauchy(seq: SequencePrefix, w: ShiftWitness) -> CertifyOutcome:
     """Replay the full argument for one witness and issue a certificate.
 
-    The consecutive-decay report at ``tail`` is recorded but does not gate
-    certification: the quantitative form of step decay that the argument
-    consumes is the settling scan at scale delta, and that stage fails on its
-    own when steps do not decay.
-
-    Every other stage of :data:`STAGES` fails by raising
-    :class:`CertificateFailure`; the outcome then carries the stage name and
-    the message, which names the first offending location.  A certificate is
-    issued only when every stage passes.  The issued certificate records the
-    brute-force tail diameter over the verified range next to the certified
-    bound, and a certificate whose oracle value escapes its own bound is
-    treated as an internal bug (DivergenceError), never returned.
+    Step decay enters the argument only as the settling scan at scale delta,
+    which fails on its own when steps do not decay, so the replay runs no
+    separate consecutive-decay check.  Each stage of :data:`STAGES` fails by
+    raising :class:`CertificateFailure`; the outcome then carries the stage
+    name and the message, which names the first offending location.  A
+    certificate is issued only when every stage passes.  The issued
+    certificate records the brute-force tail diameter over the verified range
+    next to the certified bound, and a certificate whose oracle value escapes
+    its own bound is treated as an internal bug (DivergenceError), never
+    returned.
     """
-    decay = check_consecutive_decay(seq, tail)
     shift = check_shift_contraction(seq, w)
     certificate = stage = detail = None
     try:
@@ -559,7 +547,6 @@ def certify_cauchy(
         certificate=certificate,
         failure_stage=stage,
         failure_detail=detail,
-        decay=decay,
         shift=shift,
     )
 
@@ -581,7 +568,6 @@ def certify_over_grid(
     seq: SequencePrefix,
     deltas: list[float],
     witness_for: Callable[[float], Optional[ShiftWitness]],
-    tail: TailConfig = TailConfig(),
 ) -> list[GridEntry]:
     """Certify the witness ``witness_for(delta)`` at every grid delta.
 
@@ -597,7 +583,7 @@ def certify_over_grid(
         try:
             w = witness_for(delta)
             if w is not None:
-                outcome = certify_cauchy(seq, w, tail)
+                outcome = certify_cauchy(seq, w)
         except PrefixTooShort as exc:
             note = str(exc)
         entries.append(GridEntry(delta, w, outcome, note))

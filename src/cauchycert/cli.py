@@ -101,7 +101,9 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
         def witness_for(delta: float) -> Optional[ShiftWitness]:
             return search_witness(seq, delta, search_cfg).witness
 
-    entries = certify_over_grid(seq, exp.deltas(), witness_for, exp.tail())
+    deltas = exp.deltas()  # read before the tail: a bad grid is the error reported
+    decay = check_consecutive_decay(seq, exp.tail())
+    entries = certify_over_grid(seq, deltas, witness_for)
     per_delta = []
     for e in entries:
         if e.outcome is not None:
@@ -112,7 +114,12 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
         per_delta.append(entry)
 
     all_certified = all(e.outcome is not None and e.outcome.certified for e in entries)
-    results = {"length": len(seq), "all_certified": all_certified, "per_delta": per_delta}
+    results = {
+        "length": len(seq),
+        "all_certified": all_certified,
+        "consecutive_decay": decay,
+        "per_delta": per_delta,
+    }
     return exp.raw, results, 0
 
 

@@ -209,10 +209,10 @@ def solve_fixed_point(
     re-checked along the orbit itself (consecutive step ratios); a violation
     aborts with ContractionError.  The orbit grows in blocks; after each block
     the certificate for the derived witness (target_delta, derived p, lam, n0)
-    is attempted with the consecutive-decay report at ``cfg.tail``.  Each
-    block extends the prefix, whose distance matrix and shift profile then
-    gain only the new rows and columns.  The method returns as soon as a certificate is issued
-    and the last step distance rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``;
+    is attempted.  Each block extends the prefix, whose distance matrix and
+    shift profile then gain only the new rows and columns.  The method
+    returns as soon as a certificate is issued and the last step distance
+    rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``;
     exhausting the iteration budget first raises SolverError, and so does,
     before any iteration, a diameter bound at target_delta that overflows a
     float.  The map and the metric work in x0's dimension, which the
@@ -255,7 +255,7 @@ def solve_fixed_point(
                     f"exceeds declared c = {f.c}"
                 )
 
-        outcome = certify_cauchy(seq, witness, cfg.tail)
+        outcome = certify_cauchy(seq, witness)
         if outcome.certified and steps[-1] <= cfg.tail.eps:
             x_star = seq.point(len(seq))
             fx = f.apply(x_star)

@@ -120,7 +120,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         module, _ = COMMANDS[args.command]
         handler = getattr(importlib.import_module(f".{module}", __package__), f"cmd_{args.command}")
         config_echo, results, exit_code = handler(args)
-        seed = config_echo.get("parameters", {}).get("seed", getattr(args, "seed", None) or 0)
+        seed = config_echo.get("parameters", {}).get("seed", 0)  # list echoes no config
         report = build_report(
             command=args.command,
             config_echo=config_echo,

@@ -16,9 +16,9 @@ its own.
 from __future__ import annotations
 
 import datetime as _dt
-import importlib.resources
 import json
 import math
+import os
 from typing import Optional
 
 from . import __version__
@@ -71,8 +71,10 @@ class JsonReport:
 
 
 def load_schema() -> dict:
-    text = importlib.resources.files("cauchycert").joinpath("report_schema.json").read_text()
-    return json.loads(text)
+    # A plain file next to this module, where package data installs it:
+    # importlib.resources would load pathlib, zipfile and more in every process.
+    with open(os.path.join(os.path.dirname(__file__), "report_schema.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class SchemaError(ValueError):

@@ -59,9 +59,11 @@ class ShiftWitness(JsonReport):
     n0: int
 
     def __post_init__(self):
-        if not (isinstance(self.delta, (int, float)) and self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        # bool is an int subclass, but True is no shift.
+        # bool is an int subclass, but True is no distance and no shift.
+        if isinstance(self.delta, bool) or not (
+            isinstance(self.delta, (int, float)) and 0.0 < self.delta < math.inf
+        ):
+            raise ValueError(f"delta must be a finite positive number, got {self.delta!r}")
         if isinstance(self.p, bool) or not (isinstance(self.p, int) and self.p >= 1):
             raise ValueError(f"shift p must be an integer >= 1, got {self.p!r}")
         if not (0.0 < self.lam < 1.0):

@@ -98,7 +98,6 @@ from cauchycert import (
     TailConfig,
     WitnessSearch,
     certify_cauchy,
-    check_consecutive_decay,
     check_shift_contraction,
     derive_shift,
     diameter_bound,
@@ -495,9 +494,8 @@ def blockwise_solve_fixed_point(
     cfg: SolverConfig = SolverConfig(),
 ) -> SolveResult:
     """``solve_fixed_point`` with its own orbit loop, 32 verification pairs
-    in x0's dimension (which the map and the metric must work in),
-    certification at the default tail, and the stopping step evaluated once
-    more through the scalar ``pair_distance``."""
+    in x0's dimension (which the map and the metric must work in), and the
+    stopping step evaluated once more through the scalar ``pair_distance``."""
     if target_delta <= 0.0:
         raise ValueError(f"target delta must be positive, got {target_delta}")
     rng = np.random.default_rng(cfg.seed)
@@ -1280,7 +1278,6 @@ class AppendedOutcome:
     failure_stage: Optional[str]
     failure_detail: Optional[str]
     stages: tuple[tuple[str, bool], ...]
-    decay: ConsecutiveDecayReport
     shift: Optional[ShiftContractionReport]
     induction: Optional[InductionTrace] = None
 
@@ -1294,7 +1291,6 @@ class AppendedOutcome:
                 else {"stage": self.failure_stage, "detail": self.failure_detail}
             ),
             "stages": [{"stage": name, "passed": ok} for name, ok in self.stages],
-            "consecutive_decay": self.decay.to_dict(),
             "shift_contraction": None if self.shift is None else self.shift.to_dict(),
         }
 
@@ -1326,13 +1322,10 @@ def scan_settling_index(seq: SequencePrefix, w: ShiftWitness) -> Optional[int]:
     return m0
 
 
-def appended_certify_cauchy(
-    seq: SequencePrefix, w: ShiftWitness, tail: TailConfig = TailConfig()
-) -> AppendedOutcome:
+def appended_certify_cauchy(seq: SequencePrefix, w: ShiftWitness) -> AppendedOutcome:
     """``certify_cauchy`` with one hand translation per stage failure and the
     stage list appended stage by stage."""
-    decay = check_consecutive_decay(seq, tail)
-    stages: list[tuple[str, bool]] = [("consecutive_decay", True)]
+    stages: list[tuple[str, bool]] = []
 
     def outcome_failure(stage: str, detail: str, shift=None, induction=None) -> AppendedOutcome:
         stages.append((stage, False))
@@ -1342,7 +1335,6 @@ def appended_certify_cauchy(
             failure_stage=stage,
             failure_detail=detail,
             stages=tuple(stages),
-            decay=decay,
             shift=shift,
             induction=induction,
         )
@@ -1411,7 +1403,6 @@ def appended_certify_cauchy(
         failure_stage=None,
         failure_detail=None,
         stages=tuple(stages),
-        decay=decay,
         shift=shift,
         induction=induction,
     )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import math
+import sys
 import tracemalloc
 import weakref
 
@@ -82,11 +84,15 @@ class TestDeltaGrid:
 
     def test_validation(self):
         # Both guards at their ties: delta0 = 0 and one level.
-        with pytest.raises(ValueError, match="need delta0 > 0"):
+        with pytest.raises(ValueError, match="need a finite delta0 > 0"):
             delta_grid(0.0)
         assert delta_grid(0.5, 1) == [0.5]
         with pytest.raises(ValueError):
             delta_grid(0.0, 3)
+        for delta0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="need a finite delta0 > 0"):
+                delta_grid(delta0, 3)
+        assert delta_grid(sys.float_info.max, 2) == [sys.float_info.max, sys.float_info.max / 2]
         with pytest.raises(ValueError):
             delta_grid(0.5, 0)
         with pytest.raises(ValueError, match="underflows"):
@@ -852,7 +858,6 @@ class TestCertifyPipeline:
         assert outcome.certified
         assert outcome.failure_stage is None
         assert [name for name, ok in outcome.stages if ok] == [
-            "consecutive_decay",
             "shift_contraction",
             "settling_index",
             "chain_bounds",
@@ -880,7 +885,8 @@ class TestCertifyPipeline:
         data = json.loads(json.dumps(outcome.to_dict()))
         assert data["certified"] is True
         assert data["certificate"]["witness"] == {"delta": 0.1, "p": 2, "lambda": 0.5, "n0": 1}
-        assert len(data["stages"]) == 6
+        assert len(data["stages"]) == 5
+        assert set(data) == {"certified", "certificate", "failure", "stages", "shift_contraction"}
 
     def test_linear_fails_at_settling(self, linear_prefix):
         outcome = certify_cauchy(linear_prefix, ShiftWitness(0.5, 1, 0.5, 1))
@@ -909,11 +915,6 @@ class TestCertifyPipeline:
         finally:
             gc.enable()
         assert outcome.failure_stage == "settling_index"
-
-    def test_decay_report_always_recorded(self, linear_prefix):
-        outcome = certify_cauchy(linear_prefix, ShiftWitness(0.5, 1, 0.5, 1))
-        assert outcome.decay.tail_max == 1.0
-        assert not outcome.decay.holds
 
     def test_understated_s_fails_chain_stage(self):
         seq = SequencePrefix(

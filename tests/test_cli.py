@@ -499,6 +499,20 @@ class TestCertify:
         assert cert["oracle_tail_diameter"] == 0.0019531249999999991
         assert cert["diameter_bound"] == 0.95
 
+    @pytest.mark.parametrize("tail, holds", [({}, True), ({"tau": 0.25, "eps": 1e-9}, False)])
+    def test_decay_is_reported_once_as_check_reports_it(self, tmp_path, capsys, tail, holds):
+        config = {**GEOMETRIC_CHECK_CONFIG, "parameters": {"seed": 3, "tail": tail}}
+        cfg = write_config(tmp_path, config)
+        results = {}
+        for command in ("check", "certify"):
+            code, out, _ = run_cli([command, "--config", cfg, "--no-timestamp"], capsys)
+            assert code == 0
+            results[command] = parse_report(out)["results"]
+        assert results["certify"]["consecutive_decay"] == results["check"]["consecutive_decay"]
+        assert results["certify"]["consecutive_decay"]["holds"] is holds
+        for entry in results["certify"]["per_delta"]:
+            assert "consecutive_decay" not in entry["outcome"]
+
     def test_explicit_witness_failure_still_exits_zero(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -1230,8 +1244,8 @@ RUN_MAIN_WITHOUT_NUMPY = RUN_MAIN_WITH_FINDER.format(
 class TestSubprocess:
     """The installed entry point, exercised the way a shell user would."""
 
-    def _run(self, args, env_extra=None, cwd=None, code=None, stdin=None):
-        """``python -m cauchycert ARGS``, or ``python -c CODE ARGS``."""
+    def _run(self, args, env_extra=None, cwd=None, code=None, stdin=None, flags=()):
+        """``python FLAGS -m cauchycert ARGS``, or ``python FLAGS -c CODE ARGS``."""
         # The child imports this checkout's package, installed or not.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -1239,7 +1253,7 @@ class TestSubprocess:
         if env_extra:
             env.update(env_extra)
         return subprocess.run(
-            [sys.executable, *(["-c", code] if code else ["-m", "cauchycert"]), *args],
+            [sys.executable, *flags, *(["-c", code] if code else ["-m", "cauchycert"]), *args],
             capture_output=True,
             text=True,
             env=env,
@@ -1292,6 +1306,16 @@ class TestSubprocess:
     def test_list_loads_no_numpy(self):
         proc = self._run(["list", "--no-timestamp"], code=RUN_MAIN_WITHOUT_NUMPY)
         assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == GOLDEN_LIST.read_text()
+
+    def test_list_reads_the_schema_without_importlib_resources(self):
+        # Under -S no site hook loads it first; the schema is a plain file
+        # next to reports.py.
+        proc = self._run(["list", "--no-timestamp"], flags=["-S"], code=(
+            "import sys; from cauchycert.entry import main; code = main(sys.argv[1:]); "
+            "print('importlib.resources' in sys.modules, file=sys.stderr); sys.exit(code)"
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "False\n")
         assert proc.stdout == GOLDEN_LIST.read_text()
 
     def test_help_loads_no_numpy(self):

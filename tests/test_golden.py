@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from cauchycert import STAGES
 from cauchycert.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -179,6 +180,17 @@ def _run(name: str, tmp: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden_file(name, tmp_path):
     assert _run(name, tmp_path) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_certify_goldens_fail_at_every_stage_and_list_no_other():
+    failed, listed = set(), set()
+    for path in GOLDEN.glob("certify_*.json"):
+        for entry in json.loads(path.read_text())["results"]["per_delta"]:
+            if entry["outcome"] is not None:
+                if entry["outcome"]["failure"] is not None:
+                    failed.add(entry["outcome"]["failure"]["stage"])
+                listed |= {s["stage"] for s in entry["outcome"]["stages"]}
+    assert failed == listed == set(STAGES)
 
 
 if __name__ == "__main__":

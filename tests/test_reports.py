@@ -83,7 +83,6 @@ def test_chain_bounds_are_pairs_that_serialize_as_objects(reports):
 def test_fields_are_renamed_by_their_metadata(reports):
     outcome = reports["outcome"].to_dict()
     assert outcome["certificate"]["witness"]["lambda"] == reports["witness"].lam
-    assert outcome["consecutive_decay"] == reports["consecutive_decay"].to_dict()
     assert outcome["shift_contraction"] == reports["shift_contraction"].to_dict()
     assert reports["axioms_results"].to_dict()["metric"] == "sq_abs"
 

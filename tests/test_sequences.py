@@ -467,6 +467,11 @@ class TestWitnessValidation:
         [
             {"delta": 0.0, "p": 1, "lam": 0.5, "n0": 1},
             {"delta": -1.0, "p": 1, "lam": 0.5, "n0": 1},
+            # A boolean delta would certify and serialize as true; an
+            # infinite one would fail later, at the pair scan's bound.
+            {"delta": True, "p": 1, "lam": 0.5, "n0": 1},
+            {"delta": math.inf, "p": 1, "lam": 0.5, "n0": 1},
+            {"delta": math.nan, "p": 1, "lam": 0.5, "n0": 1},
             {"delta": 0.1, "p": 0, "lam": 0.5, "n0": 1},
             {"delta": 0.1, "p": 1.5, "lam": 0.5, "n0": 1},
             {"delta": 0.1, "p": 1, "lam": 0.0, "n0": 1},
@@ -479,6 +484,10 @@ class TestWitnessValidation:
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ShiftWitness(**kwargs)
+
+    @pytest.mark.parametrize("delta", [5e-324, 1, sys.float_info.max])
+    def test_admitted_deltas(self, delta):
+        assert ShiftWitness(delta=delta, p=1, lam=0.5, n0=1).delta == delta
 
     def test_to_dict_uses_lambda_key(self):
         w = ShiftWitness(delta=0.1, p=2, lam=0.5, n0=3)
