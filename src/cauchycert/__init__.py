@@ -33,9 +33,10 @@ _EXPORTS = {
         "check_zero_identity", "estimate_minimal_s", "make_metric", "run_axiom_report",
     ),
     "sequences": (
-        "ConsecutiveDecayReport", "SearchConfig", "SequencePrefix", "ShiftContractionReport",
-        "ShiftWitness", "TailConfig", "WitnessSearch", "check_consecutive_decay",
-        "check_shift_contraction", "consecutive_distances", "search_witness", "tail_diameter",
+        "ConsecutiveDecayReport", "GridSearch", "SearchConfig", "SequencePrefix",
+        "ShiftContractionReport", "ShiftWitness", "TailConfig", "WitnessSearch",
+        "check_consecutive_decay", "check_shift_contraction", "consecutive_distances",
+        "search_grid", "search_witness", "tail_diameter",
     ),
 }
 

@@ -25,7 +25,7 @@ from .sequences import (
     arithmetic_sequence,
     check_consecutive_decay,
     check_shift_contraction,
-    search_witness,
+    search_grid,
     tail_diameter,
 )
 
@@ -63,15 +63,10 @@ def cmd_check(args) -> tuple[dict, dict, int]:
     n = len(seq)
     decay = check_consecutive_decay(seq, exp.tail())
     search_cfg = exp.search()
-
-    per_delta = []
-    for delta in exp.deltas():
-        try:
-            found = search_witness(seq, delta, search_cfg)
-            entry = {"delta": delta, "search": found}
-        except PrefixTooShort as exc:
-            entry = {"delta": delta, "search": None, "note": str(exc)}
-        per_delta.append(entry)
+    per_delta = [
+        {"delta": g.delta, "search": g.search} | ({} if g.note is None else {"note": g.note})
+        for g in search_grid(seq, exp.deltas(), search_cfg)
+    ]
 
     midpoint = math.ceil(n / 2)
     results = {
@@ -92,17 +87,21 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
     metric = exp.metric()
     seq = exp.sequence(metric, csv_header=args.header)
     search_cfg = exp.search()
+    deltas = exp.deltas()  # read before the tail: a bad grid is the error reported
+    decay = check_consecutive_decay(seq, exp.tail())
 
     if "witness" in exp.raw["parameters"]:
         source, witness_for = "explicit", exp.witness_for
     else:
         source = "search"
+        searches = {g.delta: g for g in search_grid(seq, deltas, search_cfg)}
 
         def witness_for(delta: float) -> Optional[ShiftWitness]:
-            return search_witness(seq, delta, search_cfg).witness
+            g = searches[delta]
+            if g.search is None:
+                raise PrefixTooShort(g.note)
+            return g.search.witness
 
-    deltas = exp.deltas()  # read before the tail: a bad grid is the error reported
-    decay = check_consecutive_decay(seq, exp.tail())
     entries = certify_over_grid(seq, deltas, witness_for)
     per_delta = []
     for e in entries:

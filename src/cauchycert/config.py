@@ -344,9 +344,9 @@ class Experiment:
             for key, value in spec.items()
             if key not in ("target_delta", "x0")
         }
-        tail = self.tail()
+        eps = self.tail().eps
         with _building("solver parameters"):
-            cfg = SolverConfig(tail=tail, seed=self.seed, **settings)
+            cfg = SolverConfig(eps=eps, seed=self.seed, **settings)
             return cfg, Point(spec.get("x0", 0.0)), target_delta
 
 

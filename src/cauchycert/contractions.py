@@ -165,12 +165,14 @@ class SolverConfig:
     n0: int = 1
     block: int = 32
     max_iterations: int = 10_000
-    tail: TailConfig = TailConfig()
+    eps: float = TailConfig.eps  # the last step's threshold, as in the decay check
     seed: int = 0
 
     def __post_init__(self):
         if self.block < 1 or self.max_iterations < self.block:
             raise ValueError("need block >= 1 and max_iterations >= block")
+        if not (0.0 <= self.eps < math.inf):
+            raise ValueError(f"eps must be a finite nonnegative number, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def solve_fixed_point(
     is attempted.  Each block extends the prefix, whose distance matrix and
     shift profile then gain only the new rows and columns.  The method
     returns as soon as a certificate is issued and the last step distance
-    rho(x_N, x_{N-1}) is at most ``cfg.tail.eps``;
+    rho(x_N, x_{N-1}) is at most ``cfg.eps``;
     exhausting the iteration budget first raises SolverError, and so does,
     before any iteration, a diameter bound at target_delta that overflows a
     float.  The map and the metric work in x0's dimension, which the
@@ -256,7 +258,7 @@ def solve_fixed_point(
                 )
 
         outcome = certify_cauchy(seq, witness)
-        if outcome.certified and steps[-1] <= cfg.tail.eps:
+        if outcome.certified and steps[-1] <= cfg.eps:
             x_star = seq.point(len(seq))
             fx = f.apply(x_star)
             residual = metric.distance(x_star, fx)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,22 +86,22 @@ class SequencePrefix:
     The points are stored once, as the read-only ``(N, d)`` float64 array
     ``coords``, validated at construction (finiteness, one dimension, the
     metric's dimension).  A prefix is immutable, so its distance matrix is
-    built on first use and kept for every later scan.  Three per-row
-    summaries of it are kept the same way, one slot each, so that the calls
-    of a delta grid share one O(N^2) pass each: the shift profile of the last
-    (delta, p) scanned (:func:`_shift_profile`), the suffix maxima that
+    built on first use and kept for every later scan.  Three kinds of per-row
+    summaries of it are kept the same way, so that the calls of a delta grid
+    share one O(N^2) pass each: for each delta, the shift profile of the last
+    shift p scanned at it (:func:`_shift_profiles`), the suffix maxima that
     :func:`tail_diameter` answers from, and the block-induction summaries of
     the last shift p (``certificates.run_block_induction``).  Each covers the
     rows from the smallest cutoff it was built for and is rebuilt for a
     smaller one.
 
     A prefix grown by :meth:`extend` from a prefix with a built matrix
-    inherits the matrix and the shift profile, so that each grown block costs
-    O(N * block) distance evaluations and scans, not O(N^2): its matrix is
-    written when it is made, as the top-left corner of a buffer with spare
-    rows and columns that later prefixes grow into, and its profile scans
-    only the pairs with a new index.  It starts with neither of the other
-    two slots.
+    inherits the matrix and the shift profiles, so that each grown block
+    costs O(N * block) distance evaluations and scans, not O(N^2): its matrix
+    is written when it is made, as the top-left corner of a buffer with spare
+    rows and columns that later prefixes grow into, and a profile scans only
+    the pairs with a new index.  It starts with neither of the other two
+    slots.
     """
 
     def __init__(self, points: Sequence, metric: DbMetric):
@@ -128,7 +128,7 @@ class SequencePrefix:
         self._matrix: Optional[np.ndarray] = None
         # The writable (C, C) buffer whose corner is ``_matrix``, until a child takes it.
         self._spare: Optional[np.ndarray] = None
-        self._profile: Optional[tuple] = None  # the last shift profile, see _shift_profile
+        self._profiles: dict[float, tuple] = {}  # delta -> its last shift profile, see _shift_profiles
         self._tail: Optional[tuple] = None  # (start, suffix), see tail_diameter
         self._induction: Optional[tuple] = None  # (p, start, summaries), see run_block_induction
 
@@ -146,7 +146,7 @@ class SequencePrefix:
 
         If this prefix's distance matrix was built, the longer prefix's
         matrix is written at once, and the longer prefix keeps this one's
-        shift profile (but not its oracle or induction summaries, whose rows
+        shift profiles (but not its oracle or induction summaries, whose rows
         all change).  Only the rows and columns of the new points are
         evaluated (a :class:`MetricError` among them is raised here), into
         the top-left corner of a ``(C, C)`` :func:`matrix_buffer`: the first
@@ -157,6 +157,11 @@ class SequencePrefix:
         new = _stack(points)
         if not len(new):
             return self
+        if new.shape[1:] != self.coords.shape[1:]:
+            raise MetricError(
+                f"cannot extend a prefix of dimension {self.coords.shape[1]} "
+                f"by points of dimension {' x '.join(map(str, new.shape[1:]))}"
+            )
         grown = SequencePrefix(np.concatenate([self.coords, new]), self.metric)
         if self._matrix is not None:
             n, size = len(self), len(grown)
@@ -174,7 +179,7 @@ class SequencePrefix:
             grown._matrix = buf[:size, :size]
             grown._matrix.setflags(write=False)
             grown._spare = buf
-            grown._profile = self._profile
+            grown._profiles = dict(self._profiles)
         return grown
 
     def distance_matrix(self) -> np.ndarray:
@@ -306,52 +311,77 @@ def check_shift_contraction(seq: SequencePrefix, w: ShiftWitness) -> ShiftContra
     )
 
 
+#: The counts and maxima of a profile that keeps no rows.
+_NO_COUNT = np.zeros(0, dtype=np.int64)
+_NO_MAX = np.zeros(0)
+
+
 def _shift_profile(
     seq: SequencePrefix, delta: float, p: int, n0: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(start, count, rowmax)`` over the 0-based rows r in [start, N - p).
+    """The shift profile of one (delta, p): see :func:`_shift_profiles`."""
+    return _shift_profiles(seq, [delta], p, n0)[0]
+
+
+def _shift_profiles(
+    seq: SequencePrefix, deltas: Sequence[float], p: int, n0: int
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(start, count, rowmax)`` over the 0-based rows r in [start, N - p),
+    one per delta of ``deltas``, in their order.
 
     ``count[r - start]`` is the number of triggered pairs (r, j) with
     r <= j < N - p, and ``rowmax[r - start]`` the largest shifted distance
     dm[r + p, j + p] over them (-inf when there is none).  A row covers the
     same columns for every cutoff, so a profile built from ``start`` answers
-    every n0 >= start.  The prefix keeps the last profile built; a call with
-    another (delta, p), or with n0 < start, replaces it.
+    every n0 >= start.  The prefix keeps, for each delta, the profile of the
+    last shift built at that delta; a call with another p, or with
+    n0 < start, replaces it.  The deltas whose profiles are missing (or
+    lack the same columns) are built in one :func:`_triggered` pass over the
+    matrix.
 
     A prefix grown by :meth:`SequencePrefix.extend` starts with the shorter
-    prefix's profile, which covers the rows and columns below c = the old
-    N - p.  A call that can use it scans only the pairs with j >= c: the
+    prefix's profiles, which cover the rows and columns below c = the old
+    N - p.  A call that can use one scans only the pairs with j >= c: the
     new columns of the old rows, then the new rows.  Counts are integers and
     a maximum is exact, so the result equals a full rebuild.
     """
-    slot = seq._profile
-    if slot is None or slot[:2] != (delta, p) or slot[2] > n0:
-        slot = (delta, p, n0, np.zeros(0, dtype=np.int64), np.zeros(0))  # every pair is new
-    start, kept_count, kept_max = slot[2:]
-    kept = len(kept_count)
     end = len(seq) - p
-    if start + kept == end:
-        return slot[2:]
-    count, rowmax = _triggered(seq.distance_matrix(), delta, p, start, start + kept, end)
-    count[:kept] += kept_count
-    np.maximum(rowmax[:kept], kept_max, out=rowmax[:kept])
-    count.setflags(write=False)
-    rowmax.setflags(write=False)
-    seq._profile = (delta, p, start, count, rowmax)
-    return start, count, rowmax
+    todo: dict[tuple[int, int], dict] = {}  # (start, first column to scan) -> {delta: kept slot}
+    for delta in deltas:
+        slot = seq._profiles.get(delta)
+        if slot is None or slot[0] != p or slot[1] > n0:
+            slot = (p, n0, _NO_COUNT, _NO_MAX)  # every pair is new
+        left = slot[1] + len(slot[2])
+        if left < end:
+            todo.setdefault((slot[1], left), {})[delta] = slot
+    for (start, left), group in todo.items():
+        built = _triggered(seq.distance_matrix(), list(group), p, start, left, end)
+        for (delta, (_, _, kept_count, kept_max)), (count, rowmax) in zip(group.items(), built):
+            kept = len(kept_count)
+            count[:kept] += kept_count
+            np.maximum(rowmax[:kept], kept_max, out=rowmax[:kept])
+            count.setflags(write=False)
+            rowmax.setflags(write=False)
+            seq._profiles[delta] = (p, start, count, rowmax)
+    return [seq._profiles[delta][1:] for delta in deltas]
 
 
 def _triggered(
-    dm: np.ndarray, delta: float, p: int, lo: int, left: int, end: int
-) -> tuple[np.ndarray, np.ndarray]:
+    dm: np.ndarray, deltas: Sequence[float], p: int, lo: int, left: int, end: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The triggered count and shifted maximum of each row r in [lo, end),
-    over the pairs (r, j) with max(r, left) <= j < end."""
+    over the pairs (r, j) with max(r, left) <= j < end, one pair of arrays
+    per delta of ``deltas``, in their order.
+
+    Each row chunk is read, tested against ``ETA`` and masked to the
+    triangle once for all the deltas, while it is in cache; only the test
+    against delta - ETA, the counts and the maxima are made per delta."""
     t = end - lo
     mid = max(lo, left)  # the first row that starts on the diagonal
     width = end - mid  # the widest row's columns
-    high = delta - ETA
-    count = np.empty(t, dtype=np.int64)
-    rowmax = np.full(t, -np.inf)
+    highs = [delta - ETA for delta in deltas]
+    counts = [np.empty(t, dtype=np.int64) for _ in highs]
+    rowmaxes = [np.full(t, -np.inf) for _ in highs]
     # Row chunks: 0-based rows/cols r < N - p hold 1-based n <= N - p, and
     # the same block shifted by p.  A chunk reads the columns from its first
     # row or from ``left``, whichever is later; its rows from ``left`` on
@@ -372,30 +402,34 @@ def _triggered(
         i = r - lo
         c = max(r, left)
         block = dm[r : r + k, c:end]
-        triggered = block > ETA
-        triggered &= block < high
+        shifted = dm[r + p : r + p + k, c + p : end + p]
+        above = block > ETA
         d = min(c - r, k)  # the chunk's rows before ``left``; the rest start on the diagonal
-        triggered[d:, : k - d] &= upper[: k - d, : k - d]
-        count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
-        live = np.flatnonzero(count[i : i + k])
-        if not len(live):
-            continue  # every row keeps -inf
-        # The maximum over the live span, where rows without a triggered pair
-        # reduce to -inf.  A masked reduction (``where=``) pays once per run
-        # of true entries, a blend with -inf and a plain reduction once per
-        # entry.  With at most one run a row (two edges), as a converging
-        # orbit gives, the masked reduction reads less; a period-2 mask has
-        # runs of one entry, and the blend is several times faster there.
-        a, b = live[0], live[-1] + 1
-        mask = triggered[a:b]
-        shifted = dm[r + p + a : r + p + b, c + p : end + p]
-        out = rowmax[i + a : i + b]
-        edges = np.count_nonzero(mask[:, 1:] != mask[:, :-1])
-        if edges <= 2 * (b - a):  # flip-equivalent: both branches give the same maxima
-            np.maximum.reduce(shifted, axis=1, where=mask, initial=-np.inf, out=out)
-        else:
-            np.maximum.reduce(np.where(mask, shifted, -np.inf), axis=1, out=out)
-    return count, rowmax
+        above[d:, : k - d] &= upper[: k - d, : k - d]
+        triggered = np.empty_like(above)
+        for high, count, rowmax in zip(highs, counts, rowmaxes):
+            np.less(block, high, out=triggered)
+            triggered &= above
+            count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
+            live = np.flatnonzero(count[i : i + k])
+            if not len(live):
+                continue  # every row keeps -inf
+            # The maximum over the live span, where rows without a triggered
+            # pair reduce to -inf.  A masked reduction (``where=``) pays once
+            # per run of true entries, a blend with -inf and a plain reduction
+            # once per entry.  With at most one run a row (two edges), as a
+            # converging orbit gives, the masked reduction reads less; a
+            # period-2 mask has runs of one entry, and the blend is several
+            # times faster there.
+            a, b = live[0], live[-1] + 1
+            mask = triggered[a:b]
+            out = rowmax[i + a : i + b]
+            edges = np.count_nonzero(mask[:, 1:] != mask[:, :-1])
+            if edges <= 2 * (b - a):  # flip-equivalent: both branches give the same maxima
+                np.maximum.reduce(shifted[a:b], axis=1, where=mask, initial=-np.inf, out=out)
+            else:
+                np.maximum.reduce(np.where(mask, shifted[a:b], -np.inf), axis=1, out=out)
+    return list(zip(counts, rowmaxes))
 
 
 def tail_diameter(seq: SequencePrefix, n0: int) -> float:
@@ -452,6 +486,13 @@ class SearchConfig:
     n0_values: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
+        # bool is an int subclass, but True is no shift and no cutoff.
+        if isinstance(self.p_max, bool) or not isinstance(self.p_max, int):
+            raise ValueError(f"p_max must be an integer, got {self.p_max!r}")
+        if self.n0_values is not None and not all(
+            isinstance(n0, int) and not isinstance(n0, bool) for n0 in self.n0_values
+        ):
+            raise ValueError(f"n0 grid entries must be integers, got {self.n0_values!r}")
         if self.p_max < 1:
             raise ValueError("p_max must be >= 1")
         if not self.lambdas or (self.n0_values is not None and not self.n0_values):
@@ -509,6 +550,40 @@ def search_witness(
                 if report.holds:
                     return WitnessSearch(w, report, p_max_used, truncated)
     return WitnessSearch(None, None, p_max_used, truncated)
+
+
+class GridSearch(NamedTuple):
+    """One delta of :func:`search_grid`: its search, or, when the prefix is
+    too short for any shift, None and the reason."""
+
+    delta: float
+    search: Optional[WitnessSearch]
+    note: Optional[str]
+
+
+def search_grid(
+    seq: SequencePrefix, deltas: Sequence[float], cfg: SearchConfig = SearchConfig()
+) -> list[GridSearch]:
+    """:func:`search_witness` at every delta of ``deltas``, in their order.
+
+    A :class:`PrefixTooShort` from a search is recorded as that delta's note.
+    Every search scans p = 1 at the smallest cutoff first, when the prefix
+    admits it; those shift profiles are built beforehand for the whole grid,
+    in one pass over the distance matrix, and each search finds its own kept
+    on the prefix.  The results equal separate searches.
+    """
+    n0 = min(cfg.n0_values or default_n0_grid(len(seq)))
+    if len(seq) >= n0 + 3:  # n0 + p + 2 at p = 1, as check_shift_contraction needs
+        for delta in deltas:  # a delta its search would refuse is refused before the pass
+            ShiftWitness(delta=delta, p=1, lam=cfg.lambdas[0], n0=n0)
+        _shift_profiles(seq, deltas, 1, n0)
+    entries = []
+    for delta in deltas:
+        try:
+            entries.append(GridSearch(delta, search_witness(seq, delta, cfg), None))
+        except PrefixTooShort as exc:
+            entries.append(GridSearch(delta, None, str(exc)))
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ shorter prefix's profile; ``masked_triggered`` is the profile's row kernel
 with row chunks bounded by their element count alone and every row maximum
 a masked (``where=``) reduction, which chunks of at most 64 rows from the
 diagonal on, each choosing that reduction or a blend with -inf by its mask's
-edges, replaced; ``copied_extension_matrix`` is the grown matrix as
+edges, replaced; ``single_delta_triggered`` is that kernel for one delta,
+which the kernel that reads each row chunk once for a whole delta grid
+replaced; ``copied_extension_matrix`` is the grown matrix as
 ``distance_matrix`` built it before it kept spare capacity: the shorter
 prefix's matrix copied into a new buffer of exactly N x N;
 ``loop_search_witness`` is the witness search over
@@ -420,6 +422,64 @@ def masked_triggered(
     return count, rowmax
 
 
+def single_delta_triggered(
+    dm: np.ndarray, delta: float, p: int, lo: int, left: int, end: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sequences._triggered`` for one delta, with the row chunks read and
+    masked once per delta: the triggered count and shifted maximum of each
+    row r in [lo, end), over the pairs (r, j) with max(r, left) <= j < end."""
+    t = end - lo
+    mid = max(lo, left)  # the first row that starts on the diagonal
+    width = end - mid  # the widest row's columns
+    high = delta - ETA
+    count = np.empty(t, dtype=np.int64)
+    rowmax = np.full(t, -np.inf)
+    # Row chunks: 0-based rows/cols r < N - p hold 1-based n <= N - p, and
+    # the same block shifted by p.  A chunk reads the columns from its first
+    # row or from ``left``, whichever is later; its rows from ``left`` on
+    # meet the triangle's edge inside the chunk, in a square masked by ``upper``.
+    # The rows before ``left`` read one rectangle in chunks of ``chunk_rows``;
+    # the rows from it on take at most 64 rows a chunk, so that the square's
+    # masked-off half stays a small part of the entries a chunk reads.
+    rows = chunk_rows(width)
+    square = min(rows, 64)
+    starts = [*range(lo, mid, rows), *range(mid, end, square)]
+    ar = np.arange(min(square, width))
+    upper = ar[:, None] <= ar
+    # Summing the mask's bytes into the narrowest type that holds a row's
+    # count is several times faster than ``np.count_nonzero(..., axis=1)``.
+    counter = np.min_scalar_type(width)
+    for r, stop in zip(starts, [*starts[1:], end]):
+        k = stop - r
+        i = r - lo
+        c = max(r, left)
+        block = dm[r : r + k, c:end]
+        triggered = block > ETA
+        triggered &= block < high
+        d = min(c - r, k)  # the chunk's rows before ``left``; the rest start on the diagonal
+        triggered[d:, : k - d] &= upper[: k - d, : k - d]
+        count[i : i + k] = np.add.reduce(triggered.view(np.uint8), axis=1, dtype=counter)
+        live = np.flatnonzero(count[i : i + k])
+        if not len(live):
+            continue  # every row keeps -inf
+        # The maximum over the live span, where rows without a triggered pair
+        # reduce to -inf.  A masked reduction (``where=``) pays once per run
+        # of true entries, a blend with -inf and a plain reduction once per
+        # entry.  With at most one run a row (two edges), as a converging
+        # orbit gives, the masked reduction reads less; a period-2 mask has
+        # runs of one entry, and the blend is several times faster there.
+        a, b = live[0], live[-1] + 1
+        mask = triggered[a:b]
+        shifted = dm[r + p + a : r + p + b, c + p : end + p]
+        out = rowmax[i + a : i + b]
+        edges = np.count_nonzero(mask[:, 1:] != mask[:, :-1])
+        if edges <= 2 * (b - a):  # flip-equivalent: both branches give the same maxima
+            np.maximum.reduce(shifted, axis=1, where=mask, initial=-np.inf, out=out)
+        else:
+            np.maximum.reduce(np.where(mask, shifted, -np.inf), axis=1, out=out)
+    return count, rowmax
+
+
 def copied_extension_matrix(base: np.ndarray, seq: SequencePrefix) -> np.ndarray:
     """The matrix of ``seq``, whose leading prefix has the matrix ``base``:
     ``base`` copied into a new N x N buffer, the new rows and columns evaluated."""
@@ -536,7 +596,7 @@ def blockwise_solve_fixed_point(
 
         outcome = certify_cauchy(seq, witness)
         last_step = pair_distance(seq, len(pts) - 1, len(pts))
-        if outcome.certified and last_step <= cfg.tail.eps:
+        if outcome.certified and last_step <= cfg.eps:
             x_star = pts[-1]
             fx = f.apply(x_star)
             residual = metric.distance(x_star, fx)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cauchycert
-from cauchycert import STAGES, cli, contractions, registry
+from cauchycert import STAGES, cli, contractions, registry, sequences
 from cauchycert.cli import main
 from cauchycert.reports import SchemaError, load_schema, validate_report
 
@@ -684,6 +684,71 @@ class TestCertify:
             "internal divergence: the report fails its schema: "
             "None is not of type 'object' (at results/consecutive_decay)\n"
         )
+
+
+#: A period-2 oscillation with small offsets: the smaller grid deltas have
+#: no witness at p = 1, so their searches go on to larger shifts.
+OSCILLATION_CONFIG = {
+    "metric": {"name": "euclid_1d"},
+    "source": {"inline": [(-1.0) ** k + 0.01 * (k % 7) for k in range(40)]},
+    "parameters": {"search": {"p_max": 3}},
+}
+
+
+class TestGridSearch:
+    """``check`` and a searched ``certify`` build the shift-1 profiles of the
+    whole grid in one kernel call before the per-delta searches."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = sequences._triggered
+
+        def counted(dm, deltas, p, lo, left, end):
+            calls.append((tuple(deltas), p))
+            return kernel(dm, deltas, p, lo, left, end)
+
+        monkeypatch.setattr(sequences, "_triggered", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["check", "certify"])
+    @pytest.mark.parametrize("config", [HALVING_ORBIT_CONFIG, OSCILLATION_CONFIG], ids=["orbit", "oscillation"])
+    def test_one_kernel_call_at_shift_one(self, tmp_path, capsys, kernel_calls, command, config):
+        cfg = write_config(tmp_path, config)
+        code, out, _ = run_cli([command, "--config", cfg, "--no-timestamp"], capsys)
+        assert code == 0
+        grid = tuple(e["delta"] for e in parse_report(out)["results"]["per_delta"])
+        assert len(grid) == 7
+        assert [deltas for deltas, p in kernel_calls if p == 1] == [grid]
+        # Every later build is one delta's, at a larger shift.
+        assert all(len(deltas) == 1 and p > 1 for deltas, p in kernel_calls[1:])
+        assert (len(kernel_calls) > 1) == (config is OSCILLATION_CONFIG)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_a_prefix_too_short_for_p_one_keeps_its_notes(self, tmp_path, capsys, kernel_calls, n):
+        # n0 = 6 needs N >= 9 for p = 1: no pass, and every delta's note.
+        config = {
+            "metric": {"name": "euclid_1d"},
+            "source": {"inline": [2.0**-k for k in range(n)]},
+            "parameters": {"delta_grid": {"values": [0.5, 0.25]}, "search": {"n0_values": [6]}},
+        }
+        cfg = write_config(tmp_path, config)
+        note = f"prefix of length {n} is too short for any shift with n0 grid (6,)"
+        code, out, _ = run_cli(["check", "--config", cfg, "--no-timestamp"], capsys)
+        assert code == 0
+        assert parse_report(out)["results"]["per_delta"] == [
+            {"delta": 0.5, "search": None, "note": note},
+            {"delta": 0.25, "search": None, "note": note},
+        ]
+        code, out, _ = run_cli(["certify", "--config", cfg, "--no-timestamp"], capsys)
+        assert code == 0
+        results = parse_report(out)["results"]
+        assert results["all_certified"] is False
+        assert results["per_delta"] == [
+            {"delta": delta, "witness": None, "outcome": None, "note": note, "witness_source": "search"}
+            for delta in (0.5, 0.25)
+        ]
+        assert kernel_calls == []
 
 
 class TestSolve:

@@ -40,6 +40,13 @@ def test_a_partial_section_keeps_the_other_defaults():
     assert exp.solver() == (SolverConfig(lam=0.25, seed=7), Point([1.0, 2.0]), 0.5)
 
 
+def test_the_solver_reads_only_the_tail_eps():
+    exp = make_experiment(
+        {"parameters": {"tail": {"tau": 0.25, "eps": 0.125}, "solver": {"target_delta": 0.5}}}
+    )
+    assert exp.solver() == (SolverConfig(eps=0.125), Point(0.0), 0.5)
+
+
 def _outcome(read, path: str, header: bool):
     try:
         return read(path, header)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,6 @@ from cauchycert import (
     ShiftWitness,
     SolverConfig,
     SolverError,
-    TailConfig,
     derive_shift,
     estimate_contraction_constant,
     iterate,
@@ -283,12 +284,25 @@ class TestDeriveShift:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert (cfg.lam, cfg.block, cfg.max_iterations) == (0.5, 32, 10_000)
+        assert (cfg.lam, cfg.block, cfg.max_iterations, cfg.eps) == (0.5, 32, 10_000, 1e-6)
 
-    @pytest.mark.parametrize("kwargs", [{"block": 0}, {"block": 64, "max_iterations": 32}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"block": 0},
+            {"block": 64, "max_iterations": 32},
+            {"eps": -5e-324},
+            {"eps": math.inf},
+            {"eps": math.nan},
+        ],
+    )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("eps", [0.0, sys.float_info.max])
+    def test_admitted_eps(self, eps):
+        assert SolverConfig(eps=eps).eps == eps
 
 
 class TestSolveFixedPoint:
@@ -462,7 +476,7 @@ class TestSolverMatchesOracle:
         metric = make_metric(metric_name)
         cfg = SolverConfig(
             lam=lam, n0=n0, block=block, max_iterations=max_iterations,
-            tail=TailConfig(eps=eps), seed=seed,
+            eps=eps, seed=seed,
         )
 
         def run(solve):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cauchycert import (
     ETA,
     DbMetric,
+    GridSearch,
     MetricError,
     PrefixTooShort,
     SearchConfig,
@@ -24,10 +25,11 @@ from cauchycert import (
     check_shift_contraction,
     consecutive_distances,
     make_metric,
+    search_grid,
     search_witness,
     tail_diameter,
 )
-from cauchycert import metrics
+from cauchycert import metrics, sequences
 from cauchycert.registry import documented, factory
 from cauchycert.sequences import (
     _shift_profile,
@@ -48,6 +50,7 @@ from oracles import (
     pair_distance,
     rebuilt_shift_profile,
     row_offsets,
+    single_delta_triggered,
     triu_tail_diameter,
 )
 
@@ -203,6 +206,19 @@ class TestExtend:
             seq.extend([3.0, float("inf")])
         assert seq.extend([]) is seq
 
+    @pytest.mark.parametrize("built", [False, True])
+    def test_new_points_of_another_dimension_are_refused(self, built):
+        # numpy's own concatenation error used to escape here.
+        seq = SequencePrefix([1.0, 2.0], make_metric("euclid_nd"))
+        if built:
+            seq.distance_matrix()
+        with pytest.raises(MetricError, match="cannot extend a prefix of dimension 1 by points of dimension 2"):
+            seq.extend([[1.0, 2.0]])
+        wide = SequencePrefix([[1.0, 2.0], [3.0, 4.0]], make_metric("euclid_nd"))
+        with pytest.raises(MetricError, match="of dimension 2 by points of dimension 1"):
+            wide.extend([5.0])
+        assert wide.extend([[5.0, 6.0]]).coords.shape == (3, 2)
+
 
 def _check_grown(seq: SequencePrefix, w: ShiftWitness) -> None:
     """``seq``'s matrix, shift report and shift profile at ``w`` equal the
@@ -304,6 +320,8 @@ class TestGrownPrefix:
         longer = _shift_profile(grown, 0.3, 2, 3)
         assert len(longer[1]) == len(profile[1]) + 1
         assert all(a is b for a, b in zip(_shift_profile(grown, 0.3, 2, 3), longer))
+        # The grown prefix's profiles are its own: the shorter one keeps its.
+        assert all(a is b for a, b in zip(_shift_profile(seq, 0.3, 2, 3), profile))
 
 
 def _kernel_points(pieces, delta: float, seed: int) -> np.ndarray:
@@ -380,7 +398,7 @@ class TestTriggeredKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_CHUNK", chunk)
             for lo, left, end in bounds:
-                count, rowmax = _triggered(dm, delta, p, lo, left, end)
+                [(count, rowmax)] = _triggered(dm, [delta], p, lo, left, end)
                 want_count, want_max = masked_triggered(dm, delta, p, lo, left, end)
                 assert count.tolist() == want_count.tolist()
                 assert rowmax.tolist() == want_max.tolist()
@@ -399,7 +417,7 @@ class TestTriggeredKernel:
             2e4 + 10.0 * np.arange(70),
         ])
         dm = SequencePrefix(values, euclid).distance_matrix()
-        count, rowmax = _triggered(dm, delta, 1, 0, 0, 199)
+        [(count, rowmax)] = _triggered(dm, [delta], 1, 0, 0, 199)
         want_count, want_max = masked_triggered(dm, delta, 1, 0, 0, 199)
         assert count.tolist() == want_count.tolist()
         assert rowmax.tolist() == want_max.tolist()
@@ -408,6 +426,49 @@ class TestTriggeredKernel:
         assert count[70:74].tolist() == [1, 2, 1, 0]
         assert count[:70].sum() == count[130:].sum() == 0
         assert count[74:128].tolist() == [27 - i // 2 for i in range(54)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=_PIECES,
+        base=st.sampled_from([0.3, 1.0]),
+        # 2 ETA leaves the band empty; 1e9 holds every pair above ETA.
+        deltas=st.lists(st.sampled_from([2 * ETA, 0.1, 0.3, 0.6, 1.0, 2.0, 1e9]), min_size=1, max_size=8),
+        name=st.sampled_from(["euclid_1d", "sq_abs", "max_dislocated"]),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 4),
+        chunk=st.sampled_from([7, 400, metrics._CHUNK]),
+        data=st.data(),
+    )
+    # A repeated delta, an empty band, and deltas whose masks choose the
+    # masked and the blended maximum on the same chunks.
+    @example(
+        pieces=[("dead", 20), ("period2", 100), ("decay", 100), ("ties", 30)], base=0.3,
+        deltas=[0.3, 2 * ETA, 1.0, 0.3, 1e9], name="euclid_1d", seed=3, p=2, chunk=metrics._CHUNK, data=None,
+    )
+    def test_grid_equals_separate_kernels(self, pieces, base, deltas, name, seed, p, chunk, data):
+        points = _kernel_points(pieces, base, seed)
+        assume(len(points) >= p + 2)
+        dm = SequencePrefix(points, make_metric(name)).distance_matrix()
+        n = dm.shape[0]
+        if data is None:  # the example: every row, a ``left`` inside
+            bounds = [(0, 0, n - p), (n // 5, n // 3, n - p)]
+        else:
+            end = data.draw(st.integers(1, n - p), label="end")
+            lo = data.draw(st.integers(0, end - 1), label="lo")
+            left = data.draw(st.integers(lo, end) | st.just(lo), label="left")
+            bounds = [(lo, left, end)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            for lo, left, end in bounds:
+                got = _triggered(dm, deltas, p, lo, left, end)
+                assert len(got) == len(deltas)
+                for delta, (count, rowmax) in zip(deltas, got):
+                    want_count, want_max = single_delta_triggered(dm, delta, p, lo, left, end)
+                    assert count.dtype == want_count.dtype and rowmax.dtype == want_max.dtype
+                    assert count.tolist() == want_count.tolist()
+                    assert rowmax.tolist() == want_max.tolist()
+                # Every delta has arrays of its own.
+                assert len({id(a) for pair in got for a in pair}) == 2 * len(deltas)
 
 
 class TestRowOffsets:
@@ -884,6 +945,22 @@ class TestWitnessSearch:
             with pytest.raises(ValueError, match="must not be empty"):
                 SearchConfig(**empty)
 
+    @pytest.mark.parametrize(
+        "grids, message",
+        [
+            ({"p_max": 2.5}, "p_max must be an integer, got 2.5"),
+            ({"p_max": 2.0}, "p_max must be an integer, got 2.0"),
+            ({"p_max": True}, "p_max must be an integer, got True"),
+            ({"n0_values": (1.5, 3)}, r"n0 grid entries must be integers, got \(1.5, 3\)"),
+            ({"n0_values": (True, 3)}, r"n0 grid entries must be integers, got \(True, 3\)"),
+        ],
+    )
+    def test_search_config_refuses_non_integer_grids(self, grids, message):
+        # Each of these used to fail inside the search, or to run: p_max=True
+        # reported ``p_max_used: true``.
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**grids)
+
     def test_custom_grids_respected(self, halving_orbit):
         cfg = SearchConfig(p_max=2, lambdas=(0.5,), n0_values=(1,))
         found = search_witness(halving_orbit, 0.1, cfg)
@@ -966,6 +1043,96 @@ class TestWitnessSearch:
                 assert _search_outcome(search_witness, seq, d, cfg) == _search_outcome(
                     loop_search_witness, seq, d, cfg
                 )
+
+
+#: Prefixes for the grid searches: arbitrary points, few levels (ties with
+#: the trigger bounds), and geometric decay, where some deltas find a witness.
+_GRID_VALUES = st.one_of(
+    st.lists(st.floats(0.0, 2.0), min_size=2, max_size=40),
+    st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]), min_size=2, max_size=40),
+    st.builds(lambda n, r: [r**k for k in range(n)], st.integers(2, 40), st.floats(0.3, 0.9)),
+)
+
+
+class TestSearchGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=_GRID_VALUES,
+        name=st.sampled_from(sorted(documented()["metrics"])),
+        deltas=st.lists(st.sampled_from([2 * ETA, 0.01, 0.1, 0.3, 1.0]), min_size=1, max_size=6),
+        cfg=st.builds(
+            SearchConfig,
+            p_max=st.integers(1, 4),
+            lambdas=st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=1, max_size=3).map(tuple),
+            n0_values=st.none() | st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+        ),
+        chunk=st.sampled_from([7, 400, metrics._CHUNK]),
+    )
+    def test_equals_separate_searches(self, values, name, deltas, cfg, chunk):
+        seq = SequencePrefix(values, make_metric(name))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_CHUNK", chunk)
+            got = search_grid(seq, deltas, cfg)
+            assert [g.delta for g in got] == deltas
+            for g in got:
+                fresh = SequencePrefix(values, make_metric(name))
+                want = _search_outcome(search_witness, fresh, g.delta, cfg)
+                if g.search is None:
+                    assert want == (PrefixTooShort, g.note)
+                else:
+                    assert g.note is None and g.search.to_dict() == want
+            # The prefix keeps one profile per delta scanned: the last shift's.
+            assert set(seq._profiles) <= set(deltas)
+            for g in got:
+                if g.search is not None:
+                    last = g.search.witness.p if g.search.witness else g.search.p_max_used
+                    assert seq._profiles[g.delta][0] == last
+
+    def test_one_kernel_call_builds_every_first_profile(self, euclid, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        seq = SequencePrefix([2.0**-k for k in range(1, 61)], euclid)
+        got = search_grid(seq, [0.5, 0.25, 0.125, 0.5])
+        # Every delta has a witness at p = 1, so the one pass from row n0 = 1
+        # is every build, and the prefix keeps one profile per delta.
+        assert [g.search.witness.p for g in got] == [1, 1, 1, 1]
+        assert calls == [((0.5, 0.25, 0.125), 1, 1)]
+        assert sorted(seq._profiles) == [0.125, 0.25, 0.5]
+        assert sum(a.nbytes for slot in seq._profiles.values() for a in slot[2:]) == 3 * 16 * (60 - 2)
+
+    @pytest.mark.parametrize("n, kernel", [(6, []), (7, [((0.5, 0.25), 1, 4)])])
+    def test_pass_needs_room_for_p_one_at_the_smallest_cutoff(self, euclid, monkeypatch, n, kernel):
+        # N >= n0 + 3 admits p = 1 at n0 = 4: at the tie the pass runs, and
+        # below it every delta is too short, with no pass.
+        calls = _count_kernel_calls(monkeypatch)
+        seq = SequencePrefix([2.0**-k for k in range(n)], euclid)
+        got = search_grid(seq, [0.5, 0.25], SearchConfig(n0_values=(6, 4)))
+        assert calls == kernel
+        if kernel:
+            assert all(g.note is None and g.search.p_max_used == 1 for g in got)
+        else:
+            note = "prefix of length 6 is too short for any shift with n0 grid (4, 6)"
+            assert got == [GridSearch(0.5, None, note), GridSearch(0.25, None, note)]
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan, True])
+    def test_a_bad_delta_is_refused_before_the_pass(self, euclid, monkeypatch, delta):
+        calls = _count_kernel_calls(monkeypatch)
+        seq = SequencePrefix([2.0**-k for k in range(1, 61)], euclid)
+        with pytest.raises(ValueError, match="delta must be a finite positive number"):
+            search_grid(seq, [0.5, delta])
+        assert calls == [] and seq._profiles == {}
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """Record ``(deltas, p, lo)`` of every ``_triggered`` call from now on."""
+    calls = []
+
+    def counted(dm, deltas, p, lo, left, end):
+        calls.append((tuple(deltas), p, lo))
+        return kernel(dm, deltas, p, lo, left, end)
+
+    kernel = sequences._triggered
+    monkeypatch.setattr(sequences, "_triggered", counted)
+    return calls
 
 
 class TestGenerators:
